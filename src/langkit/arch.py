@@ -151,9 +151,6 @@ class AutOnEmbeddings:
     def inverse(self) -> "AutOnEmbeddings":
         return AutOnEmbeddings(tuple((b, a) for a, b in self.mapping))
 
-    def commutes_with(self, emb: EmbeddingSet) -> bool:
-        return all(self.image(emb.partner(x)) == emb.partner(self.image(x)) for x in emb.labels)
-
 
 # ---------------------------------------------------------------------------
 # construction and purity
@@ -323,13 +320,6 @@ class I4:
 
     def __pow__(self, n: int) -> "I4":
         return I4(self.k * n)
-
-    def as_sign(self) -> int:
-        if self.k == 0:
-            return 1
-        if self.k == 2:
-            return -1
-        raise ArchError("not a real sign")
 
     def __str__(self):
         return ("1", "i", "-1", "-i")[self.k]

@@ -70,6 +70,8 @@ def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"/: cannot read {path} ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"/: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -238,13 +240,16 @@ def _report(command: str, scn_name: str, payload: dict) -> dict:
     return report
 
 
+def _holomorphy(scn: dict, strict: bool) -> dict:
+    pi, rho, aux = parse_quasi_tempered(_need(scn, "quasi_tempered", "/"))
+    return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict).serialize()
+
+
 def cmd_check_scenario(scn: dict, strict: bool) -> dict:
     target = scn.get("theorem_target", "custom")
     name = scn.get("name", "")
     if target == "appendix":
-        pi, rho, aux = parse_quasi_tempered(_need(scn, "quasi_tempered", "/"))
-        verdict = holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict)
-        return _report("check-scenario", name, {"target": target, **verdict.serialize()})
+        return _report("check-scenario", name, {"target": target, **_holomorphy(scn, strict)})
     pi, rho = resolve_records(scn)
     emb = parse_embeddings(scn["embeddings"]) if "embeddings" in scn else None
     aut = parse_aut_spec(scn.get("aut_spec", {}), emb)
@@ -318,9 +323,7 @@ def cmd_root_number(scn: dict, strict: bool) -> dict:
 
 
 def cmd_normalize(scn: dict, strict: bool) -> dict:
-    pi, rho, aux = parse_quasi_tempered(_need(scn, "quasi_tempered", "/"))
-    verdict = holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict)
-    return _report("normalize", scn.get("name", ""), verdict.serialize())
+    return _report("normalize", scn.get("name", ""), _holomorphy(scn, strict))
 
 
 def cmd_satake_act(scn: dict, strict: bool) -> dict:
@@ -342,6 +345,17 @@ def cmd_satake_act(scn: dict, strict: bool) -> dict:
             "output": moved.serialize(),
         },
     )
+
+
+# name -> (help, handler) for the commands that read a scenario
+SCENARIO_COMMANDS = {
+    "check-scenario": ("run the full invariance pipeline for a scenario", cmd_check_scenario),
+    "pole": ("decide the constant-term pole at the half point", cmd_pole),
+    "classify": ("classify induction data for the scenario's parameter", cmd_classify),
+    "root-number": ("compute the sign/ratio invariance checks", cmd_root_number),
+    "normalize": ("certify the normalized-operator verdict", cmd_normalize),
+    "satake-act": ("transport a symbolic eigenvalue class", cmd_satake_act),
+}
 
 
 def cmd_kostant(args) -> dict:
@@ -425,25 +439,25 @@ def _resolve_scenario_path(value: str) -> Path:
 
 
 def run(command: str, scenario_path: str | None, strict: bool = False, args=None) -> dict:
-    """Dispatch a command; returns the report dict."""
+    """Dispatch a command; returns the report dict.
+
+    The ledger overrides of ``args.ledger_override``, when given, are
+    appended to the scenario's own before the command runs.
+    """
     if command == "selftest":
         return cmd_selftest()
     if command == "kostant":
         return cmd_kostant(args)
+    if command not in SCENARIO_COMMANDS:
+        raise ScenarioError(f"/: unknown command {command!r}")
     if scenario_path is None:
         raise ScenarioError("/: this command needs --scenario")
     scn = load_scenario(_resolve_scenario_path(scenario_path))
-    handlers = {
-        "check-scenario": cmd_check_scenario,
-        "pole": cmd_pole,
-        "classify": cmd_classify,
-        "root-number": cmd_root_number,
-        "normalize": cmd_normalize,
-        "satake-act": cmd_satake_act,
-    }
-    if command not in handlers:
-        raise ScenarioError(f"/: unknown command {command!r}")
-    return handlers[command](scn, strict)
+    override = getattr(args, "ledger_override", None)
+    if override:
+        extra = load_scenario(Path(override))
+        scn.setdefault("ledger_overrides", []).extend(extra.get("ledger_overrides", []))
+    return SCENARIO_COMMANDS[command][1](scn, strict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,14 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"langkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, txt in (
-        ("check-scenario", "run the full invariance pipeline for a scenario"),
-        ("pole", "decide the constant-term pole at the half point"),
-        ("classify", "classify induction data for the scenario's parameter"),
-        ("root-number", "compute the sign/ratio invariance checks"),
-        ("normalize", "certify the normalized-operator verdict"),
-        ("satake-act", "transport a symbolic eigenvalue class"),
-    ):
+    for name, (txt, _) in SCENARIO_COMMANDS.items():
         p = sub.add_parser(name, help=txt)
         p.add_argument("--scenario", required=True, help="scenario file or library name")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -488,17 +495,6 @@ def main(argv=None) -> int:
     strict = getattr(args, "strict", False)
     scenario = getattr(args, "scenario", None)
     try:
-        if scenario and getattr(args, "ledger_override", None):
-            scn = load_scenario(_resolve_scenario_path(scenario))
-            extra = load_scenario(Path(args.ledger_override))
-            scn.setdefault("ledger_overrides", []).extend(extra.get("ledger_overrides", []))
-            import tempfile
-
-            with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False, encoding="utf-8"
-            ) as fh:
-                json.dump(scn, fh)
-                scenario = fh.name
         report = run(args.command, scenario, strict=strict, args=args)
     except (ScenarioError, HypothesisError) as exc:
         sys.stderr.write(f"error: {exc}\n")

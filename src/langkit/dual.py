@@ -4,37 +4,36 @@ identification of the two factor representations it carries.
 The degree-2 piece is the n×n block; the group of the quadratic extension
 acts on it through the signed anti-transposition x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹,
 whose trace (-1)^r·n detects which of the two extensions of the tensor
-square occurs.  The degree-1 piece pairs the two off-diagonal blocks into
-the rank-nr tensor product composed with base change.
+square occurs.  That involution permutes the basis e_{kl} up to sign, so it
+is carried as a `SignedPerm` of rank n²: the trace is the sum of the signs
+at its fixed points and the involution property is a composition.  The
+degree-1 piece pairs the two off-diagonal blocks into the rank-nr tensor
+product composed with base change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-import numpy as np
 
 from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
-from .satake import Eigenvalue, SatakeClass, ev
+from .satake import SatakeClass, ev
+from .weyl import SignedPerm
 
 
 class DualError(ValueError):
     pass
 
 
-def phi_matrix(N: int) -> np.ndarray:
-    """Anti-diagonal matrix with entries 1, -1, ..., (-1)^{N-1} top-down.
+def phi_perm(N: int) -> SignedPerm:
+    """The anti-diagonal Φ_N with entries 1, -1, ..., (-1)^{N-1} top-down,
+    as the signed permutation e_j ↦ (-1)^{N-j} e_{N+1-j}.
 
-    Satisfies Φ² = (-1)^{N-1}·id and ᵗΦ = Φ⁻¹; both are asserted.
+    Being a signed permutation, ᵗΦ = Φ⁻¹; also Φ² = (-1)^{N-1}·id.
     """
     if N < 1:
         raise DualError("need N ≥ 1")
-    phi = np.zeros((N, N), dtype=np.int64)
-    for k in range(1, N + 1):
-        phi[k - 1, N - k] = (-1) ** (k - 1)
-    sq = phi @ phi
-    assert np.array_equal(sq, (-1) ** (N - 1) * np.eye(N, dtype=np.int64))
-    assert np.array_equal(phi.T @ phi, np.eye(N, dtype=np.int64))
-    return phi
+    return SignedPerm(tuple((-1) ** (N - j) * (N + 1 - j) for j in range(1, N + 1)))
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,7 @@ class RepDescriptor:
         if self.kind == "asai":
             if self.sign not in (1, -1):
                 raise DualError("asai needs a sign")
-            root = int(round(self.degree**0.5))
-            if root * root != self.degree:
+            if self.degree < 0 or math.isqrt(self.degree) ** 2 != self.degree:
                 raise DualError("asai degree must be a perfect square")
         elif self.sign:
             raise DualError("only asai carries a sign")
@@ -127,22 +125,23 @@ def asai_trace(sign: int, n: int) -> int:
     return sign * n
 
 
-def conjugation_operator(n: int, r: int) -> np.ndarray:
-    """The involution x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹ on n×n matrices, as an
-    n²×n² signed permutation matrix in the basis e_{kl} (row-major)."""
-    if n < 1:
-        raise DualError("need n ≥ 1")
-    phi = phi_matrix(n)
-    phi_inv = ((-1) ** (n - 1)) * phi  # Φ⁻¹ = (-1)^{n-1} Φ
+def conjugation_operator(n: int, r: int) -> SignedPerm:
+    """The involution x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹ on n×n matrices, as a
+    rank-n² signed permutation of the basis e_{kl} (row-major, 1-based
+    index k·n+l+1 for 0-based k, l).
+
+    Since Φ e_j = ε(j) e_{Φ(j)} with ε(j) = (-1)^{n-j} and ᵗΦ = Φ⁻¹,
+    e_{kl} ↦ (-1)^{n+r+1} ε(l) ε(k) e_{Φ(l),Φ(k)}.
+    """
+    phi = phi_perm(n)
     sign = (-1) ** (n + r + 1)
-    op = np.zeros((n * n, n * n), dtype=np.int64)
-    for k in range(n):
-        for l in range(n):
-            x = np.zeros((n, n), dtype=np.int64)
-            x[k, l] = 1
-            y = sign * (phi @ x.T @ phi_inv)
-            op[:, k * n + l] = y.reshape(n * n)
-    return op
+    images = []
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            a, b = phi(l), phi(k)
+            index = (abs(a) - 1) * n + abs(b)
+            images.append(index if sign * a * b > 0 else -index)
+    return SignedPerm(tuple(images))
 
 
 def identify_R1(n: int, r: int):
@@ -156,10 +155,10 @@ def identify_R1(n: int, r: int):
         raise DualError("need n ≥ 1, r ≥ 0")
     sign = (-1) ** r
     op = conjugation_operator(n, r)
-    tr = int(np.trace(op))
+    tr = op.trace()
     if tr != sign * n:
         raise DualError(f"operator trace {tr} does not match {sign * n}")
-    if not np.array_equal(op @ op, np.eye(n * n, dtype=np.int64)):
+    if not op.then(op).is_identity():
         raise DualError("conjugation operator is not an involution")
     return RepDescriptor("asai", n * n, sign=sign), op
 

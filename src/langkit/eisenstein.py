@@ -83,9 +83,6 @@ class LFactorRef:
     def point_at(self, s) -> Fraction:
         return self.alpha * rat(s) + self.beta
 
-    def kind_key(self) -> tuple:
-        return self.kind
-
     def serialize(self) -> str:
         arg = f"{self.alpha}s" if self.alpha != 1 else "s"
         if self.beta:
@@ -287,7 +284,7 @@ def pole_at_half(
             rules.cite("central-nonvanishing-gate"),
         )
     )
-    aux_order = ledger.order(aux.kind_key(), aux.point_at(half))
+    aux_order = ledger.order(aux.kind, aux.point_at(half))
     total += aux_order
     derivation.append(
         (
@@ -298,7 +295,7 @@ def pole_at_half(
     if aux_order < 0:
         contributing.append(aux.serialize())
     for f in quotient.denominator:
-        o = ledger.order(f.kind_key(), f.point_at(half))
+        o = ledger.order(f.kind, f.point_at(half))
         if o != 0:
             raise EisensteinError(
                 f"denominator factor {f.serialize()} is not regular nonzero"

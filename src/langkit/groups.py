@@ -60,16 +60,6 @@ class GroupDescriptor:
             object.__setattr__(self, "extension", "E/F")
 
     @property
-    def matrix_size(self) -> int:
-        if self.family in (GL, RES_GL, UNITARY):
-            return self.size
-        if self.family == SP:
-            return 2 * self.size
-        if self.family == SO_ODD:
-            return 2 * self.size + 1
-        return 2 * self.size
-
-    @property
     def std_degree(self) -> int:
         """Degree of the standard representation of the dual side."""
         if self.family in (GL, RES_GL, UNITARY):

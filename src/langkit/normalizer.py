@@ -16,15 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rules
-from .rationals import rat, rat_str
+from .rationals import HALF, rat, rat_str
 from .weyl import SignedPerm, length_additive
 
 
 class NormalizerError(ValueError):
     pass
-
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

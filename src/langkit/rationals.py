@@ -34,9 +34,3 @@ def rat_str(x: Fraction) -> str:
 def is_half_integer(x: Fraction) -> bool:
     """True iff x lies in (1/2)Z."""
     return (2 * Fraction(x)).denominator == 1
-
-
-def is_strict_half(x: Fraction) -> bool:
-    """True iff x is half-integral but not integral."""
-    x = Fraction(x)
-    return x.denominator == 2

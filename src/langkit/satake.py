@@ -139,10 +139,8 @@ class SatakeClass:
     def map_eigenvalues(self, fn) -> "SatakeClass":
         return SatakeClass(tuple(fn(e) for e in self.eigenvalues), self.family, self.place)
 
-    def is_inversion_stable(self, skip_fixed: int = 0) -> bool:
-        """Multiset equality with its eigenvalue-wise inverse; `skip_fixed`
-        forced fixed eigenvalues (value 1) are allowed to pair with
-        themselves and do so trivially."""
+    def is_inversion_stable(self) -> bool:
+        """Multiset equality with its eigenvalue-wise inverse."""
         inv = sorted(e.inverse().sort_key() for e in self.eigenvalues)
         return inv == self.multiset()
 

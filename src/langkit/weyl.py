@@ -72,10 +72,6 @@ class Weight:
         dens = {c.denominator for c in self.coords}
         return dens == {1} or dens == {2}
 
-    def dot(self, other: "Weight") -> Fraction:
-        self._same_rank(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
-
     def __str__(self):
         return "(" + ", ".join(rat_str(c) for c in self.coords) + ")"
 
@@ -131,8 +127,9 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
 
-    def is_unsigned(self) -> bool:
-        return all(v > 0 for v in self.images)
+    def trace(self) -> int:
+        """Trace of the signed permutation matrix: the signs at the fixed points."""
+        return sum(1 if v > 0 else -1 for i, v in enumerate(self.images, start=1) if abs(v) == i)
 
     def act_coords(self, coords: Sequence[Fraction]) -> tuple:
         """Action on a coordinate vector: e_i ↦ e_{w(i)} (e_{-k} = -e_k)."""

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -69,6 +68,25 @@ def test_criterion_02_modular_characters():
     report(2, f"modulus exponents equal the root-sum oracle for N <= 9 ({elapsed:.2f}s)")
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _dense_conjugation(n, r):
+    """The n²×n² integer matrix of x ↦ (-1)^{n+r+1} Φ ᵗx Φ⁻¹: column k·n+l
+    is the image of e_{kl}, flattened row-major."""
+    phi = [[(-1) ** i if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    phi_inv = [list(col) for col in zip(*phi)]
+    assert _matmul(phi, phi_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = (-1) ** (n + r + 1)
+    cols = []
+    for k, l in itertools.product(range(n), repeat=2):
+        x_t = [[int((i, j) == (l, k)) for j in range(n)] for i in range(n)]
+        y = _matmul(_matmul(phi, x_t), phi_inv)
+        cols.append([sign * v for row in y for v in row])
+    return [list(row) for row in zip(*cols)]
+
+
 def test_criterion_03_conjugation_operator():
     from langkit.dual import asai_trace, identify_R1
 
@@ -76,8 +94,17 @@ def test_criterion_03_conjugation_operator():
     for n in range(1, 5):
         for r in range(0, 5):
             desc, op = identify_R1(n, r)
-            assert np.trace(op) == (-1) ** r * n == asai_trace((-1) ** r, n)
-            assert np.array_equal(op @ op, np.eye(n * n, dtype=np.int64))
+            m = _dense_conjugation(n, r)
+            N = n * n
+            dense = [[0] * N for _ in range(N)]
+            for j in range(1, N + 1):
+                v = op(j)
+                dense[abs(v) - 1][j - 1] = 1 if v > 0 else -1
+            assert dense == m
+            assert sum(m[i][i] for i in range(N)) == (-1) ** r * n == asai_trace((-1) ** r, n)
+            assert op.trace() == (-1) ** r * n
+            assert _matmul(m, m) == [[int(i == j) for j in range(N)] for i in range(N)]
+            assert op.then(op).is_identity()
             assert desc.sign == (-1) ** r
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

@@ -160,6 +160,43 @@ def test_ledger_override_flag(tmp_path):
     assert report["verdict"] == "no pole"
 
 
+def test_ledger_override_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    import tempfile
+
+    override = {"schema": "1", "ledger_overrides": [
+        {"factor": ["wedge2", "pi"], "point": "1", "order": 0, "provenance": "test"}
+    ]}
+    p = tmp_path / "override.json"
+    p.write_text(json.dumps(override))
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert cli.main(["pole", "--scenario", "thmB", "--ledger-override", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "no pole"
+    assert list(scratch.iterdir()) == []
+
+
+def test_missing_ledger_override_is_a_usage_error(tmp_path):
+    proc = run_cli(
+        "pole", "--scenario", "thmB", "--ledger-override", str(tmp_path / "nope.json")
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: /")
+    assert "Traceback" not in proc.stderr
+
+
+def test_imports_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import langkit.cli, langkit.selftest, langkit.dual; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['langkit']"
+
+
 @pytest.mark.parametrize(
     "patch,pointer",
     [

@@ -1,27 +1,88 @@
-import numpy as np
 import pytest
 
 from langkit.dual import (
     DualError,
+    RepDescriptor,
     asai_trace,
     conjugation_operator,
     grade_nilradical,
     grade_nilradical_by_roots,
     identify_R1,
     identify_R2,
-    phi_matrix,
+    phi_perm,
     std_pushforward,
 )
 from langkit.groups import gl, res_gl, so_even, so_odd, sp, unitary
 from langkit.satake import SatakeClass, ev
 
+# Dense integer oracle, independent of the signed-permutation code.
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def identity(N):
+    return [[int(i == j) for j in range(N)] for i in range(N)]
+
+
+def dense_phi(N):
+    """Anti-diagonal, entries 1, -1, ..., (-1)^{N-1} top-down."""
+    phi = [[0] * N for _ in range(N)]
+    for k in range(1, N + 1):
+        phi[k - 1][N - k] = (-1) ** (k - 1)
+    return phi
+
+
+def dense_operator(n, r):
+    """Column k·n+l holds sign·Φ ᵗe_{kl} Φ⁻¹ flattened row-major."""
+    phi = dense_phi(n)
+    phi_inv = [[(-1) ** (n - 1) * x for x in row] for row in phi]
+    sign = (-1) ** (n + r + 1)
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            x = [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]
+            y = matmul(matmul(phi, transpose(x)), phi_inv)
+            cols.append([sign * v for row in y for v in row])
+    return transpose(cols)
+
+
+def dense(perm):
+    """The matrix of a signed permutation: column i is ±e_{|w(i)|}."""
+    N = perm.rank
+    m = [[0] * N for _ in range(N)]
+    for i in range(1, N + 1):
+        v = perm(i)
+        m[abs(v) - 1][i - 1] = 1 if v > 0 else -1
+    return m
+
+
+def trace(m):
+    return sum(m[i][i] for i in range(len(m)))
+
 
 class TestPhi:
     @pytest.mark.parametrize("N", range(1, 8))
     def test_constructor_identities(self, N):
-        phi = phi_matrix(N)  # asserts the square and transpose identities
-        assert phi[0, N - 1] == 1
-        assert phi[N - 1, 0] == (-1) ** (N - 1)
+        phi = dense(phi_perm(N))
+        assert phi == dense_phi(N)
+        assert phi[0][N - 1] == 1
+        assert phi[N - 1][0] == (-1) ** (N - 1)
+        sq = matmul(phi, phi)
+        assert sq == [[(-1) ** (N - 1) * x for x in row] for row in identity(N)]
+        assert matmul(transpose(phi), phi) == identity(N)
+        assert phi_perm(N).then(phi_perm(N)).images == tuple(
+            (-1) ** (N - 1) * i for i in range(1, N + 1)
+        )
+
+    def test_rejects_empty(self):
+        with pytest.raises(DualError):
+            phi_perm(0)
 
 
 class TestGrading:
@@ -42,23 +103,44 @@ class TestGrading:
 class TestConjugationOperator:
     def test_trace_values(self):
         desc, op = identify_R1(2, 1)
-        assert desc.sign == -1 and np.trace(op) == -2
+        assert desc.sign == -1 and trace(dense(op)) == op.trace() == -2
         desc, op = identify_R1(1, 0)
-        assert desc.sign == 1 and np.trace(op) == 1
+        assert desc.sign == 1 and trace(dense(op)) == op.trace() == 1
         desc, op = identify_R1(3, 2)
-        assert desc.sign == 1 and np.trace(op) == 3
+        assert desc.sign == 1 and trace(dense(op)) == op.trace() == 3
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("r", range(0, 5))
+    def test_matches_dense_definition(self, n, r):
+        assert dense(conjugation_operator(n, r)) == dense_operator(n, r)
 
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("r", range(0, 5))
     def test_involution_and_trace(self, n, r):
         desc, op = identify_R1(n, r)
-        assert np.array_equal(op @ op, np.eye(n * n, dtype=np.int64))
-        assert np.trace(op) == asai_trace((-1) ** r, n)
+        m = dense_operator(n, r)
+        assert dense(op) == m
+        assert matmul(m, m) == identity(n * n)
+        assert op.then(op).is_identity()
+        assert trace(m) == op.trace() == asai_trace((-1) ** r, n)
         assert desc.kind == "asai" and desc.degree == n * n
 
     def test_signed_permutation_shape(self):
-        op = conjugation_operator(3, 1)
-        assert np.array_equal(np.abs(op) @ np.ones(9, dtype=np.int64), np.ones(9, dtype=np.int64))
+        m = dense(conjugation_operator(3, 1))
+        assert len(m) == 9
+        assert all(sorted(map(abs, row)) == [0] * 8 + [1] for row in m)
+        assert all(sorted(map(abs, col)) == [0] * 8 + [1] for col in zip(*m))
+
+
+class TestAsaiDescriptor:
+    @pytest.mark.parametrize("root", [1, 3, 2**53 + 1, 10**200])
+    def test_large_perfect_squares(self, root):
+        assert RepDescriptor("asai", root * root, sign=1).degree == root * root
+
+    @pytest.mark.parametrize("degree", [2, 8, (2**53 + 1) ** 2 + 1, 10**400 - 1])
+    def test_non_squares(self, degree):
+        with pytest.raises(DualError, match="perfect square"):
+            RepDescriptor("asai", degree, sign=-1)
 
 
 def test_asai_trace_values():
