@@ -66,6 +66,20 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _rational(value, pointer: str):
+    try:
+        return rat(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{pointer}: {exc}") from exc
+
+
+def _integer(value, pointer: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{pointer}: {exc}") from exc
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -101,6 +115,7 @@ def parse_record(raw: dict, path: str) -> CuspidalRecord:
             infchar = InfChar(tuple((k, tuple(v)) for k, v in sorted(raw["infchar"].items())))
         except Exception as exc:
             raise ScenarioError(f"{path}/infchar: {exc}") from exc
+    weight = _rational(raw.get("weight", 0), f"{path}/weight")
     try:
         return CuspidalRecord(
             label=label,
@@ -108,7 +123,7 @@ def parse_record(raw: dict, path: str) -> CuspidalRecord:
             base=raw.get("base", "F"),
             duality=raw.get("duality", "none"),
             eta=raw.get("eta", 0),
-            weight=rat(raw.get("weight", 0)),
+            weight=weight,
             algebraicity=raw.get("algebraicity", "none"),
             infchar=infchar,
         )
@@ -143,8 +158,8 @@ def parse_ledger_overrides(entries, ledger: AnalyticLedger, path: str = "/ledger
             raise ScenarioError(f"{path}/{idx}/factor: must be a list")
         ledger.set(
             tuple(factor),
-            rat(entry["point"]),
-            int(entry["order"]),
+            _rational(entry["point"], f"{path}/{idx}/point"),
+            _integer(entry["order"], f"{path}/{idx}/order"),
             entry.get("provenance", f"override:{path}/{idx}"),
         )
     return ledger
@@ -154,18 +169,22 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
     block = _need(raw, "pi", path)
     segments = []
     for i, seg in enumerate(_need(block, "segments", f"{path}/pi")):
+        at = f"{path}/pi/segments/{i}"
         segments.append(
             DiscreteSegment(
                 seg.get("label", f"p{i + 1}"),
-                int(seg.get("m", 1)),
-                int(seg.get("h", 1)),
-                rat(seg.get("a", 0)),
+                _integer(seg.get("m", 1), f"{at}/m"),
+                _integer(seg.get("h", 1), f"{at}/h"),
+                _rational(seg.get("a", 0), f"{at}/a"),
             )
         )
     core = _need(raw, "rho", path)
     selfdual = tuple(_need(core, "selfdual", f"{path}/rho"))
     pairs = tuple(
-        (p.get("label", f"r{i + 1}"), rat(_need(p, "b", f"{path}/rho/pairs/{i}")))
+        (
+            p.get("label", f"r{i + 1}"),
+            _rational(_need(p, "b", f"{path}/rho/pairs/{i}"), f"{path}/rho/pairs/{i}/b"),
+        )
         for i, p in enumerate(core.get("pairs", []))
     )
     try:
@@ -267,7 +286,7 @@ def cmd_check_scenario(scn: dict, strict: bool) -> dict:
         rho,
         emb,
         aut,
-        central_order=int(scn.get("central_order", 0)),
+        central_order=_integer(scn.get("central_order", 0), "/central_order"),
         ledger=ledger,
         strict=strict,
     )
@@ -280,7 +299,8 @@ def cmd_pole(scn: dict, strict: bool) -> dict:
     quotient = constant_term_quotient(ambient, pi, rho)
     ledger = default_ledger(pi, rho)
     parse_ledger_overrides(scn.get("ledger_overrides", []), ledger)
-    decision = pole_at_half(quotient, ledger, int(scn.get("central_order", 0)))
+    central = _integer(scn.get("central_order", 0), "/central_order")
+    decision = pole_at_half(quotient, ledger, central)
     payload = {
         "target": scn.get("theorem_target", "custom"),
         "verdict": "pole" if decision.has_pole else "no pole",
@@ -329,7 +349,7 @@ def cmd_normalize(scn: dict, strict: bool) -> dict:
 def cmd_satake_act(scn: dict, strict: bool) -> dict:
     raw = _need(scn, "satake_class", "/")
     fam = _need(raw, "family", "/satake_class")
-    size = int(_need(raw, "size", "/satake_class"))
+    size = _integer(_need(raw, "size", "/satake_class"), "/satake_class/size")
     group = GroupDescriptor(fam, size)
     evs = tuple(parse_eigenvalue(e) for e in _need(raw, "eigenvalues", "/satake_class"))
     cls = SatakeClass(evs, group, raw.get("place", "v"))
@@ -362,8 +382,7 @@ def cmd_kostant(args) -> dict:
     from .weyl import ParabolicShape, RootDatum, Weight, kostant_reps, kostant_weights
 
     datum = RootDatum(args.family, args.rank)
-    blocks = tuple(int(b) for b in args.blocks.split(",")) if args.blocks else ()
-    shape = ParabolicShape(blocks, args.core, datum)
+    shape = ParabolicShape(args.blocks, args.core, datum)
     reps = kostant_reps(datum, shape)
     payload = {
         "verdict": f"{len(reps)} coset representatives",
@@ -371,7 +390,7 @@ def cmd_kostant(args) -> dict:
         "representatives": [{"window": list(w.images), "length": l} for w, l in reps],
     }
     if args.weight:
-        lam = Weight(tuple(rat(x) for x in args.weight.split(",")))
+        lam = Weight(args.weight)
         payload["weights"] = [
             {"degree": d, "weight": [rat_str(c) for c in wt.coords]}
             for d, wt in kostant_weights(lam, datum, shape)
@@ -460,6 +479,18 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
     return SCENARIO_COMMANDS[command][1](scn, strict)
 
 
+def _comma_list(convert):
+    """An argparse type: comma-separated values, each passed through convert."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(",")) if text else ()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="langkit",
@@ -480,9 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kostant", help="coset representatives and shifted weights")
     p.add_argument("--family", required=True, choices=tuple("ABCD"))
     p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--blocks", default="", help="comma-separated block sizes")
+    p.add_argument(
+        "--blocks", type=_comma_list(int), default="", help="comma-separated block sizes"
+    )
     p.add_argument("--core", type=int, default=0)
-    p.add_argument("--weight", default="", help="comma-separated dominant weight")
+    p.add_argument(
+        "--weight", type=_comma_list(rat), default="", help="comma-separated dominant weight"
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p = sub.add_parser("selftest", help="run all brute-force oracle suites")
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -9,7 +9,11 @@ closed O(t²) count.
 
 `kostant_reps` returns the minimal-length representatives of W_M\\W for a
 standard parabolic with Levi M, and `kostant_weights` the associated
-degree-graded dominant-shifted weights w(λ+ρ)-ρ.
+degree-graded dominant-shifted weights w(λ+ρ)-ρ.  The representatives form
+a lower ideal of the weak order (Kostant 1961; Björner–Brenti,
+*Combinatorics of Coxeter Groups*, §2.4–2.5), so they are found by a level
+search upward from the identity on integer windows: the cost follows the
+|W|/|W_M| outputs, not the order of W.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class Weight:
     """A coordinate vector of exact half-integers with a rank tag.
 
     ``context`` is a free-form tag ("C3", "ambient", ...) used only for
-    error messages and serialization; arithmetic is purely coordinatewise.
+    error messages and serialization.
     """
 
     coords: tuple
@@ -50,21 +54,6 @@ class Weight:
     def __len__(self):
         return len(self.coords)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        self._same_rank(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), self.context)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._same_rank(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)), self.context)
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords), self.context)
-
-    def _same_rank(self, other: "Weight"):
-        if len(self) != len(other):
-            raise WeylError(f"rank mismatch: {len(self)} vs {len(other)}")
-
     def is_pure(self) -> bool:
         """All coordinates integral, or all strictly half-integral."""
         if not self.coords:
@@ -78,6 +67,18 @@ class Weight:
 
 # ---------------------------------------------------------------------------
 # signed permutations
+
+
+def _then(first: tuple, second: tuple) -> tuple:
+    """Window of the composite that applies ``first``, then ``second``."""
+    return tuple(second[j - 1] if j > 0 else -second[-j - 1] for j in first)
+
+
+def _inverse_window(window: tuple) -> tuple:
+    inv = [0] * len(window)
+    for i, v in enumerate(window, start=1):
+        inv[abs(v) - 1] = i if v > 0 else -i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,10 @@ class SignedPerm:
         """The composite word: apply self first, then ``other``."""
         if self.rank != other.rank:
             raise WeylError("rank mismatch in composition")
-        return SignedPerm(tuple(other(self(i)) for i in range(1, self.rank + 1)))
+        return SignedPerm(_then(self.images, other.images))
 
     def inverse(self) -> "SignedPerm":
-        inv = [0] * self.rank
-        for i in range(1, self.rank + 1):
-            v = self(i)
-            inv[abs(v) - 1] = i if v > 0 else -i
-        return SignedPerm(tuple(inv))
+        return SignedPerm(_inverse_window(self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
@@ -131,18 +128,15 @@ class SignedPerm:
         """Trace of the signed permutation matrix: the signs at the fixed points."""
         return sum(1 if v > 0 else -1 for i, v in enumerate(self.images, start=1) if abs(v) == i)
 
-    def act_coords(self, coords: Sequence[Fraction]) -> tuple:
+    def act_coords(self, coords: Sequence) -> tuple:
         """Action on a coordinate vector: e_i ↦ e_{w(i)} (e_{-k} = -e_k)."""
         if len(coords) != self.rank:
             raise WeylError("rank mismatch in action")
-        out = [Fraction(0)] * self.rank
+        out = [0] * self.rank
         for i, x in enumerate(coords, start=1):
             v = self(i)
             out[abs(v) - 1] = x if v > 0 else -x
         return tuple(out)
-
-    def act_weight(self, w: Weight) -> Weight:
-        return Weight(self.act_coords(w.coords), w.context)
 
     def length(self) -> int:
         """Coxeter length for the generators (1 2), ..., (t-1 t), sign flip at t.
@@ -188,17 +182,28 @@ def length_additive(w1: SignedPerm, w2: SignedPerm) -> bool:
     return w1.then(w2).length() == w1.length() + w2.length()
 
 
+def _simple_windows(family: str, n: int) -> list:
+    """Windows of the simple reflections on n coordinates, in the order of
+    `RootDatum.simple_roots`: s_1..s_{n-1}, then the flip at n for B and C,
+    or (n-1, n) ↦ (-n, -(n-1)) for D."""
+    gens = []
+    for i in range(1, n):
+        img = list(range(1, n + 1))
+        img[i - 1], img[i] = img[i], img[i - 1]
+        gens.append(tuple(img))
+    img = list(range(1, n + 1))
+    if family in "BC":
+        img[n - 1] = -n
+        gens.append(tuple(img))
+    elif family == "D":
+        img[n - 2], img[n - 1] = -n, -(n - 1)
+        gens.append(tuple(img))
+    return gens
+
+
 def simple_reflections(t: int) -> list:
     """Generators used by the length function: s_1..s_{t-1} and the flip at t."""
-    gens = []
-    for i in range(1, t):
-        img = list(range(1, t + 1))
-        img[i - 1], img[i] = img[i], img[i - 1]
-        gens.append(SignedPerm(tuple(img)))
-    img = list(range(1, t + 1))
-    img[t - 1] = -t
-    gens.append(SignedPerm(tuple(img)))
-    return gens
+    return [SignedPerm(w) for w in _simple_windows("C", t)]
 
 
 def bfs_length(w: SignedPerm, generators: Iterable[SignedPerm] | None = None) -> int:
@@ -321,7 +326,8 @@ class RootDatum:
 
     def rho(self) -> Weight:
         half = Fraction(1, 2)
-        coords = [half * sum(r[i] for r in self.positive_roots()) for i in range(self.dim)]
+        roots = self.positive_roots()
+        coords = [half * sum(r[i] for r in roots) for i in range(self.dim)]
         return Weight(tuple(coords), context=f"{self.family}{self.rank}")
 
     def cartan_entry(self, alpha, beta) -> Fraction:
@@ -459,46 +465,85 @@ class ParabolicShape:
         return order
 
 
+def _sparse(root) -> tuple:
+    """A root as the (0-based index, integer coefficient) pairs of its
+    nonzero coordinates."""
+    return tuple((i, int(c)) for i, c in enumerate(root) if c)
+
+
+def _sends_positive(window, root) -> bool:
+    """Whether the signed permutation with this window maps the sparse root
+    to a positive root, i.e. one whose lowest-index nonzero coordinate is
+    positive."""
+    _, coeff = min((abs(window[i]), c if window[i] > 0 else -c) for i, c in root)
+    return coeff > 0
+
+
 def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     """Minimal-length coset representatives for the parabolic, with lengths.
 
     An element w represents the minimal element of its coset iff w⁻¹ maps
-    every simple root of the Levi to a positive root.  Result is sorted by
+    every simple root of the Levi to a positive root.  These elements form
+    a lower ideal of the weak order (Björner–Brenti, §2.4–2.5), so they are
+    enumerated level by level from the identity: level k+1 collects the
+    v = s.then(u) with u in level k, s simple, u(α_s) > 0 (the length goes
+    up by one) and v passing the Levi test.  The level number is the
+    length.  Windows stay plain integer tuples; a `SignedPerm` is built
+    only for each returned representative.  Result is sorted by
     (length, window) and its size equals |W| / |W_M|.
     """
     if shape.ambient != datum:
         raise WeylError("shape does not belong to this datum")
-    levi_simples = shape.levi_simple_roots()
-    positive = set(datum.positive_roots())
-    reps = []
-    for w in datum.weyl_elements():
-        winv = w.inverse()
-        if all(tuple(winv.act_coords(a)) in positive for a in levi_simples):
-            reps.append((w, datum.length_of(w)))
-    reps.sort(key=lambda pair: (pair[1], pair[0].images))
+    levi = list(map(_sparse, shape.levi_simple_roots()))
+    gens = list(zip(_simple_windows(datum.family, datum.dim), map(_sparse, datum.simple_roots())))
+    top = _POSITIVE_ROOT_COUNTS[datum.family](datum.rank)
+    level = [tuple(range(1, datum.dim + 1))]
+    found = []
+    ell = 0
+    while level:
+        if ell > top:
+            raise WeylError(f"level {ell} exceeds the {top} positive roots")
+        found.extend((w, ell) for w in sorted(level))
+        nxt = set()
+        for u in level:
+            for s, alpha in gens:
+                if not _sends_positive(u, alpha):
+                    continue
+                v = _then(s, u)
+                if v in nxt:
+                    continue
+                vinv = _inverse_window(v)
+                if all(_sends_positive(vinv, a) for a in levi):
+                    nxt.add(v)
+        level = nxt
+        ell += 1
     expected = datum.order() // shape.levi_order()
-    if len(reps) != expected:
-        raise WeylError(f"found {len(reps)} representatives, expected {expected}")
-    return reps
+    if len(found) != expected:
+        raise WeylError(f"found {len(found)} representatives, expected {expected}")
+    return [(SignedPerm(w), ell) for w, ell in found]
 
 
 def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> list:
     """Degree-graded weights w(λ+ρ)-ρ over the minimal coset representatives.
 
     λ must be dominant; every returned weight is dominant for the Levi and
-    the degree of each entry is the length of its representative.
+    the degree of each entry is the length of its representative.  The
+    weights are computed doubled, on integers; Levi-dominance is the sign
+    of the integer pairing (a, 2·shifted), which has the sign of ⟨shifted, ǎ⟩
+    because (a, a) > 0.
     """
     if len(lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
     if not datum.is_dominant(lam):
         raise WeylError(f"weight {lam} is not dominant")
     rho = datum.rho()
+    twice_rho = [int(2 * r) for r in rho.coords]
+    twice_shift = [int(2 * (x + r)) for x, r in zip(lam.coords, rho.coords)]
+    levi = list(map(_sparse, shape.levi_simple_roots()))
     out = []
-    levi_simples = shape.levi_simple_roots()
     for w, ell in kostant_reps(datum, shape):
-        shifted = w.act_weight(lam + rho) - rho
-        for a in levi_simples:
-            if datum.cartan_entry(a, shifted.coords) < 0:
-                raise WeylError("shifted weight is not Levi-dominant")
-        out.append((ell, shifted))
+        shifted = [x - r for x, r in zip(w.act_coords(twice_shift), twice_rho)]
+        if any(sum(c * shifted[i] for i, c in a) < 0 for a in levi):
+            raise WeylError("shifted weight is not Levi-dominant")
+        out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted), lam.context)))
     return out

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +214,47 @@ def test_schema_errors_carry_pointers(tmp_path, patch, pointer):
     p.write_text(json.dumps(base))
     with pytest.raises(cli.ScenarioError, match=pointer.replace("/", "/")):
         cli.run("check-scenario", str(p))
+
+
+@pytest.mark.parametrize(
+    "name,command,patch,pointer",
+    [
+        ("thmB", "check-scenario", lambda s: s["records"][0].update(weight=1.5),
+         "/records/0/weight"),
+        ("thmB", "pole", lambda s: s.update(ledger_overrides=[
+            {"factor": ["wedge2", "pi"], "point": "1", "order": "x"}]),
+         "/ledger_overrides/0/order"),
+        ("appendix_pair", "check-scenario",
+         lambda s: s["quasi_tempered"]["rho"]["pairs"][0].update(b="1/0"),
+         "/quasi_tempered/rho/pairs/0/b"),
+    ],
+)
+def test_malformed_numbers_are_usage_errors(tmp_path, name, command, patch, pointer):
+    scn = json.loads((cli.scenario_dir() / f"{name}.json").read_text())
+    patch(scn)
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(scn))
+    proc = run_cli(command, "--scenario", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {pointer}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_integer_blocks_is_a_usage_error():
+    proc = run_cli("kostant", "--family", "C", "--rank", "4", "--blocks", "x")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: langkit kostant")
+    assert "argument --blocks" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("text", "txt")])
+def test_kostant_matches_golden(fmt, suffix):
+    golden = Path(__file__).parent / "golden" / f"kostant_C4_2_2.{suffix}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "langkit.cli", "kostant", "--family", "C", "--rank", "4",
+         "--blocks", "2", "--core", "2", "--weight", "3,2,1,0", "--format", fmt],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden.read_bytes()

@@ -290,3 +290,164 @@ def test_abelian_radical_dimensions_are_binomial(family, rank, blocks, nil_dim):
     for d, wt in kostant_weights(zero, datum, shape):
         by_degree[d] = by_degree.get(d, 0) + levi_dim(shape, wt)
     assert by_degree == {k: math.comb(nil_dim, k) for k in range(nil_dim + 1)}
+
+
+# ---------------------------------------------------------------------------
+# the level search against the whole-group filter, and beyond its reach
+
+
+def brute_force_reps(datum, shape):
+    """The whole-group filter: every w whose inverse sends each Levi simple
+    root to a positive root, with its length counted over the positive
+    roots, sorted by (length, window)."""
+    positive = set(datum.positive_roots())
+    levi_simples = shape.levi_simple_roots()
+    reps = []
+    for w in datum.weyl_elements():
+        winv = w.inverse()
+        if all(winv.act_coords(a) in positive for a in levi_simples):
+            reps.append((w.images, datum.length_of(w)))
+    return sorted(reps, key=lambda pair: (pair[1], pair[0]))
+
+
+def compositions(n):
+    """All ordered tuples of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
+
+
+def all_shapes(family, rank):
+    datum = RootDatum(family, rank)
+    if family == "A":
+        return [ParabolicShape(b, 0, datum) for b in compositions(datum.dim)]
+    return [
+        ParabolicShape(b, core, datum)
+        for core in range(rank + 1)
+        for b in compositions(rank - core)
+    ]
+
+
+SMALL_SHAPES = [
+    shape
+    for family, ranks in (
+        ("A", range(1, 5)), ("B", range(2, 5)), ("C", range(2, 5)), ("D", (3, 4))
+    )
+    for rank in ranks
+    for shape in all_shapes(family, rank)
+] + [
+    ParabolicShape(blocks, core, RootDatum(family, rank))
+    for family, rank, blocks, core in (
+        ("C", 5, (2,), 3),
+        ("B", 5, (2,), 3),
+        ("D", 5, (2,), 3),
+        ("D", 5, (4,), 1),
+        ("A", 5, (3, 3), 0),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    SMALL_SHAPES,
+    ids=lambda s: f"{s.ambient.family}{s.ambient.rank}-{s.gl_block_sizes}-{s.core_rank}",
+)
+def test_level_search_matches_whole_group_filter(shape):
+    datum = shape.ambient
+    got = [(w.images, ell) for w, ell in kostant_reps(datum, shape)]
+    assert got == brute_force_reps(datum, shape)
+
+
+def weyl_degrees(family, rank):
+    """Degrees of the basic invariants of the Weyl group of the given type."""
+    if family == "A":
+        return list(range(2, rank + 2))
+    if family in "BC":
+        return [2 * i for i in range(1, rank + 1)]
+    if rank == 1:  # D1 is trivial
+        return []
+    return [2 * i for i in range(1, rank)] + [rank]
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_div(p, q):
+    """Exact quotient p / q of integer polynomials with q monic."""
+    p = list(p)
+    out = [0] * (len(p) - len(q) + 1)
+    for i in reversed(range(len(out))):
+        out[i] = p[i + len(q) - 1]
+        for j, b in enumerate(q):
+            p[i + j] -= out[i] * b
+    assert not any(p)
+    return out
+
+
+def poincare_quotient(family, rank, blocks, core):
+    """Coefficients of ∏[d_i]_t / ∏[d_j^M]_t over the degrees of W and W_M."""
+    num, den = [1], [1]
+    for d in weyl_degrees(family, rank):
+        num = poly_mul(num, [1] * d)
+    for fam, r in [("A", b - 1) for b in blocks if b > 1] + ([(family, core)] if core else []):
+        for d in weyl_degrees(fam, r):
+            den = poly_mul(den, [1] * d)
+    return poly_div(num, den)
+
+
+@pytest.mark.parametrize(
+    "family,rank,blocks,core",
+    [("C", 7, (3,), 4), ("C", 10, (3,), 7), ("D", 10, (3,), 7), ("A", 8, (3, 3, 3), 0)],
+)
+def test_length_distribution_beyond_brute_force(family, rank, blocks, core):
+    datum = RootDatum(family, rank)
+    reps = kostant_reps(datum, ParabolicShape(blocks, core, datum))
+    dist = poincare_quotient(family, rank, blocks, core)
+    got = [0] * len(dist)
+    for _, ell in reps:
+        got[ell] += 1
+    assert got == dist
+    assert len({w.images for w, _ in reps}) == len(reps)
+
+
+SYMPY_TYPES = [
+    (family, rank)
+    for family, ranks in (
+        ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(3, 9)), ("D", range(4, 9))
+    )
+    for rank in ranks
+]
+
+
+@pytest.mark.parametrize("family,rank", SYMPY_TYPES, ids=lambda v: str(v))
+def test_root_datum_matches_sympy(family, rank):
+    sympy_root_system = pytest.importorskip("sympy.liealgebras.root_system")
+    sympy_cartan_type = pytest.importorskip("sympy.liealgebras.cartan_type")
+    name = f"{family}{rank}"
+    system = sympy_root_system.RootSystem(name)
+    datum = RootDatum(family, rank)
+
+    simples = system.simple_roots()
+    assert datum.simple_roots() == [
+        tuple(Fraction(int(c)) for c in simples[i]) for i in range(1, rank + 1)
+    ]
+
+    positive = sympy_cartan_type.CartanType(name).positive_roots().values()
+    positive = sorted(tuple(Fraction(int(c)) for c in r) for r in positive)
+    assert sorted(datum.positive_roots()) == positive
+
+    # sympy's entry (i, j) is <α_i, α_j^∨>; RootDatum's is <α_j, α_i^∨>.
+    # sympy fails to build the 1×1 matrix of A1, which is (2).
+    if rank == 1:
+        assert datum.validate() == [[2]]
+    else:
+        cartan = system.cartan_matrix()
+        assert datum.validate() == [[int(cartan[j, i]) for j in range(rank)] for i in range(rank)]
+
+    rho = tuple(sum(r[i] for r in positive) / 2 for i in range(datum.dim))
+    assert datum.rho().coords == rho
