@@ -50,6 +50,7 @@ from .spectra import (
 
 SCHEMA = "1"
 SCENARIO_DIR_ENV = "LANGKIT_SCENARIO_DIR"
+THEOREM_TARGETS = ("A", "B", "C", "D", "E", "F", "appendix", "custom")
 
 
 class ScenarioError(ValueError):
@@ -96,6 +97,8 @@ def load_scenario(path) -> dict:
 
 
 def parse_embeddings(raw: dict, path: str = "/embeddings") -> EmbeddingSet:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: must be an object")
     real = raw.get("real", [])
     pairs = raw.get("complex_pairs", [])
     try:
@@ -105,6 +108,8 @@ def parse_embeddings(raw: dict, path: str = "/embeddings") -> EmbeddingSet:
 
 
 def parse_record(raw: dict, path: str) -> CuspidalRecord:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: must be an object")
     label = _need(raw, "label", path)
     degree = _need(raw, "degree", path)
     if not isinstance(degree, int) or degree < 1:
@@ -197,6 +202,8 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
 
 def resolve_records(scn: dict):
     records = scn.get("records", [])
+    if not isinstance(records, list):
+        raise ScenarioError("/records: must be a list")
     parsed = [parse_record(r, f"/records/{i}") for i, r in enumerate(records)]
     by_label = {r.label: r for r in parsed}
     roles = scn.get("roles", {})
@@ -217,8 +224,18 @@ def resolve_records(scn: dict):
     return pi, rho
 
 
-def scenario_ambient(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
+def theorem_target(scn: dict) -> str:
     target = scn.get("theorem_target", "custom")
+    if target not in THEOREM_TARGETS:
+        raise ScenarioError(
+            f"/theorem_target: unknown target {target!r}, expected one of "
+            + ", ".join(THEOREM_TARGETS)
+        )
+    return target
+
+
+def scenario_ambient(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
+    target = theorem_target(scn)
     if target == "A":
         from .groups import SP
 
@@ -265,7 +282,7 @@ def _holomorphy(scn: dict, strict: bool) -> dict:
 
 
 def cmd_check_scenario(scn: dict, strict: bool) -> dict:
-    target = scn.get("theorem_target", "custom")
+    target = theorem_target(scn)
     name = scn.get("name", "")
     if target == "appendix":
         return _report("check-scenario", name, {"target": target, **_holomorphy(scn, strict)})
@@ -302,7 +319,7 @@ def cmd_pole(scn: dict, strict: bool) -> dict:
     central = _integer(scn.get("central_order", 0), "/central_order")
     decision = pole_at_half(quotient, ledger, central)
     payload = {
-        "target": scn.get("theorem_target", "custom"),
+        "target": theorem_target(scn),
         "verdict": "pole" if decision.has_pole else "no pole",
         "ambient": ambient.label(),
         "quotient": quotient.serialize(),
@@ -335,7 +352,7 @@ def cmd_classify(scn: dict, strict: bool) -> dict:
 def cmd_root_number(scn: dict, strict: bool) -> dict:
     pi, rho = resolve_records(scn)
     emb = parse_embeddings(scn["embeddings"]) if "embeddings" in scn else None
-    target = scn.get("theorem_target")
+    target = theorem_target(scn)
     if target not in ("D", "F"):
         target = "F" if pi.duality == CONJ_SELFDUAL else "D"
     res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags"), strict=strict)

@@ -141,39 +141,51 @@ class CuspidalSum:
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
-    """Each (record, d) contributes the shifts (d-1)/2, (d-3)/2, ..., -(d-1)/2."""
-    terms = []
-    for rec, d in p.summands:
-        for j in range(d):
-            terms.append((rec, Fraction(d - 1, 2) - j))
-    return CuspidalSum(tuple(terms))
+    """Each (record, d) contributes the shifts -(d-1)/2, ..., (d-3)/2, (d-1)/2.
+
+    They are listed in ascending order, so each ladder is already a sorted
+    run for `CuspidalSum`.
+    """
+    return CuspidalSum(
+        tuple((rec, Fraction(j, 2)) for rec, d in p.summands for j in range(1 - d, d, 2))
+    )
 
 
 def reconstruct(s: CuspidalSum) -> ArthurParameter:
-    """Invert `expand` by greedy ladder stripping: take a record with the
-    longest complete ladder present, remove it, recurse."""
-    remaining = list(s.terms)
+    """Invert `expand` by greedy ladder stripping.
+
+    The terms are grouped once by (label, degree); since `CuspidalSum` keeps
+    them sorted, the groups come in ascending key order and each group in
+    ascending shift order.  While a group is non-empty, its first record
+    `rec` and its largest shift `top` = (d-1)/2 fix a ladder of length d, and
+    the rungs (d-1)/2, (d-3)/2, ..., -(d-1)/2 of `rec` are struck from the
+    group, each as its first matching entry.  Rungs are compared in doubled
+    integer units, so no `Fraction` is built per term.  A `top` outside
+    (1/2)Z≥0 is a stray shift; a missing rung fails the ladder.
+    """
+    groups: dict = {}
+    for rec, shift in s.terms:
+        groups.setdefault((rec.label, rec.degree), []).append((shift, rec))
     summands = []
-    while remaining:
-        by_record: dict = {}
-        for rec, shift in remaining:
-            by_record.setdefault((rec.label, rec.degree), (rec, []))[1].append(shift)
-        # deterministic choice: smallest record key
-        key = sorted(by_record)[0]
-        rec, shifts = by_record[key]
-        top = max(shifts)
-        d = int(2 * top) + 1
-        if Fraction(d - 1, 2) != top or d < 1:
-            raise SpectraError(f"not a parameter sum: stray shift {top} for {rec.label}")
-        ladder = [Fraction(d - 1, 2) - j for j in range(d)]
-        for step in ladder:
-            entry = (rec, step)
-            if entry not in remaining:
-                raise SpectraError(
-                    f"not a parameter sum: ladder of {rec.label} misses shift {rat_str(step)}"
-                )
-            remaining.remove(entry)
-        summands.append((rec, d))
+    for group in groups.values():
+        while group:
+            rec = group[0][1]
+            top = group[-1][0]
+            n, q = top.numerator, top.denominator
+            if 2 % q or n < 0:
+                raise SpectraError(f"not a parameter sum: stray shift {top} for {rec.label}")
+            d = 2 * n // q + 1
+            for step in range(d - 1, -d, -2):
+                for i, (sh, r) in enumerate(group):
+                    if 2 * sh.numerator == step * sh.denominator and (r is rec or r == rec):
+                        del group[i]
+                        break
+                else:
+                    raise SpectraError(
+                        "not a parameter sum: ladder of "
+                        f"{rec.label} misses shift {rat_str(Fraction(step, 2))}"
+                    )
+            summands.append((rec, d))
     return ArthurParameter(tuple(summands))
 
 
@@ -221,9 +233,7 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
     lad = sorted(d for _, d in target.summands)
     if lad != [1, 2]:
         raise SpectraError("target must be a ladder-2 plus ladder-1 parameter")
-    pi = next(rec for rec, d in target.summands if d == 2)
     rho = next(rec for rec, d in target.summands if d == 1)
-    want = sorted((t[0].label, t[1]) for t in expand(target).terms)
 
     I = len(candidate.blocks)
     core_count = candidate.core.cuspidal_count
@@ -244,6 +254,7 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
             (candidate.core.summands[0][0].label, Fraction(0)),
         ]
     )
+    want = sorted((rec.label, shift) for rec, shift in expand(target).terms)
     if got != want:
         return Verdict(False, f"multiset mismatch: {got} vs {want}")
     return Verdict(

@@ -142,6 +142,10 @@ def test_selftest_passes():
     report = cli.run("selftest", None)
     assert report["verdict"] == "all oracle suites pass"
     assert all(line.startswith("PASS") for line in report["checks"])
+    # a faster round trip must not come from a smaller grid
+    assert "PASS parameter round trips: 3124 exhaustive cases (<= 5 summands, ladders <= 4)" in (
+        report["checks"]
+    )
 
 
 def test_ledger_override_flag(tmp_path):
@@ -238,6 +242,33 @@ def test_malformed_numbers_are_usage_errors(tmp_path, name, command, patch, poin
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {pointer}: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+TARGET_ERROR = (
+    "/theorem_target: unknown target 'Z', expected one of A, B, C, D, E, F, appendix, custom"
+)
+
+
+@pytest.mark.parametrize(
+    "command,patch,message",
+    [
+        ("check-scenario", {"embeddings": [1]}, "/embeddings: must be an object"),
+        ("root-number", {"embeddings": [1]}, "/embeddings: must be an object"),
+        ("check-scenario", {"records": "x"}, "/records: must be a list"),
+        ("pole", {"records": [1]}, "/records/0: must be an object"),
+        ("check-scenario", {"theorem_target": "Z"}, TARGET_ERROR),
+        ("pole", {"theorem_target": "Z"}, TARGET_ERROR),
+        ("root-number", {"theorem_target": "Z"}, TARGET_ERROR),
+    ],
+)
+def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
+    scn = json.loads((cli.scenario_dir() / "thmB.json").read_text())
+    scn.update(patch)
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(scn))
+    proc = run_cli(command, "--scenario", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_non_integer_blocks_is_a_usage_error():

@@ -24,6 +24,7 @@ from langkit.spectra import (
     reconstruct,
     sign_condition,
 )
+from langkit.rationals import rat_str
 
 PI = CuspidalRecord("pi", 2, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
 RHO = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
@@ -91,6 +92,101 @@ class TestReconstruct:
                     assert reconstruct(expand(p)) == p
                     count += 1
         assert count == 3124
+
+
+def _greedy_reconstruct_oracle(s: CuspidalSum) -> ArthurParameter:
+    """The quadratic greedy ladder stripping that `reconstruct` replaced."""
+    remaining = list(s.terms)
+    summands = []
+    while remaining:
+        by_record: dict = {}
+        for rec, shift in remaining:
+            by_record.setdefault((rec.label, rec.degree), (rec, []))[1].append(shift)
+        # deterministic choice: smallest record key
+        key = sorted(by_record)[0]
+        rec, shifts = by_record[key]
+        top = max(shifts)
+        d = int(2 * top) + 1
+        if Fraction(d - 1, 2) != top or d < 1:
+            raise SpectraError(f"not a parameter sum: stray shift {top} for {rec.label}")
+        ladder = [Fraction(d - 1, 2) - j for j in range(d)]
+        for step in ladder:
+            entry = (rec, step)
+            if entry not in remaining:
+                raise SpectraError(
+                    f"not a parameter sum: ladder of {rec.label} misses shift {rat_str(step)}"
+                )
+            remaining.remove(entry)
+        summands.append((rec, d))
+    return ArthurParameter(tuple(summands))
+
+
+def _outcome(fn, terms):
+    try:
+        return fn(CuspidalSum(tuple(terms)))
+    except SpectraError as exc:
+        return f"SpectraError: {exc}"
+
+
+def _corruptions(terms):
+    """Every single-term corruption of a term list."""
+    half = Fraction(1, 2)
+    for i, (rec, shift) in enumerate(terms):
+        rest = terms[:i] + terms[i + 1:]
+        yield rest
+        yield terms + [(rec, shift)]
+        yield rest + [(rec, shift + half)]
+        yield rest + [(rec, shift - half)]
+        yield rest + [(rec, Fraction(1, 3))]
+        yield terms + [(rec, -half)]
+        yield [(rec, -half)]
+
+
+def _ladder(rec, d):
+    return [(rec, Fraction(j, 2)) for j in range(1 - d, d, 2)]
+
+
+# distinct records that share (label, degree) and differ in duality or weight
+TWINS = [
+    CuspidalRecord("x", 2, duality=SELFDUAL_SYMPLECTIC),
+    CuspidalRecord("x", 2, duality=SELFDUAL_ORTHOGONAL),
+    CuspidalRecord("x", 2, duality=SELFDUAL_ORTHOGONAL, weight="1/2"),
+]
+
+
+class TestReconstructAgainstGreedyOracle:
+    GRID = [
+        ArthurParameter(tuple(zip(chosen, ds)))
+        for k in range(1, 6)
+        for chosen in itertools.combinations(POOL, k)
+        for ds in itertools.product(range(1, 5), repeat=k)
+    ]
+
+    def test_grid(self):
+        assert len(self.GRID) == 3124
+        for p in self.GRID:
+            terms = list(expand(p).terms)
+            assert _outcome(reconstruct, terms) == _outcome(_greedy_reconstruct_oracle, terms) == p
+
+    def test_single_term_corruptions(self):
+        errors = 0
+        for p in self.GRID[::29]:
+            for bad in _corruptions(list(expand(p).terms)):
+                got = _outcome(reconstruct, bad)
+                assert got == _outcome(_greedy_reconstruct_oracle, bad), bad
+                errors += isinstance(got, str)
+        assert errors > 1000  # the corruptions reach the error paths
+
+    def test_twin_records(self):
+        outcomes = set()
+        for a, b in itertools.permutations(TWINS, 2):
+            for da, db in itertools.product(range(1, 5), repeat=2):
+                for terms in (_ladder(a, da) + _ladder(b, db), _ladder(b, db) + _ladder(a, da)):
+                    for bad in [terms, *_corruptions(terms)]:
+                        got = _outcome(reconstruct, bad)
+                        assert got == _outcome(_greedy_reconstruct_oracle, bad), bad
+                        outcomes.add(isinstance(got, str))
+        assert outcomes == {True, False}
 
 
 @given(
