@@ -3,9 +3,9 @@
 Submodules
 ----------
 weyl        root data, signed-permutation words, coset representatives
-groups      group/Levi descriptors, modular characters, half-integrality
+groups      group/Levi descriptors, modular characters
 satake      symbolic Satake eigenvalue calculus and coefficient transport
-dual        dual-side nilradical grading and the two induced factors
+dual        dual-side nilradical grading and the degree-2 factor
 spectra     formal cuspidal records and discrete-spectrum parameters
 arch        infinitesimal characters, regularity predicates, sign formulas
 eisenstein  constant-term quotients, pole decisions, the full pipeline

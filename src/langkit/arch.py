@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .rationals import is_half_integer, rat, rat_str
 
@@ -145,41 +145,12 @@ class AutOnEmbeddings:
     def identity(cls, labels: Iterable[str]):
         return cls(tuple((x, x) for x in labels))
 
-    def image(self, label: str) -> str:
-        return dict(self.mapping)[label]
-
     def inverse(self) -> "AutOnEmbeddings":
         return AutOnEmbeddings(tuple((b, a) for a, b in self.mapping))
 
 
 # ---------------------------------------------------------------------------
-# construction and purity
-
-
-def infchar_from_parameter(tau, tau_prime=None, place_kind: str = "real"):
-    """Exponent multiset(s) of a torus parameter.
-
-    Real places return the sorted orbit representative of the first
-    exponent vector (the difference with the second must be integral);
-    complex places return the sorted pair.
-    """
-    tau = tuple(rat(x) for x in tau)
-    if place_kind == "real":
-        if tau_prime is not None:
-            tp = tuple(rat(x) for x in tau_prime)
-            if len(tp) != len(tau):
-                raise ArchError("exponent vectors must have equal length")
-            diffs = sorted(tau) + [-x for x in sorted(tp)]
-            for a, b in zip(sorted(tau, reverse=True), sorted(tp, reverse=True)):
-                if (a - b).denominator != 1:
-                    raise ArchError("real-place exponent difference must be integral")
-        return tuple(sorted(tau, reverse=True))
-    if place_kind == "complex":
-        if tau_prime is None:
-            raise ArchError("complex places need both exponent vectors")
-        tp = tuple(rat(x) for x in tau_prime)
-        return (tuple(sorted(tau, reverse=True)), tuple(sorted(tp, reverse=True)))
-    raise ArchError(f"unknown place kind {place_kind!r}")
+# purity
 
 
 def purity_weight(p: InfChar, emb: EmbeddingSet, degree: int) -> Fraction:
@@ -357,8 +328,6 @@ def root_number_selfdual(
     q: InfChar,
     r: int,
     t: int,
-    nonarch_det_trivial: bool = True,
-    d_C: Optional[int] = None,
 ):
     """Archimedean sign of the pair at the center, with its invariance
     certificate.
@@ -369,9 +338,7 @@ def root_number_selfdual(
     c·r·t even.  The certificate records that the formula depends only on
     the multiset of per-embedding data, hence is fixed by every relabeling.
     """
-    if not nonarch_det_trivial:
-        raise ArchError("hypothesis violated: nonarchimedean determinant triviality")
-    c = emb.d_C if d_C is None else d_C
+    c = emb.d_C
     if (c * r * t) % 2:
         raise ArchError("hypothesis violated: complex-place count times degrees must be even")
     half = Fraction(1, 2)

@@ -29,7 +29,7 @@ from .eisenstein import (
     sign_pipeline,
     theorem_pipeline,
 )
-from .groups import GroupDescriptor, ambient_with_block, unitary
+from .groups import SP, GroupDescriptor, ambient_with_block, unitary
 from .normalizer import (
     DiscreteSegment,
     NormalizerError,
@@ -41,6 +41,7 @@ from .rationals import rat, rat_str
 from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
+    TRIVIAL,
     ArthurParameter,
     CuspidalRecord,
     SpectraError,
@@ -75,10 +76,24 @@ def _rational(value, pointer: str):
 
 
 def _integer(value, pointer: str) -> int:
+    if isinstance(value, bool):
+        raise ScenarioError(f"{pointer}: must be an integer, not {json.dumps(value)}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{pointer}: {exc}") from exc
+
+
+def _object(value, pointer: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{pointer}: must be an object")
+    return value
+
+
+def _list(value, pointer: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{pointer}: must be a list")
+    return value
 
 
 def load_scenario(path) -> dict:
@@ -97,8 +112,7 @@ def load_scenario(path) -> dict:
 
 
 def parse_embeddings(raw: dict, path: str = "/embeddings") -> EmbeddingSet:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: must be an object")
+    _object(raw, path)
     real = raw.get("real", [])
     pairs = raw.get("complex_pairs", [])
     try:
@@ -108,16 +122,18 @@ def parse_embeddings(raw: dict, path: str = "/embeddings") -> EmbeddingSet:
 
 
 def parse_record(raw: dict, path: str) -> CuspidalRecord:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: must be an object")
+    _object(raw, path)
     label = _need(raw, "label", path)
+    if not isinstance(label, str):
+        raise ScenarioError(f"{path}/label: must be a string")
     degree = _need(raw, "degree", path)
-    if not isinstance(degree, int) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise ScenarioError(f"{path}/degree: must be a positive integer")
     infchar = None
     if "infchar" in raw:
+        table = _object(raw["infchar"], f"{path}/infchar")
         try:
-            infchar = InfChar(tuple((k, tuple(v)) for k, v in sorted(raw["infchar"].items())))
+            infchar = InfChar(tuple((k, tuple(v)) for k, v in sorted(table.items())))
         except Exception as exc:
             raise ScenarioError(f"{path}/infchar: {exc}") from exc
     weight = _rational(raw.get("weight", 0), f"{path}/weight")
@@ -137,8 +153,9 @@ def parse_record(raw: dict, path: str) -> CuspidalRecord:
 
 
 def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec") -> AutSpec:
+    _object(raw, path)
     eps = raw.get("eps", 1)
-    unit_map = tuple(sorted(raw.get("unit_map", {}).items()))
+    unit_map = tuple(sorted(_object(raw.get("unit_map", {}), f"{path}/unit_map").items()))
     try:
         model = AutModel(unit_map=unit_map, eps=eps)
     except Exception as exc:
@@ -147,6 +164,7 @@ def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec")
     if emb_map is None:
         action = AutOnEmbeddings.identity(emb.labels) if emb is not None else None
     else:
+        _object(emb_map, f"{path}/embedding_map")
         try:
             action = AutOnEmbeddings(tuple(sorted(emb_map.items())))
         except Exception as exc:
@@ -155,7 +173,8 @@ def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec")
 
 
 def parse_ledger_overrides(entries, ledger: AnalyticLedger, path: str = "/ledger_overrides"):
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(_list(entries, path)):
+        _object(entry, f"{path}/{idx}")
         for key in ("factor", "point", "order"):
             _need(entry, key, f"{path}/{idx}")
         factor = entry["factor"]
@@ -171,10 +190,12 @@ def parse_ledger_overrides(entries, ledger: AnalyticLedger, path: str = "/ledger
 
 
 def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
-    block = _need(raw, "pi", path)
+    _object(raw, path)
+    block = _object(_need(raw, "pi", path), f"{path}/pi")
     segments = []
-    for i, seg in enumerate(_need(block, "segments", f"{path}/pi")):
+    for i, seg in enumerate(_list(_need(block, "segments", f"{path}/pi"), f"{path}/pi/segments")):
         at = f"{path}/pi/segments/{i}"
+        _object(seg, at)
         segments.append(
             DiscreteSegment(
                 seg.get("label", f"p{i + 1}"),
@@ -183,14 +204,14 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
                 _rational(seg.get("a", 0), f"{at}/a"),
             )
         )
-    core = _need(raw, "rho", path)
-    selfdual = tuple(_need(core, "selfdual", f"{path}/rho"))
+    core = _object(_need(raw, "rho", path), f"{path}/rho")
+    selfdual = tuple(_list(_need(core, "selfdual", f"{path}/rho"), f"{path}/rho/selfdual"))
     pairs = tuple(
         (
-            p.get("label", f"r{i + 1}"),
+            _object(p, f"{path}/rho/pairs/{i}").get("label", f"r{i + 1}"),
             _rational(_need(p, "b", f"{path}/rho/pairs/{i}"), f"{path}/rho/pairs/{i}/b"),
         )
-        for i, p in enumerate(core.get("pairs", []))
+        for i, p in enumerate(_list(core.get("pairs", []), f"{path}/rho/pairs"))
     )
     try:
         pi = QuasiTemperedGL(tuple(segments))
@@ -201,23 +222,21 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
 
 
 def resolve_records(scn: dict):
-    records = scn.get("records", [])
-    if not isinstance(records, list):
-        raise ScenarioError("/records: must be a list")
+    records = _list(scn.get("records", []), "/records")
     parsed = [parse_record(r, f"/records/{i}") for i, r in enumerate(records)]
     by_label = {r.label: r for r in parsed}
-    roles = scn.get("roles", {})
+    roles = _object(scn.get("roles", {}), "/roles")
     if roles:
         try:
             pi = by_label[roles["pi"]]
             rho = by_label[roles["rho"]]
         except KeyError as exc:
             raise ScenarioError(f"/roles: unresolved label {exc}") from exc
+        except TypeError as exc:
+            raise ScenarioError("/roles: labels must be strings") from exc
     elif len(parsed) >= 2:
         pi, rho = parsed[0], parsed[1]
     elif len(parsed) == 1:
-        from .spectra import TRIVIAL
-
         pi, rho = parsed[0], TRIVIAL
     else:
         raise ScenarioError("/records: need at least one record")
@@ -237,8 +256,6 @@ def theorem_target(scn: dict) -> str:
 def scenario_ambient(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
     target = theorem_target(scn)
     if target == "A":
-        from .groups import SP
-
         return GroupDescriptor(SP, pi.degree)
     if target == "E" or pi.duality == CONJ_SELFDUAL:
         return unitary(2 * pi.degree + rho.degree)
@@ -281,6 +298,16 @@ def _holomorphy(scn: dict, strict: bool) -> dict:
     return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict).serialize()
 
 
+def _ledger_and_central_order(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord):
+    """The analytic ledger with the scenario's overrides applied, and the
+    declared central vanishing order."""
+    ledger = parse_ledger_overrides(scn.get("ledger_overrides", []), default_ledger(pi, rho))
+    order = _integer(scn.get("central_order", 0), "/central_order")
+    if order < 0:
+        raise ScenarioError(f"/central_order: must be a non-negative integer, got {order}")
+    return ledger, order
+
+
 def cmd_check_scenario(scn: dict, strict: bool) -> dict:
     target = theorem_target(scn)
     name = scn.get("name", "")
@@ -295,17 +322,9 @@ def cmd_check_scenario(scn: dict, strict: bool) -> dict:
     effective = target
     if target == "custom":
         effective = "E" if pi.duality == CONJ_SELFDUAL else "C"
-    ledger = default_ledger(pi, rho)
-    parse_ledger_overrides(scn.get("ledger_overrides", []), ledger)
+    ledger, central = _ledger_and_central_order(scn, pi, rho)
     res = theorem_pipeline(
-        effective,
-        pi,
-        rho,
-        emb,
-        aut,
-        central_order=_integer(scn.get("central_order", 0), "/central_order"),
-        ledger=ledger,
-        strict=strict,
+        effective, pi, rho, emb, aut, central_order=central, ledger=ledger, strict=strict
     )
     return _report("check-scenario", name, {"target": target, **res.serialize()})
 
@@ -314,9 +333,7 @@ def cmd_pole(scn: dict, strict: bool) -> dict:
     pi, rho = resolve_records(scn)
     ambient = scenario_ambient(scn, pi, rho)
     quotient = constant_term_quotient(ambient, pi, rho)
-    ledger = default_ledger(pi, rho)
-    parse_ledger_overrides(scn.get("ledger_overrides", []), ledger)
-    central = _integer(scn.get("central_order", 0), "/central_order")
+    ledger, central = _ledger_and_central_order(scn, pi, rho)
     decision = pole_at_half(quotient, ledger, central)
     payload = {
         "target": theorem_target(scn),
@@ -364,7 +381,7 @@ def cmd_normalize(scn: dict, strict: bool) -> dict:
 
 
 def cmd_satake_act(scn: dict, strict: bool) -> dict:
-    raw = _need(scn, "satake_class", "/")
+    raw = _object(_need(scn, "satake_class", "/"), "/satake_class")
     fam = _need(raw, "family", "/satake_class")
     size = _integer(_need(raw, "size", "/satake_class"), "/satake_class/size")
     group = GroupDescriptor(fam, size)
@@ -492,7 +509,9 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
     override = getattr(args, "ledger_override", None)
     if override:
         extra = load_scenario(Path(override))
-        scn.setdefault("ledger_overrides", []).extend(extra.get("ledger_overrides", []))
+        scn["ledger_overrides"] = _list(
+            scn.get("ledger_overrides", []), "/ledger_overrides"
+        ) + _list(extra.get("ledger_overrides", []), "/ledger_overrides")
     return SCENARIO_COMMANDS[command][1](scn, strict)
 
 

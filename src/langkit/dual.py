@@ -1,14 +1,12 @@
 """Dual-side data: the two-step grading of the unipotent radical and the
-identification of the two factor representations it carries.
+identification of the factor representation in its degree-2 piece.
 
 The degree-2 piece is the n×n block; the group of the quadratic extension
 acts on it through the signed anti-transposition x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹,
 whose trace (-1)^r·n detects which of the two extensions of the tensor
 square occurs.  That involution permutes the basis e_{kl} up to sign, so it
 is carried as a `SignedPerm` of rank n²: the trace is the sum of the signs
-at its fixed points and the involution property is a composition.  The
-degree-1 piece pairs the two off-diagonal blocks into the rank-nr tensor
-product composed with base change.
+at its fixed points and the involution property is a composition.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
-from .satake import SatakeClass, ev
 from .weyl import SignedPerm
 
 
@@ -43,7 +39,6 @@ class RepDescriptor:
     kind: str  # std | asai | wedge2 | sym2 | rankin | trivial
     degree: int
     sign: int = 0  # ±1 for asai, 0 otherwise
-    via_base_change: bool = False
 
     def __post_init__(self):
         if self.kind not in ("std", "asai", "wedge2", "sym2", "rankin", "trivial"):
@@ -161,60 +156,3 @@ def identify_R1(n: int, r: int):
     if not op.then(op).is_identity():
         raise DualError("conjugation operator is not an involution")
     return RepDescriptor("asai", n * n, sign=sign), op
-
-
-def identify_R2(n: int, r: int) -> RepDescriptor:
-    """The degree-1 factor: the rank-nr tensor product over the extension,
-    composed with base change on the smaller unitary factor."""
-    if n < 1 or r < 1:
-        raise DualError("degree-1 factor needs n ≥ 1 and r ≥ 1")
-    return RepDescriptor("rankin", n * r, via_base_change=True)
-
-
-def std_pushforward(cls: SatakeClass, group: GroupDescriptor) -> SatakeClass:
-    """Eigenvalue multiset of the standard representation of the dual side.
-
-    Symplectic groups append the forced fixed eigenvalue 1 (odd orthogonal
-    dual); unitary groups unfold the torus part by inversion, inserting 1
-    in odd dimension; the linear and orthogonal families pass through.
-    """
-    fam = group.family
-
-    def result(evs):
-        return SatakeClass(tuple(evs), group, cls.place)
-
-    if fam in (GL, RES_GL):
-        if len(cls) != group.size:
-            raise DualError(f"class size {len(cls)} does not match GL({group.size})")
-        return result(cls.eigenvalues)
-    if fam == SO_ODD:
-        if len(cls) != 2 * group.size:
-            raise DualError("class size does not match the symplectic dual degree")
-        return result(cls.eigenvalues)
-    if fam == SO_EVEN:
-        if len(cls) != 2 * group.size:
-            raise DualError("class size does not match the even orthogonal dual degree")
-        return result(cls.eigenvalues)
-    if fam == SP:
-        if len(cls) != 2 * group.size:
-            raise DualError("class size does not match twice the rank")
-        if not cls.is_inversion_stable():
-            raise DualError("symplectic-side classes must be inversion-stable")
-        return result(cls.eigenvalues + (ev(),))
-    if fam == UNITARY:
-        N = group.size
-        m = N // 2
-        if N % 2 == 0:
-            if len(cls) != m:
-                raise DualError(f"unitary torus part must have {m} entries for U({N})")
-            torus, middle = cls.eigenvalues, []
-        else:
-            if len(cls) == m:
-                torus, middle = cls.eigenvalues, [ev()]
-            elif len(cls) == m + 1:
-                torus, middle = cls.eigenvalues[:m], [cls.eigenvalues[m]]
-            else:
-                raise DualError(f"unitary torus part must have {m} or {m + 1} entries for U({N})")
-        unfolded = list(torus) + middle + [e.inverse() for e in torus]
-        return result(unfolded)
-    raise DualError(f"unsupported family {fam}")

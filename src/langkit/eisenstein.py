@@ -342,9 +342,6 @@ class AutSpec:
     model: AutModel
     embeddings: Optional[AutOnEmbeddings] = None
 
-    def inverse_embeddings(self) -> Optional[AutOnEmbeddings]:
-        return self.embeddings.inverse() if self.embeddings is not None else None
-
 
 @dataclass
 class PipelineResult:

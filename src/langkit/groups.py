@@ -2,9 +2,7 @@
 
 Covers the split symplectic and orthogonal families, general linear groups
 (possibly restricted from a quadratic extension), and quasi-split unitary
-groups.  The operations compute modular characters as exact exponents,
-the normalized half-sum direction used to grade the dual nilradical, and
-the half-integrality constraint on induction twists.
+groups.  The operations compute modular characters as exact exponents.
 
 Unitary-group modulus exponents are exponents of the extension-field
 absolute value |·|_E; for the split families the Borel exponents are the
@@ -15,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .rationals import is_half_integer, rat
-from .weyl import Weight
 
 GL = "GL"
 RES_GL = "ResGL"
@@ -98,10 +93,6 @@ def so_even(n: int, alpha: str = "1") -> GroupDescriptor:
 
 def unitary(N: int) -> GroupDescriptor:
     return GroupDescriptor(UNITARY, N)
-
-
-def gl(N: int) -> GroupDescriptor:
-    return GroupDescriptor(GL, N)
 
 
 def res_gl(N: int) -> GroupDescriptor:
@@ -232,7 +223,6 @@ def modulus_borel(group: GroupDescriptor) -> tuple:
     if group.family == UNITARY:
         N = group.size
         m = N // 2
-        eps = N % 2
         return tuple(Fraction(N - 1 - 2 * i) for i in range(m))
     if group.family == SP:
         n = group.size
@@ -293,100 +283,16 @@ def borel_modulus_compose(group: GroupDescriptor, r: int) -> bool:
     return composed == full
 
 
-def rho_tilde(levi: LeviDescriptor) -> Weight:
-    """The half-sum direction normalized to pair to 1 with the coroot of the
-    unique simple root outside the Levi: (1, ..., 1, 0, ..., 0) on the
-    split torus, block size many ones."""
-    if not levi.is_maximal:
-        raise GroupError("rho_tilde needs a maximal Levi")
-    r = levi.gl_blocks[0][0]
-    amb = levi.ambient
-    if amb.family == UNITARY:
-        m = amb.size // 2
-    elif amb.family in (SP, SO_ODD, SO_EVEN):
-        m = amb.size
-    else:
-        raise GroupError(f"unsupported ambient family {amb.family}")
-    coords = [Fraction(1)] * r + [Fraction(0)] * (m - r)
-    return Weight(tuple(coords), context=amb.label())
-
-
-def rho_tilde_ambient(levi: LeviDescriptor) -> Weight:
-    """`rho_tilde` embedded in the full character lattice:
-    (1,...,1, 0,...,0, -1,...,-1)."""
-    rt = rho_tilde(levi)
-    amb = levi.ambient
-    n = levi.gl_blocks[0][0]
-    if amb.family == UNITARY:
-        N = amb.size
-        mid = N - 2 * n
-        coords = [Fraction(1)] * n + [Fraction(0)] * mid + [Fraction(-1)] * n
-        return Weight(tuple(coords), context=amb.label())
-    return rt
-
-
-def distinguished_coroot(levi: LeviDescriptor) -> tuple:
-    """Coroot of the unique simple root not in the Levi, in split-torus
-    coordinates: e_n - e_{n+1} when a core is present, e_n otherwise."""
-    r = levi.gl_blocks[0][0]
-    amb = levi.ambient
-    m = amb.size // 2 if amb.family == UNITARY else amb.size
-    coords = [Fraction(0)] * m
-    coords[r - 1] = Fraction(1)
-    if r < m:
-        coords[r] = Fraction(-1)
-    return tuple(coords)
-
-
-def half_integrality_check(exponents) -> tuple:
-    """Check every exponent lies in (1/2)Z.
-
-    Returns (ok, normalized exponents, offending index or None).  The
-    normalized exponents are the canonical real twist parameters of the
-    unitary-central-character split; for exact rational input they are the
-    input itself.
-    """
-    vals = tuple(rat(e) for e in exponents)
-    for idx, e in enumerate(vals):
-        if not is_half_integer(e):
-            return False, vals, idx
-    return True, vals, None
-
-
-def delta_half_rational(levi: LeviDescriptor) -> bool:
-    """Whether the square root of the Levi modulus is a rational character
-    power (unitary ambient: block size + core size even)."""
-    if levi.ambient.family != UNITARY:
-        raise GroupError("delta_half_rational applies to unitary ambient groups")
-    if not levi.is_maximal:
-        raise GroupError("delta_half_rational needs a maximal Levi")
-    n = levi.gl_blocks[0][0]
-    r = levi.core.size
-    return (n + r) % 2 == 0
-
-
-def select_ambient(rho_duality: str, t: int, alpha: str = "1") -> GroupDescriptor:
-    """Ambient group from the duality type and degree of the second factor:
-    symplectic ⇒ odd orthogonal; orthogonal of odd degree ⇒ symplectic;
-    orthogonal of even degree ⇒ even orthogonal with the discriminant tag.
-    The returned descriptor has core rank ⌊t/2⌋ available for any block."""
+def ambient_with_block(rho_duality: str, r: int, t: int) -> GroupDescriptor:
+    """Ambient group containing GL_r × (core of the degree-t parameter), by
+    the duality type of that parameter: symplectic ⇒ odd orthogonal;
+    orthogonal of odd degree ⇒ symplectic; orthogonal of even degree ⇒ even
+    orthogonal with discriminant tag "1"."""
+    n = r + t // 2
     if rho_duality == "symplectic":
         if t % 2 != 0:
             raise GroupError("symplectic factors have even degree")
-        return so_odd(t // 2)  # placeholder rank; callers add the block size
-    if rho_duality == "orthogonal":
-        if t % 2 == 1:
-            return sp(t // 2)
-        return so_even(t // 2, alpha)
-    raise GroupError(f"no ambient group for duality {rho_duality!r}")
-
-
-def ambient_with_block(rho_duality: str, r: int, t: int, alpha: str = "1") -> GroupDescriptor:
-    """Ambient group containing GL_r × (core of degree-t parameter)."""
-    core = select_ambient(rho_duality, t, alpha)
-    n = r + core.size
-    if core.family == SO_ODD:
         return so_odd(n)
-    if core.family == SP:
-        return sp(n)
-    return so_even(n, alpha)
+    if rho_duality == "orthogonal":
+        return sp(n) if t % 2 == 1 else so_even(n)
+    raise GroupError(f"no ambient group for duality {rho_duality!r}")

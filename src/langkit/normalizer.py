@@ -32,8 +32,8 @@ class NormalizerError(ValueError):
 class DiscreteSegment:
     """Discrete block datum: cuspidal size m, ladder height h, twist a.
 
-    The half-width is t = (h-1)/2; the cuspidal support itself stays
-    opaque, every bound below uses only t and the twist exponent.
+    The cuspidal support itself stays opaque; every bound below uses only
+    the twist exponent.
     """
 
     label: str
@@ -45,10 +45,6 @@ class DiscreteSegment:
         object.__setattr__(self, "a", rat(self.a))
         if self.m < 1 or self.h < 1:
             raise NormalizerError("segment sizes are positive")
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self.h - 1, 2)
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,6 @@ class QuasiTemperedGL:
                     f"not quasi-tempered: block {s.label} has exponent {rat_str(s.a)}"
                 )
         object.__setattr__(self, "segments", segs)
-
-    def __len__(self):
-        return len(self.segments)
 
 
 @dataclass(frozen=True)
@@ -208,19 +201,18 @@ class FactorClassification:
         return out
 
 
-def classify_holomorphy(ratios, region_min=HALF) -> list:
-    """Status of every ratio on Re(s) ≥ region_min.
+def classify_holomorphy(ratios) -> list:
+    """Status of every ratio on Re(s) ≥ 1/2.
 
-    All numerators have argument real part ≥ slope·region + offset; with
+    All numerators have argument real part ≥ slope/2 + offset; with
     tempered inducing data a positive bound certifies holomorphic nonzero.
     The minus-twist family is the only one whose bound can be ≤ 0 and is
     flagged as the pole candidate.  Denominators sit one unit further
     right and are never flagged.
     """
-    region = rat(region_min)
     out = []
     for ratio in ratios:
-        bound = ratio.slope * region + ratio.offset
+        bound = ratio.slope * HALF + ratio.offset
         if ratio.family == "ii-":
             status, rule = "pole_candidate", rules.cite("ratio-pole-candidate")
         else:
@@ -230,60 +222,6 @@ def classify_holomorphy(ratios, region_min=HALF) -> list:
                 )
             status, rule = "holo_nonzero", rules.cite("ratio-bound-positive")
         out.append(FactorClassification(ratio, status, bound, rule))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rank-one bounds
-
-
-@dataclass(frozen=True)
-class PoleConstraint:
-    """Pole region of the normalized rank-one operator between two
-    discrete blocks of half-widths t1, t2."""
-
-    t1: Fraction
-    t2: Fraction
-    congruence: Fraction  # class of Re(s1-s2) mod 1
-    strict_bound: Fraction  # Re(s1-s2) < -|t1-t2|
-    max_pole_re: Fraction  # combined: Re(s1-s2) ≤ -|t1-t2|-1
-
-    def serialize(self) -> dict:
-        return {
-            "congruence_mod_1": rat_str(self.congruence),
-            "strict_bound": f"Re < {rat_str(self.strict_bound)}",
-            "pole_region": f"Re <= {rat_str(self.max_pole_re)}",
-            "holomorphic": "Re > -1",
-            "isomorphism": "|Re| < 1",
-        }
-
-
-def gl_pole_constraint(t1, t2) -> PoleConstraint:
-    """Combine the congruence Re ≡ t1+t2 mod 1 with the strict bound
-    Re < -|t1-t2|: poles only at Re ≤ -|t1-t2|-1 ≤ -1, whence holomorphy
-    for Re > -1 and invertibility for |Re| < 1."""
-    t1, t2 = rat(t1), rat(t2)
-    for t in (t1, t2):
-        if t < 0 or (2 * t).denominator != 1:
-            raise NormalizerError("half-widths lie in (1/2)Z≥0")
-    cong = (t1 + t2) - int(t1 + t2)
-    d = abs(t1 - t2)
-    return PoleConstraint(t1, t2, cong, -d, -d - 1)
-
-
-def jpss_factorization(t1, t2) -> list:
-    """Shift offsets of the pair factor of two discrete blocks: j runs over
-    the congruence class of t1+t2 mod 1 within [|t1-t2|, t1+t2]."""
-    t1, t2 = rat(t1), rat(t2)
-    for t in (t1, t2):
-        if t < 0 or (2 * t).denominator != 1:
-            raise NormalizerError("half-widths lie in (1/2)Z≥0")
-    lo, hi = abs(t1 - t2), t1 + t2
-    out = []
-    j = lo
-    while j <= hi:
-        out.append(j)
-        j += 1
     return out
 
 

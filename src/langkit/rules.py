@@ -7,10 +7,6 @@ one add a warning, and strict mode refuses to use them.
 """
 
 RULES = {
-    "constant-term-quotient": (
-        "the second summand of the parabolic constant term acts by the quotient of "
-        "the pair factor at s and s+1 times the auxiliary factor at 2s and 2s+1"
-    ),
     "aux-pole-duality": (
         "the auxiliary factor (alternating square, symmetric square, or the "
         "sign-matched twisted tensor factor) has a simple pole at 1 exactly when "
@@ -48,37 +44,13 @@ RULES = {
         "action; the sign bookkeeping of the base-change chain matches the "
         "direct target form"
     ),
-    "parity-transport": (
-        "the parity sign of a conjugate-self-dual record is preserved by the "
-        "coefficient action"
-    ),
-    "weight-type-transport": (
-        "weight, duality type and algebraicity class are preserved by the "
-        "coefficient action; the infinitesimal character is relabeled"
-    ),
-    "cuspidal-count": (
-        "matching expansions forces two blocks' worth plus the core ladder count "
-        "to equal the three cuspidal terms of the target"
-    ),
     "support-uniqueness": (
         "multiset matching of (label, shift) pairs leaves exactly one induction "
         "datum up to associates: the ladder-2 record at shift 1/2 over the core"
     ),
-    "trivial-block-shift": (
-        "a trivial-record block carries shift 0 because its central character is "
-        "trivial on the ray, and the resulting multiset cannot match"
-    ),
     "pole-back-transport": (
         "the transported residue forces the transported quotient to have a pole "
         "at the half point, hence the transported pair value is nonzero"
-    ),
-    "sign-condition": (
-        "the two parity constraints eta(block) = (-1)^r·kappa and eta(core) = "
-        "(-1)^{r+1}·kappa admit a common kappa exactly when the parities differ"
-    ),
-    "descent-gate": (
-        "the core record descends through base change exactly when its "
-        "sign-matched twisted tensor factor has the pole at 1"
     ),
     "arch-sign-multiset-invariance": (
         "the archimedean sign product depends only on the multiset of "
@@ -108,10 +80,6 @@ RULES = {
     "positivity-holomorphy": (
         "non-normalized rank-one operators with positive-real-part argument are "
         "holomorphic"
-    ),
-    "square-expansion": (
-        "the alternating (or twisted) square of a direct sum expands into the "
-        "squares of the parts plus the pairwise tensor factors"
     ),
     "dichotomy": (
         "a declared central zero is itself transported: both sides vanish and "

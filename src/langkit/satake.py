@@ -11,7 +11,7 @@ place.  Equality of eigenvalues is syntactic on the normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -130,9 +130,6 @@ class SatakeClass:
         evs = tuple(sorted(self.eigenvalues, key=Eigenvalue.sort_key))
         object.__setattr__(self, "eigenvalues", evs)
 
-    def __len__(self):
-        return len(self.eigenvalues)
-
     def multiset(self):
         return sorted(e.sort_key() for e in self.eigenvalues)
 
@@ -165,7 +162,6 @@ class AutModel:
 
     def __post_init__(self):
         pairs = tuple(sorted(dict(self.unit_map).items()))
-        src = [s for s, _ in pairs]
         dst = [d for _, d in pairs]
         if len(set(dst)) != len(dst):
             raise SatakeError("unit_map must be a bijection on symbols")
@@ -218,9 +214,9 @@ class AutModel:
 IDENTITY_AUT = AutModel()
 
 
-def eps_m(aut: AutModel, m: int, place: str = "v") -> int:
-    """Sign a(q^{(m-1)/2})·q^{-(m-1)/2}: +1 for m odd, eps for m even."""
-    return aut.eps_at(place) ** ((m - 1) % 2)
+def eps_m(aut: AutModel, m: int) -> int:
+    """Sign a(q^{(m-1)/2})·q^{-(m-1)/2} at v: +1 for m odd, eps for m even."""
+    return aut.eps_at("v") ** ((m - 1) % 2)
 
 
 def _twist_parity(family: GroupDescriptor) -> int:
@@ -303,7 +299,6 @@ def bc_chain_check(
     n: int,
     r: int,
     aut: AutModel,
-    place: str = "v",
     pi_units: Optional[Iterable[Eigenvalue]] = None,
     rho_units: Optional[Iterable[Eigenvalue]] = None,
 ):
@@ -322,12 +317,11 @@ def bc_chain_check(
     Mrho = (
         list(rho_units) if rho_units is not None else [ev(0, (f"w{j}",)) for j in range(1, r + 1)]
     )
-    eps = aut.eps_at(place)
-    e_N, e_n, e_r, e_0 = (eps_m(aut, m, place) for m in (N, n, r, 0))
+    e_N, e_n, e_r, e_0 = (eps_m(aut, m) for m in (N, n, r, 0))
     half = Fraction(1, 2)
 
     def rawA(evs):
-        return [aut.raw(e, place) for e in evs]
+        return [aut.raw(e, "v") for e in evs]
 
     steps = []
     # base change of the residual class: the two half shifts of the degree-n
@@ -343,7 +337,7 @@ def bc_chain_check(
 
     # target form, built from the per-factor transports
     a_pi = _scale_class(rawA(Mpi), e_n)  # transported degree-n class
-    a_pi_tilde = _scale_class(a_pi, eps_m(aut, n + r, place))  # half-twisted transport
+    a_pi_tilde = _scale_class(a_pi, eps_m(aut, n + r))  # half-twisted transport
     a_rho = _scale_class(rawA(Mrho), e_r)
     rhs = (
         [e.scaled(q_shift=half) for e in a_pi_tilde]
@@ -355,7 +349,7 @@ def bc_chain_check(
         "transported degree-r class"
     )
     steps.append(f"sign identities used: e_N*e_n*e_0 = e_{{n+r}} ({e_N*e_n*e_0} = "
-                 f"{eps_m(aut, n + r, place)}), e_N*e_r = 1 ({e_N * e_r})")
+                 f"{eps_m(aut, n + r)}), e_N*e_r = 1 ({e_N * e_r})")
 
     left = sorted(e.sort_key() for e in lhs)
     right = sorted(e.sort_key() for e in rhs)
@@ -365,10 +359,10 @@ def bc_chain_check(
     return False, steps, mism
 
 
-def eps_identities_hold(aut: AutModel, n: int, r: int, place: str = "v") -> bool:
-    """e_N·e_n·e_0 = e_{n+r} and e_N·e_r = 1 for N = 2n+r."""
+def eps_identities_hold(aut: AutModel, n: int, r: int) -> bool:
+    """e_N·e_n·e_0 = e_{n+r} and e_N·e_r = 1 for N = 2n+r, at the place v."""
     N = 2 * n + r
-    lhs1 = eps_m(aut, N, place) * eps_m(aut, n, place) * eps_m(aut, 0, place)
-    ok1 = lhs1 == eps_m(aut, n + r, place)
-    ok2 = eps_m(aut, N, place) * eps_m(aut, r, place) == 1
+    lhs1 = eps_m(aut, N) * eps_m(aut, n) * eps_m(aut, 0)
+    ok1 = lhs1 == eps_m(aut, n + r)
+    ok2 = eps_m(aut, N) * eps_m(aut, r) == 1
     return ok1 and ok2

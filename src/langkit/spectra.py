@@ -3,9 +3,7 @@
 A parameter is a multiplicity-one multiset of (cuspidal record, ladder
 length) pairs; its expansion lists the half-integral twist ladder of each
 pair.  `classify_levi_support` decides which induction data can carry a
-given two-term parameter, by the cuspidal count plus multiset matching;
-the eta/kappa calculus converts between the two sign normalizations of
-conjugate-self-dual records.
+given two-term parameter, by the cuspidal count plus multiset matching.
 """
 
 from __future__ import annotations
@@ -264,18 +262,20 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
     )
 
 
-def candidate_family(target: ArthurParameter, shifts=None) -> list:
+_CANDIDATE_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1))
+
+
+def candidate_family(target: ArthurParameter) -> list:
     """Exhaustive small family of candidates for the uniqueness check:
     every way to pick 0, 1 or 2 blocks from the target's records (and the
     trivial record) with small shifts, core from the leftover records."""
-    shifts = [rat(s) for s in (shifts or ("0", "1/2", "-1/2", "1"))]
     records = [rec for rec, _ in target.summands]
     pool = records + ([TRIVIAL] if all(not r.is_trivial for r in records) else [])
     out = []
     for core_rec in records:
         core = ArthurParameter(((core_rec, 1),))
         for rec in pool:
-            for s in shifts:
+            for s in _CANDIDATE_SHIFTS:
                 out.append(LeviCandidate(((rec, s),), core))
     # the no-block candidate: everything in the core
     pi = next(rec for rec, d in target.summands if d == 2)
@@ -292,25 +292,7 @@ def candidate_family(target: ArthurParameter, shifts=None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sign calculus
-
-
-def kappa_from_eta(eta: int, r: int) -> int:
-    """kappa = eta·(-1)^{r-1}: the descent normalization of the parity sign."""
-    if eta not in (1, -1):
-        raise SpectraError("eta must be ±1")
-    return eta * (-1) ** ((r - 1) % 2)
-
-
-def sign_condition(eta_pi: int, eta_rho: int, r: int) -> Optional[int]:
-    """The unique kappa with eta_pi = (-1)^r·kappa and eta_rho =
-    (-1)^{r+1}·kappa, or None (exactly when the two parities agree)."""
-    for s in (eta_pi, eta_rho):
-        if s not in (1, -1):
-            raise SpectraError("parities must be ±1")
-    k1 = eta_pi * (-1) ** (r % 2)
-    k2 = eta_rho * (-1) ** ((r + 1) % 2)
-    return k1 if k1 == k2 else None
+# purity and transport of records
 
 
 def purity_consistent(record: CuspidalRecord, emb) -> bool:

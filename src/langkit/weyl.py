@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .rationals import rat, rat_str
 
@@ -53,13 +53,6 @@ class Weight:
 
     def __len__(self):
         return len(self.coords)
-
-    def is_pure(self) -> bool:
-        """All coordinates integral, or all strictly half-integral."""
-        if not self.coords:
-            return True
-        dens = {c.denominator for c in self.coords}
-        return dens == {1} or dens == {2}
 
     def __str__(self):
         return "(" + ", ".join(rat_str(c) for c in self.coords) + ")"
@@ -171,10 +164,6 @@ class SignedPerm:
         return "[" + " ".join(str(v) for v in self.images) + "]"
 
 
-def length(w: SignedPerm) -> int:
-    return w.length()
-
-
 def length_additive(w1: SignedPerm, w2: SignedPerm) -> bool:
     """True iff the lengths add along the product w1·w2 (w1 applied first)."""
     if w1.rank != w2.rank:
@@ -206,12 +195,12 @@ def simple_reflections(t: int) -> list:
     return [SignedPerm(w) for w in _simple_windows("C", t)]
 
 
-def bfs_length(w: SignedPerm, generators: Iterable[SignedPerm] | None = None) -> int:
-    """Shortest word length over the generators by breadth-first search.
+def bfs_length(w: SignedPerm) -> int:
+    """Shortest word length over `simple_reflections` by breadth-first search.
 
     Exponential in the rank; meant as an independent check for rank ≤ 3.
     """
-    gens = list(generators) if generators is not None else simple_reflections(w.rank)
+    gens = simple_reflections(w.rank)
     start = SignedPerm.identity(w.rank)
     if w == start:
         return 0

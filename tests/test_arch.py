@@ -12,7 +12,6 @@ from langkit.arch import (
     algebraicity_required,
     eps_arch,
     induced_regular,
-    infchar_from_parameter,
     invariance_ratio_conjdual,
     is_disjoint,
     is_SO_regular,
@@ -36,21 +35,6 @@ class TestEmbeddings:
     def test_involution_must_be_involutive(self):
         with pytest.raises(ArchError):
             EmbeddingSet(("a", "b"), (("a", "b"), ("b", "a"), ("c", "c")))
-
-
-class TestInfcharFromParameter:
-    def test_complex_rank_one(self):
-        assert infchar_from_parameter((0,), ("0",), "complex") == ((Fraction(0),), (Fraction(0),))
-
-    def test_real_discrete_series(self):
-        assert infchar_from_parameter(("3/2", "-3/2"), None, "real") == (
-            Fraction(3, 2),
-            Fraction(-3, 2),
-        )
-
-    def test_real_needs_integral_difference(self):
-        with pytest.raises(ArchError):
-            infchar_from_parameter(("1/2",), ("0",), "real")
 
 
 class TestPurity:
@@ -201,13 +185,6 @@ class TestRootNumber:
         q = InfChar((("c1", ("0",)), ("c1b", ("0",))))
         with pytest.raises(ArchError):
             root_number_selfdual(emb, p, q, 1, 1)  # c·r·t = 1 odd
-
-    def test_nonarch_flag_is_a_hypothesis(self):
-        emb = emb_real("r1")
-        p = InfChar((("r1", ("1/2", "-1/2")),))
-        q = InfChar((("r1", ("0",)),))
-        with pytest.raises(ArchError):
-            root_number_selfdual(emb, p, q, 2, 1, nonarch_det_trivial=False)
 
 
 def test_invariance_ratio():

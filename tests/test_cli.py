@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -66,6 +67,55 @@ def test_every_derivation_step_cites_a_known_rule():
             assert step["citation"] in rules.RULES
         for rid in report["citations"]:
             assert rid in rules.RULES
+
+
+def _package_modules() -> dict:
+    src = Path(cli.__file__).parent
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+
+
+def test_every_rule_is_named_by_the_code():
+    from langkit import rules
+
+    literals = {
+        node.value
+        for name, tree in _package_modules().items()
+        if name != "rules"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(set(rules.RULES) - literals) == []
+
+
+# kept only as independent oracles of code that runs: tests compare against them
+TEST_ORACLES = {"act_twisted", "twisted_shift", "borel_modulus_compose", "res_gl"}
+
+
+def test_every_public_name_is_used_by_the_package():
+    defined, used = [], set()
+    for module, tree in _package_modules().items():
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+                defined.append((module, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    used.add((module, owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    used.add((module, owner, sub.attr))
+    referenced = {
+        (module, name)
+        for module, name in defined
+        if any(n == name and (m, o) != (module, name) for m, o, n in used)
+    }
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if (module, name) not in referenced
+        and (module, name) != ("cli", "main")  # the console-script entry point
+        and name not in TEST_ORACLES
+    ]
+    assert unused == []
 
 
 def test_pole_command():
@@ -258,6 +308,30 @@ TARGET_ERROR = (
         ("check-scenario", {"theorem_target": "Z"}, TARGET_ERROR),
         ("pole", {"theorem_target": "Z"}, TARGET_ERROR),
         ("root-number", {"theorem_target": "Z"}, TARGET_ERROR),
+        ("check-scenario", {"aut_spec": [1]}, "/aut_spec: must be an object"),
+        ("check-scenario", {"aut_spec": {"unit_map": [1]}}, "/aut_spec/unit_map: must be an object"),
+        ("check-scenario", {"aut_spec": {"embedding_map": [1]}},
+         "/aut_spec/embedding_map: must be an object"),
+        ("check-scenario", {"roles": "x"}, "/roles: must be an object"),
+        ("pole", {"roles": {"pi": [1], "rho": "rho"}}, "/roles: labels must be strings"),
+        ("check-scenario", {"records": [{"label": [1], "degree": 4}]},
+         "/records/0/label: must be a string"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 4, "infchar": [1]}]},
+         "/records/0/infchar: must be an object"),
+        ("pole", {"ledger_overrides": [1]}, "/ledger_overrides/0: must be an object"),
+        ("pole", {"ledger_overrides": "x"}, "/ledger_overrides: must be a list"),
+        ("normalize", {"quasi_tempered": {"pi": {"segments": [1]}}},
+         "/quasi_tempered/pi/segments/0: must be an object"),
+        ("satake-act", {"satake_class": [1]}, "/satake_class: must be an object"),
+        ("check-scenario", {"central_order": -1},
+         "/central_order: must be a non-negative integer, got -1"),
+        ("pole", {"central_order": -1}, "/central_order: must be a non-negative integer, got -1"),
+        ("check-scenario", {"central_order": True}, "/central_order: must be an integer, not true"),
+        ("pole", {"central_order": True}, "/central_order: must be an integer, not true"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": True}]},
+         "/records/0/degree: must be a positive integer"),
+        ("pole", {"ledger_overrides": [{"factor": ["wedge2", "pi"], "point": "1", "order": True}]},
+         "/ledger_overrides/0/order: must be an integer, not true"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):

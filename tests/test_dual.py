@@ -8,12 +8,8 @@ from langkit.dual import (
     grade_nilradical,
     grade_nilradical_by_roots,
     identify_R1,
-    identify_R2,
     phi_perm,
-    std_pushforward,
 )
-from langkit.groups import gl, res_gl, so_even, so_odd, sp, unitary
-from langkit.satake import SatakeClass, ev
 
 # Dense integer oracle, independent of the signed-permutation code.
 
@@ -149,52 +145,3 @@ def test_asai_trace_values():
     assert asai_trace(1, 0) == 0
     with pytest.raises(DualError):
         asai_trace(2, 3)
-
-
-def test_identify_R2():
-    assert identify_R2(1, 1).degree == 1
-    assert identify_R2(2, 3).degree == 6
-    assert identify_R2(3, 1).degree == 3
-    assert identify_R2(2, 3).via_base_change
-    with pytest.raises(DualError):
-        identify_R2(2, 0)
-
-
-class TestStdPushforward:
-    def test_orthogonal_identity(self):
-        cls = SatakeClass((ev(0, "u1"), ev(0, [("u1", -1)])), so_odd(1))
-        out = std_pushforward(cls, so_odd(1))
-        assert len(out) == 2
-
-    def test_symplectic_appends_one(self):
-        cls = SatakeClass((ev(0, "u1"), ev(0, [("u1", -1)])), sp(1))
-        out = std_pushforward(cls, sp(1))
-        assert len(out) == 3 and "1" in out.serialize()
-        big = SatakeClass(
-            (ev(0, "u1"), ev(0, [("u1", -1)]), ev(0, "u2"), ev(0, [("u2", -1)])), sp(2)
-        )
-        assert len(std_pushforward(big, sp(2))) == 5
-
-    def test_unitary_unfolds(self):
-        cls = SatakeClass((ev(0, "u1"),), unitary(1))
-        assert std_pushforward(cls, unitary(1)).serialize() == ["u1"]
-        cls = SatakeClass((ev(0, "u1"), ev(0, "u2")), unitary(4))
-        out = std_pushforward(cls, unitary(4))
-        assert sorted(out.serialize()) == sorted(["u1", "u2", "u1^-1", "u2^-1"])
-        cls = SatakeClass((ev(0, "u1"), ev(0, "u2")), unitary(5))
-        out = std_pushforward(cls, unitary(5))
-        assert len(out) == 5 and "1" in out.serialize()
-
-    def test_cardinality_is_std_degree(self):
-        paired = tuple(ev(0, f"u{i}") for i in (1, 2))
-        paired = paired + tuple(e.inverse() for e in paired)
-        for group in (sp(2), so_odd(2), so_even(2)):
-            assert len(std_pushforward(SatakeClass(paired, group), group)) == group.std_degree
-        plain = tuple(ev(0, f"u{i}") for i in (1, 2, 3))
-        for group in (gl(3), res_gl(3)):
-            assert len(std_pushforward(SatakeClass(plain, group), group)) == group.std_degree
-
-    def test_size_mismatch(self):
-        cls = SatakeClass((ev(0, "u1"),), sp(2))
-        with pytest.raises(DualError):
-            std_pushforward(cls, sp(2))

@@ -5,16 +5,11 @@ import pytest
 from langkit.groups import (
     GroupError,
     borel_modulus_compose,
-    delta_half_rational,
-    distinguished_coroot,
-    half_integrality_check,
     maximal_levi,
     modulus_borel,
     modulus_borel_root_sum,
     modulus_levi,
     modulus_levi_root_sum,
-    rho_tilde,
-    rho_tilde_ambient,
     so_even,
     so_odd,
     sp,
@@ -81,49 +76,3 @@ class TestModulusBorel:
             for r in range(1, n + 1):
                 assert borel_modulus_compose(sp(n), r)
                 assert borel_modulus_compose(so_odd(n), r)
-
-
-class TestRhoTilde:
-    def test_unitary_truncation(self):
-        levi = maximal_levi(unitary(4), 1)
-        assert rho_tilde(levi).coords == (Fraction(1), Fraction(0))
-        assert rho_tilde_ambient(levi).coords == tuple(map(Fraction, (1, 0, 0, -1)))
-
-    def test_single_block(self):
-        assert rho_tilde(maximal_levi(unitary(2), 1)).coords == (Fraction(1),)
-
-    def test_two_block(self):
-        assert rho_tilde(maximal_levi(unitary(6), 2)).coords == tuple(map(Fraction, (1, 1, 0)))
-
-    @pytest.mark.parametrize("N", range(2, 10))
-    def test_pairs_to_one_with_coroot(self, N):
-        for r in range(1, N // 2 + 1):
-            levi = maximal_levi(unitary(N), r)
-            rt = rho_tilde(levi)
-            cr = distinguished_coroot(levi)
-            assert sum(a * b for a, b in zip(rt.coords, cr)) == 1
-
-    def test_split_families_pair_to_one(self):
-        for n in range(1, 5):
-            for r in range(1, n + 1):
-                levi = maximal_levi(sp(n), r)
-                assert sum(
-                    a * b for a, b in zip(rho_tilde(levi).coords, distinguished_coroot(levi))
-                ) == 1
-
-
-def test_half_integrality():
-    ok, vals, idx = half_integrality_check(["1/2", 0])
-    assert ok and idx is None
-    ok, vals, idx = half_integrality_check(["1/3"])
-    assert not ok and idx == 0
-    ok, vals, idx = half_integrality_check(["3/2", "-1/2", 1])
-    assert ok and vals == (Fraction(3, 2), Fraction(-1, 2), Fraction(1))
-
-
-def test_delta_half_rational_parity():
-    assert delta_half_rational(maximal_levi(unitary(3), 1))  # 1 + 1 even
-    assert not delta_half_rational(maximal_levi(unitary(4), 1))  # 1 + 2 odd
-    assert delta_half_rational(maximal_levi(unitary(6), 2))  # 2 + 2 even
-    with pytest.raises(GroupError):
-        delta_half_rational(maximal_levi(sp(3), 1))

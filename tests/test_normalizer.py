@@ -9,10 +9,8 @@ from langkit.normalizer import (
     QuasiTemperedSelfdual,
     classify_holomorphy,
     factor_normalization,
-    gl_pole_constraint,
     holomorphy_verdict,
     intertwining_word,
-    jpss_factorization,
     square_expansion,
     verify_wedge_expansion,
 )
@@ -46,9 +44,6 @@ class TestDecompositions:
             (DiscreteSegment("a", 1, 1, "0"), DiscreteSegment("b", 1, 1, "1/4"))
         )
         assert [s.a for s in pi.segments] == [Fraction(1, 4), Fraction(0)]
-
-    def test_half_width(self):
-        assert DiscreteSegment("p", 2, 3, 0).t == 1
 
 
 class TestFactorFamilies:
@@ -120,33 +115,6 @@ class TestClassification:
         rho = QuasiTemperedSelfdual(("r0",), (("r1", "1/4"), ("r2", "2/5")))
         for c in classify_holomorphy(factor_normalization(pi, rho)):
             assert c.bound + 1 > 0
-
-
-class TestRankOneBounds:
-    def test_untwisted(self):
-        pc = gl_pole_constraint(0, 0)
-        assert pc.congruence == 0 and pc.max_pole_re == -1
-
-    def test_half_width_mix(self):
-        pc = gl_pole_constraint("1/2", 0)
-        assert pc.congruence == Fraction(1, 2)
-        assert pc.strict_bound == Fraction(-1, 2)
-        assert pc.max_pole_re == Fraction(-3, 2)
-
-    def test_equal_half_widths(self):
-        pc = gl_pole_constraint("1/2", "1/2")
-        assert pc.congruence == 0 and pc.max_pole_re == -1
-
-    def test_symmetry(self):
-        for t1, t2 in (("1/2", 0), (1, "3/2"), (0, 2)):
-            a, b = gl_pole_constraint(t1, t2), gl_pole_constraint(t2, t1)
-            assert (a.congruence, a.max_pole_re) == (b.congruence, b.max_pole_re)
-
-    def test_factorization_offsets(self):
-        assert jpss_factorization(0, 0) == [0]
-        assert jpss_factorization("1/2", 0) == [Fraction(1, 2)]
-        assert jpss_factorization("1/2", "1/2") == [0, 1]
-        assert jpss_factorization(1, "3/2") == [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
 
 
 class TestWords:

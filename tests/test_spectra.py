@@ -20,9 +20,7 @@ from langkit.spectra import (
     classify_levi_support,
     duality_preserved,
     expand,
-    kappa_from_eta,
     reconstruct,
-    sign_condition,
 )
 from langkit.rationals import rat_str
 
@@ -249,28 +247,6 @@ class TestClassification:
             if v.accepted:
                 accepted.add((v.block[0].label, v.block[1]))
         assert accepted == {("pi", Fraction(1, 2))}
-
-
-class TestSigns:
-    def test_kappa_values(self):
-        assert kappa_from_eta(1, 1) == 1
-        assert kappa_from_eta(-1, 2) == 1
-
-    @pytest.mark.parametrize("r", range(1, 8))
-    def test_descent_criterion(self, r):
-        # parity (-1)^{r-1} is exactly the descent-compatible value
-        assert kappa_from_eta((-1) ** ((r - 1) % 2), r) == 1
-
-    def test_sign_condition_examples(self):
-        assert sign_condition(1, -1, 2) == 1
-        assert sign_condition(1, 1, 3) is None
-        assert sign_condition(-1, 1, 1) == 1
-
-    @pytest.mark.parametrize(
-        "ep,er,r", list(itertools.product((1, -1), (1, -1), range(1, 5)))
-    )
-    def test_none_iff_equal(self, ep, er, r):
-        assert (sign_condition(ep, er, r) is None) == (ep == er)
 
 
 class TestTransport:

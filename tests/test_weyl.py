@@ -14,7 +14,6 @@ from langkit.weyl import (
     bfs_length,
     kostant_reps,
     kostant_weights,
-    length,
     length_additive,
     simple_reflections,
 )
@@ -38,19 +37,19 @@ def full_word(t, u):
 
 class TestLength:
     def test_identity_is_zero(self):
-        assert length(SignedPerm.identity(3)) == 0
+        assert SignedPerm.identity(3).length() == 0
 
     @pytest.mark.parametrize("t,u", [(t, u) for t in range(1, 5) for u in range(0, 5)])
     def test_block_words(self, t, u):
-        assert length(shuffle_word(t, u)) == t * u
-        assert length(flip_word(t, u)) == t * u + t * (t - 1) // 2 + t
-        assert length(full_word(t, u)) == t * (t - 1) // 2 + 2 * t * u + t
+        assert shuffle_word(t, u).length() == t * u
+        assert flip_word(t, u).length() == t * u + t * (t - 1) // 2 + t
+        assert full_word(t, u).length() == t * (t - 1) // 2 + 2 * t * u + t
 
     def test_full_flip_no_pairs(self):
         # u = 0: reversal with all signs flipped
         for t in range(1, 5):
             w = full_word(t, 0)
-            assert length(w) == t * (t - 1) // 2 + t
+            assert w.length() == t * (t - 1) // 2 + t
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_matches_word_search(self, t):
@@ -193,12 +192,6 @@ class TestKostant:
         datum = RootDatum("C", 3)
         with pytest.raises(WeylError):
             ParabolicShape((3,), 2, datum)
-
-
-def test_weight_purity():
-    assert Weight(("1/2", "3/2")).is_pure()
-    assert Weight((1, 2)).is_pure()
-    assert not Weight((1, "3/2")).is_pure()
 
 
 # ---------------------------------------------------------------------------
