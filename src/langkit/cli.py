@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from .eisenstein import (
 )
 from .groups import SP, GroupDescriptor, ambient_with_block, unitary
 from .normalizer import (
+    AUX_KINDS,
     DiscreteSegment,
     NormalizerError,
     QuasiTemperedGL,
@@ -55,45 +58,62 @@ THEOREM_TARGETS = ("A", "B", "C", "D", "E", "F", "appendix", "custom")
 
 
 class ScenarioError(ValueError):
-    """Schema violation, reported with a JSON-pointer-style path."""
+    """Schema violation, reported with a JSON pointer (RFC 6901)."""
 
 
 # ---------------------------------------------------------------------------
 # scenario parsing
 
-
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ScenarioError(f"{path}/{key}: missing")
-    return obj[key]
-
-
-def _rational(value, pointer: str):
-    try:
-        return rat(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{pointer}: {exc}") from exc
+NON_NEGATIVE, POSITIVE = 0, 1  # integer kinds: the lower bound
+SIGNS = (1, -1)
+_MISSING = object()
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")  # "p/q" or "p": no decimals or exponents
+_NOUNS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
-def _integer(value, pointer: str) -> int:
-    if isinstance(value, bool):
-        raise ScenarioError(f"{pointer}: must be an integer, not {json.dumps(value)}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{pointer}: {exc}") from exc
-
-
-def _object(value, pointer: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{pointer}: must be an object")
+def _check(value, kind, at: str):
+    """value if it has kind (see `_field`), a rational as a Fraction."""
+    if isinstance(kind, list):
+        return [_check(v, kind[0], f"{at}/{i}") for i, v in enumerate(_check(value, list, at))]
+    if kind in _NOUNS:
+        if isinstance(value, kind):
+            return value
+        raise ScenarioError(f"{at}: must be {_NOUNS[kind]}")
+    if isinstance(kind, tuple):
+        if any(type(value) is type(v) and value == v for v in kind):
+            return value
+        allowed = ", ".join(json.dumps(v) for v in kind)
+        raise ScenarioError(f"{at}: must be one of {allowed}, not {json.dumps(value)}")
+    if kind is Fraction:
+        try:
+            if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
+                return rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ScenarioError(f'{at}: must be an integer or a "p/q" string, not {json.dumps(value)}')
+    if type(value) is not int:
+        raise ScenarioError(f"{at}: must be an integer, not {json.dumps(value)}")
+    if kind is not int and value < kind:
+        bound = ("non-negative", "positive")[kind]
+        raise ScenarioError(f"{at}: must be a {bound} integer, got {value}")
     return value
 
 
-def _list(value, pointer: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{pointer}: must be a list")
-    return value
+def _field(obj: dict, key: str, kind, pointer: str, default=_MISSING):
+    """obj[key] checked against kind, or default when the key is absent.
+
+    ``pointer`` is obj's JSON pointer, "" at the scenario root.  Kinds:
+    dict, list, str and bool; int, NON_NEGATIVE or POSITIVE for a JSON
+    integer (never a bool, float or string) with no bound, >= 0 or >= 1;
+    Fraction for an integer or a "p/q" string; a tuple of allowed values;
+    [kind] for a list whose items all have that kind.
+    """
+    at = f"{pointer}/{key.replace('~', '~0').replace('/', '~1')}"
+    if key in obj:
+        return _check(obj[key], kind, at)
+    if default is _MISSING:
+        raise ScenarioError(f"{at}: missing")
+    return default
 
 
 def load_scenario(path) -> dict:
@@ -104,157 +124,144 @@ def load_scenario(path) -> dict:
         raise ScenarioError(f"/: cannot read {path} ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"/: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("/: scenario must be an object")
-    if str(raw.get("schema", SCHEMA)) != SCHEMA:
-        raise ScenarioError(f"/schema: unsupported version {raw.get('schema')!r}")
+    _field(_check(raw, dict, "/"), "schema", (SCHEMA,), "", SCHEMA)
     return raw
 
 
-def parse_embeddings(raw: dict, path: str = "/embeddings") -> EmbeddingSet:
-    _object(raw, path)
-    real = raw.get("real", [])
-    pairs = raw.get("complex_pairs", [])
+def parse_embeddings(raw: dict | None, path: str = "/embeddings") -> EmbeddingSet | None:
+    if raw is None:
+        return None
+    real = _field(raw, "real", [str], path, [])
+    pairs = _field(raw, "complex_pairs", [[str]], path, [])
     try:
-        return EmbeddingSet.build(real=tuple(real), complex_pairs=tuple(tuple(p) for p in pairs))
-    except Exception as exc:
+        return EmbeddingSet.build(real=real, complex_pairs=pairs)
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_record(raw: dict, path: str) -> CuspidalRecord:
-    _object(raw, path)
-    label = _need(raw, "label", path)
-    if not isinstance(label, str):
-        raise ScenarioError(f"{path}/label: must be a string")
-    degree = _need(raw, "degree", path)
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-        raise ScenarioError(f"{path}/degree: must be a positive integer")
+    label = _field(raw, "label", str, path)
+    degree = _field(raw, "degree", POSITIVE, path)
+    table = _field(raw, "infchar", dict, path, None)
     infchar = None
-    if "infchar" in raw:
-        table = _object(raw["infchar"], f"{path}/infchar")
+    if table is not None:
+        at = f"{path}/infchar"
+        values = tuple((k, _field(table, k, [Fraction], at)) for k in sorted(table))
         try:
-            infchar = InfChar(tuple((k, tuple(v)) for k, v in sorted(table.items())))
-        except Exception as exc:
-            raise ScenarioError(f"{path}/infchar: {exc}") from exc
-    weight = _rational(raw.get("weight", 0), f"{path}/weight")
+            infchar = InfChar(values)
+        except ValueError as exc:
+            raise ScenarioError(f"{at}: {exc}") from exc
     try:
         return CuspidalRecord(
             label=label,
             degree=degree,
-            base=raw.get("base", "F"),
-            duality=raw.get("duality", "none"),
-            eta=raw.get("eta", 0),
-            weight=weight,
-            algebraicity=raw.get("algebraicity", "none"),
+            base=_field(raw, "base", str, path, "F"),
+            duality=_field(raw, "duality", str, path, "none"),
+            eta=_field(raw, "eta", int, path, 0),
+            weight=_field(raw, "weight", Fraction, path, 0),
+            algebraicity=_field(raw, "algebraicity", str, path, "none"),
             infchar=infchar,
         )
-    except (SpectraError, ValueError) as exc:
+    except SpectraError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _string_map(raw: dict, at: str) -> tuple:
+    return tuple(sorted((k, _field(raw, k, str, at)) for k in raw))
 
 
 def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec") -> AutSpec:
-    _object(raw, path)
-    eps = raw.get("eps", 1)
-    unit_map = tuple(sorted(_object(raw.get("unit_map", {}), f"{path}/unit_map").items()))
+    eps = _field(raw, "eps", SIGNS, path, 1)
+    unit_map = _string_map(_field(raw, "unit_map", dict, path, {}), f"{path}/unit_map")
     try:
         model = AutModel(unit_map=unit_map, eps=eps)
-    except Exception as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    emb_map = raw.get("embedding_map")
+    emb_map = _field(raw, "embedding_map", dict, path, None)
     if emb_map is None:
-        action = AutOnEmbeddings.identity(emb.labels) if emb is not None else None
-    else:
-        _object(emb_map, f"{path}/embedding_map")
-        try:
-            action = AutOnEmbeddings(tuple(sorted(emb_map.items())))
-        except Exception as exc:
-            raise ScenarioError(f"{path}/embedding_map: {exc}") from exc
-    return AutSpec(model, action)
+        return AutSpec(model, AutOnEmbeddings.identity(emb.labels) if emb is not None else None)
+    at = f"{path}/embedding_map"
+    mapping = _string_map(emb_map, at)
+    if emb is not None and {label for label, _ in mapping} != set(emb.labels):
+        raise ScenarioError(f"{at}: does not act on the embeddings {', '.join(emb.labels)}")
+    try:
+        return AutSpec(model, AutOnEmbeddings(mapping))
+    except ValueError as exc:
+        raise ScenarioError(f"{at}: {exc}") from exc
 
 
-def parse_ledger_overrides(entries, ledger: AnalyticLedger, path: str = "/ledger_overrides"):
-    for idx, entry in enumerate(_list(entries, path)):
-        _object(entry, f"{path}/{idx}")
-        for key in ("factor", "point", "order"):
-            _need(entry, key, f"{path}/{idx}")
-        factor = entry["factor"]
-        if not isinstance(factor, list):
-            raise ScenarioError(f"{path}/{idx}/factor: must be a list")
+def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/ledger_overrides"):
+    for idx, entry in enumerate(entries):
+        at = f"{path}/{idx}"
+        # a factor names its L-function by strings and, for Asai factors, a parity sign
+        factor = tuple(
+            _check(x, str if isinstance(x, str) else SIGNS, f"{at}/factor/{j}")
+            for j, x in enumerate(_field(entry, "factor", list, at))
+        )
         ledger.set(
-            tuple(factor),
-            _rational(entry["point"], f"{path}/{idx}/point"),
-            _integer(entry["order"], f"{path}/{idx}/order"),
-            entry.get("provenance", f"override:{path}/{idx}"),
+            factor,
+            _field(entry, "point", Fraction, at),
+            _field(entry, "order", int, at),
+            _field(entry, "provenance", str, at, f"override:{at}"),
         )
     return ledger
 
 
 def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
-    _object(raw, path)
-    block = _object(_need(raw, "pi", path), f"{path}/pi")
-    segments = []
-    for i, seg in enumerate(_list(_need(block, "segments", f"{path}/pi"), f"{path}/pi/segments")):
-        at = f"{path}/pi/segments/{i}"
-        _object(seg, at)
-        segments.append(
-            DiscreteSegment(
-                seg.get("label", f"p{i + 1}"),
-                _integer(seg.get("m", 1), f"{at}/m"),
-                _integer(seg.get("h", 1), f"{at}/h"),
-                _rational(seg.get("a", 0), f"{at}/a"),
-            )
+    block = _field(raw, "pi", dict, path)
+    at = f"{path}/pi/segments"
+    segments = tuple(
+        DiscreteSegment(
+            _field(seg, "label", str, f"{at}/{i}", f"p{i + 1}"),
+            _field(seg, "m", POSITIVE, f"{at}/{i}", 1),
+            _field(seg, "h", POSITIVE, f"{at}/{i}", 1),
+            _field(seg, "a", Fraction, f"{at}/{i}", 0),
         )
-    core = _object(_need(raw, "rho", path), f"{path}/rho")
-    selfdual = tuple(_list(_need(core, "selfdual", f"{path}/rho"), f"{path}/rho/selfdual"))
+        for i, seg in enumerate(_field(block, "segments", [dict], f"{path}/pi"))
+    )
+    core = _field(raw, "rho", dict, path)
+    selfdual = _field(core, "selfdual", [str], f"{path}/rho")
     pairs = tuple(
         (
-            _object(p, f"{path}/rho/pairs/{i}").get("label", f"r{i + 1}"),
-            _rational(_need(p, "b", f"{path}/rho/pairs/{i}"), f"{path}/rho/pairs/{i}/b"),
+            _field(p, "label", str, f"{path}/rho/pairs/{i}", f"r{i + 1}"),
+            _field(p, "b", Fraction, f"{path}/rho/pairs/{i}"),
         )
-        for i, p in enumerate(_list(core.get("pairs", []), f"{path}/rho/pairs"))
+        for i, p in enumerate(_field(core, "pairs", [dict], f"{path}/rho", []))
     )
+    aux = _field(raw, "aux", AUX_KINDS, path, "wedge2")
     try:
-        pi = QuasiTemperedGL(tuple(segments))
-        rho = QuasiTemperedSelfdual(selfdual, pairs)
+        pi = QuasiTemperedGL(segments)
+        rho = QuasiTemperedSelfdual(tuple(selfdual), pairs)
     except NormalizerError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    return pi, rho, raw.get("aux", "wedge2")
+    return pi, rho, aux
 
 
 def resolve_records(scn: dict):
-    records = _list(scn.get("records", []), "/records")
+    records = _field(scn, "records", [dict], "", [])
     parsed = [parse_record(r, f"/records/{i}") for i, r in enumerate(records)]
     by_label = {r.label: r for r in parsed}
-    roles = _object(scn.get("roles", {}), "/roles")
+    roles = _field(scn, "roles", dict, "", {})
     if roles:
         try:
-            pi = by_label[roles["pi"]]
-            rho = by_label[roles["rho"]]
+            return tuple(by_label[_field(roles, key, str, "/roles")] for key in ("pi", "rho"))
         except KeyError as exc:
             raise ScenarioError(f"/roles: unresolved label {exc}") from exc
-        except TypeError as exc:
-            raise ScenarioError("/roles: labels must be strings") from exc
-    elif len(parsed) >= 2:
-        pi, rho = parsed[0], parsed[1]
-    elif len(parsed) == 1:
-        pi, rho = parsed[0], TRIVIAL
-    else:
-        raise ScenarioError("/records: need at least one record")
-    return pi, rho
+    if len(parsed) >= 2:
+        return parsed[0], parsed[1]
+    if parsed:
+        return parsed[0], TRIVIAL
+    raise ScenarioError("/records: need at least one record")
 
 
-def theorem_target(scn: dict) -> str:
-    target = scn.get("theorem_target", "custom")
-    if target not in THEOREM_TARGETS:
-        raise ScenarioError(
-            f"/theorem_target: unknown target {target!r}, expected one of "
-            + ", ".join(THEOREM_TARGETS)
-        )
-    return target
+def _ratio_flags(scn: dict) -> dict:
+    """The ratio_flags present in the scenario; `sign_pipeline` supplies the defaults."""
+    flags = _field(scn, "ratio_flags", dict, "", {})
+    kinds = dict(d_C=NON_NEGATIVE, eps_sqrt_disc=SIGNS, eps_i=SIGNS, discriminant_consistency=bool)
+    return {k: _field(flags, k, kind, "/ratio_flags") for k, kind in kinds.items() if k in flags}
 
 
-def scenario_ambient(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
-    target = theorem_target(scn)
+def scenario_ambient(target: str, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
     if target == "A":
         return GroupDescriptor(SP, pi.degree)
     if target == "E" or pi.duality == CONJ_SELFDUAL:
@@ -272,9 +279,7 @@ def _report(command: str, scn_name: str, payload: dict) -> dict:
     def collect(node):
         if isinstance(node, dict):
             for k, v in node.items():
-                if k == "citation" and isinstance(v, str):
-                    used.add(v)
-                elif k == "rule" and isinstance(v, str):
+                if k in ("citation", "rule") and isinstance(v, str):
                     used.add(v)
                 else:
                     collect(v)
@@ -293,32 +298,29 @@ def _report(command: str, scn_name: str, payload: dict) -> dict:
     return report
 
 
-def _holomorphy(scn: dict, strict: bool) -> dict:
-    pi, rho, aux = parse_quasi_tempered(_need(scn, "quasi_tempered", "/"))
+def cmd_normalize(scn: dict, strict: bool) -> dict:
+    pi, rho, aux = parse_quasi_tempered(_field(scn, "quasi_tempered", dict, ""))
     return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict).serialize()
 
 
 def _ledger_and_central_order(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord):
     """The analytic ledger with the scenario's overrides applied, and the
     declared central vanishing order."""
-    ledger = parse_ledger_overrides(scn.get("ledger_overrides", []), default_ledger(pi, rho))
-    order = _integer(scn.get("central_order", 0), "/central_order")
-    if order < 0:
-        raise ScenarioError(f"/central_order: must be a non-negative integer, got {order}")
-    return ledger, order
+    entries = _field(scn, "ledger_overrides", [dict], "", [])
+    ledger = parse_ledger_overrides(entries, default_ledger(pi, rho))
+    return ledger, _field(scn, "central_order", NON_NEGATIVE, "", 0)
 
 
 def cmd_check_scenario(scn: dict, strict: bool) -> dict:
-    target = theorem_target(scn)
-    name = scn.get("name", "")
+    target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target == "appendix":
-        return _report("check-scenario", name, {"target": target, **_holomorphy(scn, strict)})
+        return {"target": target, **cmd_normalize(scn, strict)}
     pi, rho = resolve_records(scn)
-    emb = parse_embeddings(scn["embeddings"]) if "embeddings" in scn else None
-    aut = parse_aut_spec(scn.get("aut_spec", {}), emb)
+    emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), emb)
     if target in ("D", "F"):
-        res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags"), strict=strict)
-        return _report("check-scenario", name, {"target": target, **res.serialize()})
+        res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
+        return {"target": target, **res.serialize()}
     effective = target
     if target == "custom":
         effective = "E" if pi.duality == CONJ_SELFDUAL else "C"
@@ -326,17 +328,18 @@ def cmd_check_scenario(scn: dict, strict: bool) -> dict:
     res = theorem_pipeline(
         effective, pi, rho, emb, aut, central_order=central, ledger=ledger, strict=strict
     )
-    return _report("check-scenario", name, {"target": target, **res.serialize()})
+    return {"target": target, **res.serialize()}
 
 
 def cmd_pole(scn: dict, strict: bool) -> dict:
     pi, rho = resolve_records(scn)
-    ambient = scenario_ambient(scn, pi, rho)
+    target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
+    ambient = scenario_ambient(target, pi, rho)
     quotient = constant_term_quotient(ambient, pi, rho)
     ledger, central = _ledger_and_central_order(scn, pi, rho)
     decision = pole_at_half(quotient, ledger, central)
     payload = {
-        "target": theorem_target(scn),
+        "target": target,
         "verdict": "pole" if decision.has_pole else "no pole",
         "ambient": ambient.label(),
         "quotient": quotient.serialize(),
@@ -344,7 +347,7 @@ def cmd_pole(scn: dict, strict: bool) -> dict:
     }
     if decision.has_pole:
         payload["residual_parameter"] = residual_parameter(pi, rho, decision).serialize()
-    return _report("pole", scn.get("name", ""), payload)
+    return payload
 
 
 def cmd_classify(scn: dict, strict: bool) -> dict:
@@ -356,49 +359,44 @@ def cmd_classify(scn: dict, strict: bool) -> dict:
     ]
     accepted = [v for v in verdicts if v["accepted"]]
     keys = sorted({(v["block"]["label"], v["block"]["shift"]) for v in accepted})
-    payload = {
+    return {
         "verdict": f"{len(keys)} induction datum accepted"
         + ("" if len(keys) == 1 else " (not unique)"),
         "accepted": [{"label": l, "shift": s} for l, s in keys],
         "candidates": verdicts,
         "citation": rules.cite("support-uniqueness"),
     }
-    return _report("classify", scn.get("name", ""), payload)
 
 
 def cmd_root_number(scn: dict, strict: bool) -> dict:
     pi, rho = resolve_records(scn)
-    emb = parse_embeddings(scn["embeddings"]) if "embeddings" in scn else None
-    target = theorem_target(scn)
+    emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target not in ("D", "F"):
         target = "F" if pi.duality == CONJ_SELFDUAL else "D"
-    res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags"), strict=strict)
-    return _report("root-number", scn.get("name", ""), {"target": target, **res.serialize()})
-
-
-def cmd_normalize(scn: dict, strict: bool) -> dict:
-    return _report("normalize", scn.get("name", ""), _holomorphy(scn, strict))
+    res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
+    return {"target": target, **res.serialize()}
 
 
 def cmd_satake_act(scn: dict, strict: bool) -> dict:
-    raw = _object(_need(scn, "satake_class", "/"), "/satake_class")
-    fam = _need(raw, "family", "/satake_class")
-    size = _integer(_need(raw, "size", "/satake_class"), "/satake_class/size")
-    group = GroupDescriptor(fam, size)
-    evs = tuple(parse_eigenvalue(e) for e in _need(raw, "eigenvalues", "/satake_class"))
-    cls = SatakeClass(evs, group, raw.get("place", "v"))
-    aut = parse_aut_spec(scn.get("aut_spec", {}), None)
-    moved = act(aut.model, cls)
-    return _report(
-        "satake-act",
-        scn.get("name", ""),
-        {
-            "verdict": "transported",
-            "family": group.label(),
-            "input": cls.serialize(),
-            "output": moved.serialize(),
-        },
-    )
+    raw = _field(scn, "satake_class", dict, "")
+    at = "/satake_class"
+    family = _field(raw, "family", str, at)
+    size = _field(raw, "size", int, at)
+    eigenvalues = _field(raw, "eigenvalues", [str], at)
+    place = _field(raw, "place", str, at, "v")
+    try:
+        group = GroupDescriptor(family, size)
+        cls = SatakeClass(tuple(parse_eigenvalue(e) for e in eigenvalues), group, place)
+    except ValueError as exc:
+        raise ScenarioError(f"{at}: {exc}") from exc
+    aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), None)
+    return {
+        "verdict": "transported",
+        "family": group.label(),
+        "input": cls.serialize(),
+        "output": act(aut.model, cls).serialize(),
+    }
 
 
 # name -> (help, handler) for the commands that read a scenario
@@ -509,10 +507,10 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
     override = getattr(args, "ledger_override", None)
     if override:
         extra = load_scenario(Path(override))
-        scn["ledger_overrides"] = _list(
-            scn.get("ledger_overrides", []), "/ledger_overrides"
-        ) + _list(extra.get("ledger_overrides", []), "/ledger_overrides")
-    return SCENARIO_COMMANDS[command][1](scn, strict)
+        own = _field(scn, "ledger_overrides", list, "", [])
+        scn["ledger_overrides"] = own + _field(extra, "ledger_overrides", list, "", [])
+    name = _field(scn, "name", str, "", "")
+    return _report(command, name, SCENARIO_COMMANDS[command][1](scn, strict))
 
 
 def _comma_list(convert):

@@ -675,14 +675,14 @@ def sign_pipeline(
         if pi.duality != CONJ_SELFDUAL or rho.duality != CONJ_SELFDUAL:
             raise HypothesisError("ratio target needs conjugate-self-dual records")
         flags = ratio_flags or {}
-        d_C = emb.d_C if emb is not None else int(flags.get("d_C", 0))
+        d_C = emb.d_C if emb is not None else flags.get("d_C", 0)
         ratio = invariance_ratio_conjdual(
             pi.degree,
             rho.degree,
             d_C,
-            eps_sqrt_disc=int(flags.get("eps_sqrt_disc", 1)),
-            eps_i=int(flags.get("eps_i", 1)),
-            discriminant_consistency=bool(flags.get("discriminant_consistency", True)),
+            eps_sqrt_disc=flags.get("eps_sqrt_disc", 1),
+            eps_i=flags.get("eps_i", 1),
+            discriminant_consistency=flags.get("discriminant_consistency", True),
         )
         derivation = [
             {

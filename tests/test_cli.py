@@ -118,6 +118,35 @@ def test_every_public_name_is_used_by_the_package():
     assert unused == []
 
 
+def test_scenario_types_are_checked_in_one_place():
+    """Type errors are raised by the checker only, and the sign pipeline coerces nothing."""
+    modules = _package_modules()
+    outside = [
+        func.name
+        for func in modules["cli"].body
+        if isinstance(func, ast.FunctionDef) and func.name not in ("_check", "_field")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ScenarioError"
+        and any(
+            isinstance(c, ast.Constant) and "must be" in str(c.value) for c in ast.walk(node.exc)
+        )
+    ]
+    assert outside == []
+    (pipeline,) = [
+        node
+        for node in modules["eisenstein"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "sign_pipeline"
+    ]
+    coercions = [
+        node.func.id
+        for node in ast.walk(pipeline)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "bool")
+    ]
+    assert coercions == []
+
+
 def test_pole_command():
     report = cli.run("pole", "thmB")
     assert report["verdict"] == "pole"
@@ -280,6 +309,18 @@ def test_schema_errors_carry_pointers(tmp_path, patch, pointer):
         ("appendix_pair", "check-scenario",
          lambda s: s["quasi_tempered"]["rho"]["pairs"][0].update(b="1/0"),
          "/quasi_tempered/rho/pairs/0/b"),
+        ("thmE", "check-scenario", lambda s: s["records"][0].update(eta=True), "/records/0/eta"),
+        ("thmF", "root-number",
+         lambda s: s["ratio_flags"].update(discriminant_consistency="yes"),
+         "/ratio_flags/discriminant_consistency"),
+        ("thmF", "root-number", lambda s: s["ratio_flags"].update(eps_i=1.5), "/ratio_flags/eps_i"),
+        ("thmF", "check-scenario", lambda s: s["ratio_flags"].update(eps_i="x"),
+         "/ratio_flags/eps_i"),
+        ("thmF", "root-number", lambda s: s.update(ratio_flags=[1]), "/ratio_flags"),
+        ("thmE", "check-scenario", lambda s: s["aut_spec"]["embedding_map"].update(c1=1),
+         "/aut_spec/embedding_map/c1"),
+        ("thmF", "check-scenario", lambda s: s["aut_spec"]["embedding_map"].update(c1b=None),
+         "/aut_spec/embedding_map/c1b"),
     ],
 )
 def test_malformed_numbers_are_usage_errors(tmp_path, name, command, patch, pointer):
@@ -294,8 +335,10 @@ def test_malformed_numbers_are_usage_errors(tmp_path, name, command, patch, poin
 
 
 TARGET_ERROR = (
-    "/theorem_target: unknown target 'Z', expected one of A, B, C, D, E, F, appendix, custom"
+    '/theorem_target: must be one of "A", "B", "C", "D", "E", "F", "appendix", "custom", not "Z"'
 )
+SEGMENT = {"pi": {"segments": []}, "rho": {"selfdual": ["r0"]}}
+SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
 
 
 @pytest.mark.parametrize(
@@ -313,7 +356,7 @@ TARGET_ERROR = (
         ("check-scenario", {"aut_spec": {"embedding_map": [1]}},
          "/aut_spec/embedding_map: must be an object"),
         ("check-scenario", {"roles": "x"}, "/roles: must be an object"),
-        ("pole", {"roles": {"pi": [1], "rho": "rho"}}, "/roles: labels must be strings"),
+        ("pole", {"roles": {"pi": [1], "rho": "rho"}}, "/roles/pi: must be a string"),
         ("check-scenario", {"records": [{"label": [1], "degree": 4}]},
          "/records/0/label: must be a string"),
         ("check-scenario", {"records": [{"label": "pi", "degree": 4, "infchar": [1]}]},
@@ -329,9 +372,47 @@ TARGET_ERROR = (
         ("check-scenario", {"central_order": True}, "/central_order: must be an integer, not true"),
         ("pole", {"central_order": True}, "/central_order: must be an integer, not true"),
         ("check-scenario", {"records": [{"label": "pi", "degree": True}]},
-         "/records/0/degree: must be a positive integer"),
+         "/records/0/degree: must be an integer, not true"),
         ("pole", {"ledger_overrides": [{"factor": ["wedge2", "pi"], "point": "1", "order": True}]},
          "/ledger_overrides/0/order: must be an integer, not true"),
+        ("pole", {"central_order": 1.5}, "/central_order: must be an integer, not 1.5"),
+        ("pole", {"central_order": "1"}, '/central_order: must be an integer, not "1"'),
+        ("pole", {"ledger_overrides": [{"factor": ["wedge2", "pi"], "point": "1", "order": -1.5}]},
+         "/ledger_overrides/0/order: must be an integer, not -1.5"),
+        ("check-scenario", {"aut_spec": {"eps": True}},
+         "/aut_spec/eps: must be one of 1, -1, not true"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 4, "base": [1]}]},
+         "/records/0/base: must be a string"),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{"m": 1.5}]}}},
+         "/quasi_tempered/pi/segments/0/m: must be an integer, not 1.5"),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{"label": [1]}]}}},
+         "/quasi_tempered/pi/segments/0/label: must be a string"),
+        ("check-scenario", {"aut_spec": {"unit_map": {"u1": 5}}},
+         "/aut_spec/unit_map/u1: must be a string"),
+        ("pole", {"name": 5}, "/name: must be a string"),
+        ("satake-act", {"satake_class": {**SATAKE, "size": 2.5}},
+         "/satake_class/size: must be an integer, not 2.5"),
+        ("satake-act", {"satake_class": {**SATAKE, "eigenvalues": "11"}},
+         "/satake_class/eigenvalues: must be a list"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 4, "weight": True}]},
+         '/records/0/weight: must be an integer or a "p/q" string, not true'),
+        ("check-scenario", {"embeddings": {"real": "r1"}}, "/embeddings/real: must be a list"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 4, "infchar": {"r1": "9"}}]},
+         "/records/0/infchar/r1: must be a list"),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "rho": {"selfdual": [[1]]}}},
+         "/quasi_tempered/rho/selfdual/0: must be a string"),
+        ("satake-act", {"satake_class": {**SATAKE, "eigenvalues": [1, 2]}},
+         "/satake_class/eigenvalues/0: must be a string"),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "aux": "bogus"}},
+         '/quasi_tempered/aux: must be one of "wedge2", "sym2", "asai+", "asai-", not "bogus"'),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "aux": 5}},
+         '/quasi_tempered/aux: must be one of "wedge2", "sym2", "asai+", "asai-", not 5'),
+        ("satake-act", {"satake_class": {**SATAKE, "family": 5}},
+         "/satake_class/family: must be a string"),
+        ("normalize", {}, "/quasi_tempered: missing"),
+        ("satake-act", {}, "/satake_class: missing"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 4, "weight": "1e9"}]},
+         '/records/0/weight: must be an integer or a "p/q" string, not "1e9"'),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -362,3 +443,79 @@ def test_kostant_matches_golden(fmt, suffix):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden.read_bytes()
+
+
+RETYPES = (None, True, 1.5, "x", [], {})
+DROPPED = object()
+
+
+def _pointers(node, at=""):
+    """Every JSON pointer below node (its objects, lists and leaves)."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield f"{at}/{key}", child
+        yield from _pointers(child, f"{at}/{key}")
+
+
+def _mutate(scn, pointer, value):
+    *parents, last = pointer.split("/")[1:]
+    node = scn
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    last = int(last) if isinstance(node, list) else last
+    if value is DROPPED:
+        del node[last]
+    else:
+        node[last] = value
+
+
+def _mutants(name, values):
+    """(pointer, value, mutated scenario) for every field of a library scenario and
+    every value of another type than the field's own."""
+    text = (cli.scenario_dir() / f"{name}.json").read_text()
+    for pointer, original in _pointers(json.loads(text)):
+        for value in values:
+            if type(value) is type(original):
+                continue
+            scn = json.loads(text)
+            _mutate(scn, pointer, value)
+            yield pointer, value, scn
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_retyped_field_is_a_usage_error_with_its_pointer(tmp_path, capsys, name):
+    path = tmp_path / "mutant.json"
+    violations = []
+    for pointer, value, scn in _mutants(name, RETYPES):
+        path.write_text(json.dumps(scn))
+        try:
+            code = cli.main(["check-scenario", "--scenario", str(path)])
+        except Exception as exc:  # noqa: BLE001 - any escape breaks the exit-code contract
+            code = repr(exc)
+        err = capsys.readouterr().err
+        parts = pointer.split("/")
+        ancestors = ["/".join(parts[:k]) for k in range(2, len(parts))]
+        accepted = [f"error: {pointer}:", f"error: {pointer}/"]
+        accepted += [f"error: {a}:" for a in ancestors]
+        if code != 2 or not err.startswith(tuple(accepted)):
+            violations.append((pointer, value, code, err))
+    assert violations == []
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_dropped_field_keeps_the_exit_code_contract(tmp_path, capsys, name):
+    path = tmp_path / "mutant.json"
+    violations = []
+    for pointer, _, scn in _mutants(name, (DROPPED,)):
+        path.write_text(json.dumps(scn))
+        try:
+            code = cli.main(["check-scenario", "--scenario", str(path)])
+        except Exception as exc:  # noqa: BLE001 - any escape breaks the exit-code contract
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3) or (code and not err.startswith("error: ")):
+            violations.append((pointer, code, err))
+    assert violations == []
