@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import is_half_integer, rat, rat_str
+from .rationals import doubled, is_half_integer, rat, rat_str
 
 
 class ArchError(ValueError):
@@ -322,6 +322,15 @@ def eps_arch(kind: str, a, b=None) -> I4:
     raise ArchError(f"unknown kind {kind!r}")
 
 
+def _doubled(values, label) -> tuple:
+    """The entries 2v of half-integers v, as ints."""
+    out = tuple(doubled(v) for v in values)
+    if None in out:
+        v = values[out.index(None)]
+        raise ArchError(f"entry {v} at {label} is not half-integral")
+    return out
+
+
 def root_number_selfdual(
     emb: EmbeddingSet,
     p: InfChar,
@@ -335,36 +344,37 @@ def root_number_selfdual(
     Real embeddings contribute (-1)^{p_i+q_j+1/2} over pairs with positive
     sum; complex places contribute (-1)^{2p_i+2q_j} over the same pairs;
     the complex-place count enters through (-1)^{c·r·t/2}, which requires
-    c·r·t even.  The certificate records that the formula depends only on
+    c·r·t even.  Each embedding's entries are doubled once, so a pair sum
+    is the int s2 = 2p_i + 2q_j and the sign is (-1) to the sum of the
+    exponents.  The certificate records that the formula depends only on
     the multiset of per-embedding data, hence is fixed by every relabeling.
     """
     c = emb.d_C
     if (c * r * t) % 2:
         raise ArchError("hypothesis violated: complex-place count times degrees must be even")
-    half = Fraction(1, 2)
-    sign = -1 if ((c * r * t // 2) % 2) else 1
+    exponent = c * r * t // 2
     for label in emb.real_labels:
-        for pi in p.at(label):
-            for qj in q.at(label):
-                s = pi + qj
-                if s > 0:
-                    if (s + half).denominator != 1:
+        q2 = _doubled(q.at(label), label)
+        for a in _doubled(p.at(label), label):
+            for b in q2:
+                s2 = a + b
+                if s2 > 0:
+                    if s2 % 2 == 0:
                         raise ArchError("hypothesis violated: pair weights must be half-integral")
-                    sign *= (-1) ** (int(s + half) % 2)
-    for a, _ in emb.complex_pairs:
-        for pi in p.at(a):
-            for qj in q.at(a):
-                s = pi + qj
-                if s > 0:
-                    if (2 * s).denominator != 1:
-                        raise ArchError("hypothesis violated: pair weights must be half-integral")
-                    sign *= (-1) ** (int(2 * s) % 2)
+                    exponent += (s2 + 1) // 2
+    for label, _ in emb.complex_pairs:
+        q2 = _doubled(q.at(label), label)
+        for a in _doubled(p.at(label), label):
+            for b in q2:
+                s2 = a + b
+                if s2 > 0:
+                    exponent += s2
     certificate = {
         "invariant": True,
         "reason": "depends only on the multiset of per-embedding exponent pairs",
         "rule": "arch-sign-multiset-invariance",
     }
-    return sign, certificate
+    return (-1) ** (exponent % 2), certificate
 
 
 def invariance_ratio_conjdual(

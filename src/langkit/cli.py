@@ -122,7 +122,7 @@ def load_scenario(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"/: cannot read {path} ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ScenarioError(f"/: invalid JSON ({exc})") from exc
     _field(_check(raw, dict, "/"), "schema", (SCHEMA,), "", SCHEMA)
     return raw

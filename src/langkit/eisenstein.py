@@ -125,8 +125,10 @@ class AnalyticLedger:
     provenance: dict = field(default_factory=dict)
 
     def set(self, kind: tuple, point, order: int, provenance: str):
+        if type(order) is not int:
+            raise EisensteinError(f"ledger order must be an int, not {order!r}")
         key = (tuple(kind), rat(point))
-        self.entries[key] = int(order)
+        self.entries[key] = order
         self.provenance[key] = provenance
 
     def order(self, kind: tuple, point) -> int:

@@ -1,7 +1,11 @@
 """Exact rational helpers shared across the package.
 
-Everything numeric in this library is a `fractions.Fraction`.  Scenario
-files store rationals as strings like "3/2", "-1/2" or "2"; these helpers
+Every rational in this library's interfaces is a `fractions.Fraction`.
+The hot kernels (`weyl`, the `spectra` ladders, `satake` q-exponents and
+the `arch` root-number loop) hold a half-integer x as the int 2x instead,
+and build a Fraction only at their edges: in `rat_str` output, in report
+strings and where the ledger or pole layer reads a value.  Scenario files
+store rationals as strings like "3/2", "-1/2" or "2"; these helpers
 round-trip that format losslessly.
 """
 
@@ -31,6 +35,13 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def doubled(x: Fraction):
+    """2x as an int when x lies in (1/2)Z, else None."""
+    if 2 % x.denominator:
+        return None
+    return x.numerator * (2 // x.denominator)
+
+
 def is_half_integer(x: Fraction) -> bool:
     """True iff x lies in (1/2)Z."""
-    return (2 * Fraction(x)).denominator == 1
+    return doubled(Fraction(x)) is not None

@@ -2,10 +2,12 @@
 
 An eigenvalue is sign·q^e·u where e is an exact half-integer, q a formal
 residue-cardinality symbol attached to a place, and u a word in a free
-abelian group of opaque unit symbols.  A field automorphism is modeled by
-the only data the computations use: a permutation of the unit symbols
-(compatible with inversion) and the sign eps = a(q^{1/2})/q^{1/2} at each
-place.  Equality of eigenvalues is syntactic on the normal form.
+abelian group of opaque unit symbols.  The kernel holds e doubled, as the
+int 2e; `ev` and `parse_eigenvalue` take it as a rational.  A field
+automorphism is modeled by the only data the computations use: a
+permutation of the unit symbols (compatible with inversion) and the sign
+eps = a(q^{1/2})/q^{1/2} at each place.  Equality of eigenvalues is
+syntactic on the normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
-from .rationals import is_half_integer, rat, rat_str
+from .rationals import doubled, rat, rat_str
 
 
 class SatakeError(ValueError):
@@ -45,36 +47,41 @@ def _normalize_unit(unit) -> tuple:
 
 @dataclass(frozen=True)
 class Eigenvalue:
-    """sign · q^{q_exp} · unit, in normal form."""
+    """sign · q^{q2/2} · unit, in normal form.
 
-    q_exp: Fraction
+    The half-integral q-exponent is held doubled as the int ``q2``, so the
+    products, inverses and transports below never build a `Fraction`; one
+    appears only in `serialize` and in the read-only view `q_exp`.
+    """
+
+    q2: int
     unit: tuple = ()
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "q_exp", rat(self.q_exp))
+        if type(self.q2) is not int:
+            raise SatakeError(f"doubled q-exponent must be an int, not {self.q2!r}")
         object.__setattr__(self, "unit", _normalize_unit(self.unit))
         if self.sign not in (1, -1):
             raise SatakeError("sign must be ±1")
-        if not is_half_integer(self.q_exp):
-            raise SatakeError(f"q-exponent {self.q_exp} is not half-integral")
+
+    @property
+    def q_exp(self) -> Fraction:
+        return Fraction(self.q2, 2)
 
     def __mul__(self, other: "Eigenvalue") -> "Eigenvalue":
-        return Eigenvalue(
-            self.q_exp + other.q_exp,
-            self.unit + other.unit,
-            self.sign * other.sign,
-        )
+        return Eigenvalue(self.q2 + other.q2, self.unit + other.unit, self.sign * other.sign)
 
     def inverse(self) -> "Eigenvalue":
-        return Eigenvalue(-self.q_exp, tuple((s, -e) for s, e in self.unit), self.sign)
+        return Eigenvalue(-self.q2, tuple((s, -e) for s, e in self.unit), self.sign)
 
-    def scaled(self, sign: int = 1, q_shift: Fraction = Fraction(0)) -> "Eigenvalue":
-        return Eigenvalue(self.q_exp + rat(q_shift), self.unit, self.sign * sign)
+    def scaled(self, sign: int = 1, shift2: int = 0) -> "Eigenvalue":
+        """Multiply by sign·q^{shift2/2}."""
+        return Eigenvalue(self.q2 + shift2, self.unit, self.sign * sign)
 
     def serialize(self) -> str:
         parts = []
-        if self.q_exp:
+        if self.q2:
             parts.append(f"q^{rat_str(self.q_exp)}")
         for s, e in self.unit:
             parts.append(s if e == 1 else f"{s}^{e}")
@@ -82,14 +89,23 @@ class Eigenvalue:
         return body if self.sign == 1 else "-" + body
 
     def sort_key(self):
-        return (self.q_exp, self.unit, self.sign)
+        return (self.q2, self.unit, self.sign)
 
     def __str__(self):
         return self.serialize()
 
 
+def _doubled(q_exp: Fraction) -> int:
+    """2·q_exp as an int; the q-exponent must be a half-integer."""
+    q2 = doubled(q_exp)
+    if q2 is None:
+        raise SatakeError(f"q-exponent {q_exp} is not half-integral")
+    return q2
+
+
 def ev(q_exp=0, unit=(), sign=1) -> Eigenvalue:
-    return Eigenvalue(rat(q_exp), unit, sign)
+    """The eigenvalue sign·q^{q_exp}·unit, for a rational q_exp."""
+    return Eigenvalue(_doubled(rat(q_exp)), unit, sign)
 
 
 ONE = ev()
@@ -102,20 +118,23 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
     if s.startswith("-"):
         sign, s = -1, s[1:].strip()
     if s in ("", "1"):
-        return Eigenvalue(Fraction(0), (), sign)
+        return Eigenvalue(0, (), sign)
     q_exp = Fraction(0)
     unit = []
     for token in s.split("*"):
         token = token.strip()
         if token.startswith("q^"):
-            q_exp += rat(token[2:])
+            try:
+                q_exp += rat(token[2:])
+            except ZeroDivisionError:
+                raise SatakeError(f"q-exponent {token[2:]} has a zero denominator") from None
         elif token == "q":
             q_exp += 1
         elif token == "1":
             continue
         else:
             unit.append(token)
-    return Eigenvalue(q_exp, unit, sign)
+    return Eigenvalue(_doubled(q_exp), unit, sign)
 
 
 @dataclass(frozen=True)
@@ -192,8 +211,8 @@ class AutModel:
         """Plain coefficient transport a(sign·q^e·u): q^{1/2} ↦ eps·q^{1/2},
         units permuted."""
         eps = self.eps_at(place)
-        twist = -1 if (eps == -1 and int(2 * e.q_exp) % 2 == 1) else 1
-        return Eigenvalue(e.q_exp, self.apply_unit(e.unit), e.sign * twist)
+        twist = -1 if (eps == -1 and e.q2 % 2 == 1) else 1
+        return Eigenvalue(e.q2, self.apply_unit(e.unit), e.sign * twist)
 
     def compose(self, other: "AutModel") -> "AutModel":
         """self ∘ other: unit maps compose, eps values multiply."""
@@ -248,12 +267,9 @@ def act(aut: AutModel, cls: SatakeClass) -> SatakeClass:
     eps = aut.eps_at(cls.place)
 
     def one(e: Eigenvalue) -> Eigenvalue:
-        if twist == 0:
-            sign = 1
-        else:
-            k = int(2 * e.q_exp) - 1
-            sign = -1 if (eps == -1 and k % 2 == 1) else 1
-        return Eigenvalue(e.q_exp, aut.apply_unit(e.unit), e.sign * sign)
+        # eps^{2e-1} is -1 exactly when eps = -1 and 2e is even
+        sign = -1 if (twist and eps == -1 and e.q2 % 2 == 0) else 1
+        return Eigenvalue(e.q2, aut.apply_unit(e.unit), e.sign * sign)
 
     return cls.map_eigenvalues(one)
 
@@ -272,10 +288,10 @@ def twisted_shift(cls: SatakeClass, two_eps) -> SatakeClass:
         two = vals.pop() if vals else Fraction(0)
     else:
         two = rat(two_eps)
-    shift = two / 2
-    if not is_half_integer(shift):
+    # the shift two/2 is half-integral exactly when two is an integer
+    if two.denominator != 1:
         raise SatakeError("central twist must scale by a half-integral power")
-    return cls.map_eigenvalues(lambda e: e.scaled(q_shift=shift))
+    return cls.map_eigenvalues(lambda e: e.scaled(shift2=two.numerator))
 
 
 def act_twisted(aut: AutModel, cls: SatakeClass, two_eps) -> SatakeClass:
@@ -313,12 +329,17 @@ def bc_chain_check(
     if n < 1 or r < 0:
         raise SatakeError("need n ≥ 1 and r ≥ 0")
     N = 2 * n + r
-    Mpi = list(pi_units) if pi_units is not None else [ev(0, (f"u{i}",)) for i in range(1, n + 1)]
+    Mpi = (
+        list(pi_units)
+        if pi_units is not None
+        else [Eigenvalue(0, (f"u{i}",)) for i in range(1, n + 1)]
+    )
     Mrho = (
-        list(rho_units) if rho_units is not None else [ev(0, (f"w{j}",)) for j in range(1, r + 1)]
+        list(rho_units)
+        if rho_units is not None
+        else [Eigenvalue(0, (f"w{j}",)) for j in range(1, r + 1)]
     )
     e_N, e_n, e_r, e_0 = (eps_m(aut, m) for m in (N, n, r, 0))
-    half = Fraction(1, 2)
 
     def rawA(evs):
         return [aut.raw(e, "v") for e in evs]
@@ -327,8 +348,8 @@ def bc_chain_check(
     # base change of the residual class: the two half shifts of the degree-n
     # part plus the degree-r part
     bc_residual = (
-        [e.scaled(q_shift=half) for e in Mpi]
-        + [e.scaled(q_shift=-half) for e in Mpi]
+        [e.scaled(shift2=1) for e in Mpi]
+        + [e.scaled(shift2=-1) for e in Mpi]
         + list(Mrho)
     )
     steps.append("push the residual class through base change: two half shifts plus the core")
@@ -340,8 +361,8 @@ def bc_chain_check(
     a_pi_tilde = _scale_class(a_pi, eps_m(aut, n + r))  # half-twisted transport
     a_rho = _scale_class(rawA(Mrho), e_r)
     rhs = (
-        [e.scaled(q_shift=half) for e in a_pi_tilde]
-        + [e.scaled(q_shift=-half) for e in a_pi_tilde]
+        [e.scaled(shift2=1) for e in a_pi_tilde]
+        + [e.scaled(shift2=-1) for e in a_pi_tilde]
         + _scale_class(a_rho, e_N * e_r)
     )
     steps.append(

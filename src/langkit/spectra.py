@@ -118,35 +118,37 @@ class ArthurParameter:
 
 @dataclass(frozen=True)
 class CuspidalSum:
-    """Multiset of (record, half-integral shift) terms."""
+    """Multiset of (record, j) terms, where j = 2·shift is an int.
 
-    terms: tuple
+    Shifts are half-integers, so the ladder kernel (`expand`, `reconstruct`)
+    holds them doubled and builds a `Fraction` only in `serialize`.  Terms
+    are kept sorted by (label, degree, j).
+    """
+
+    terms: tuple  # ((CuspidalRecord, j), ...)
 
     def __post_init__(self):
-        terms = tuple(
-            sorted(
-                ((rec, rat(shift)) for rec, shift in self.terms),
-                key=lambda t: (t[0].label, t[0].degree, t[1]),
-            )
-        )
+        for _, j in self.terms:
+            if type(j) is not int:
+                raise SpectraError(f"doubled shift must be an int, not {j!r}")
+        terms = tuple(sorted(self.terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
         object.__setattr__(self, "terms", terms)
 
     def __len__(self):
         return len(self.terms)
 
     def serialize(self) -> list:
-        return [{"label": rec.label, "shift": rat_str(s)} for rec, s in self.terms]
+        return [{"label": rec.label, "shift": rat_str(Fraction(j, 2))} for rec, j in self.terms]
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
-    """Each (record, d) contributes the shifts -(d-1)/2, ..., (d-3)/2, (d-1)/2.
+    """Each (record, d) contributes the shifts -(d-1)/2, ..., (d-3)/2, (d-1)/2,
+    held doubled as j = 1-d, 3-d, ..., d-1.
 
     They are listed in ascending order, so each ladder is already a sorted
     run for `CuspidalSum`.
     """
-    return CuspidalSum(
-        tuple((rec, Fraction(j, 2)) for rec, d in p.summands for j in range(1 - d, d, 2))
-    )
+    return CuspidalSum(tuple((rec, j) for rec, d in p.summands for j in range(1 - d, d, 2)))
 
 
 def reconstruct(s: CuspidalSum) -> ArthurParameter:
@@ -155,27 +157,26 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
     The terms are grouped once by (label, degree); since `CuspidalSum` keeps
     them sorted, the groups come in ascending key order and each group in
     ascending shift order.  While a group is non-empty, its first record
-    `rec` and its largest shift `top` = (d-1)/2 fix a ladder of length d, and
-    the rungs (d-1)/2, (d-3)/2, ..., -(d-1)/2 of `rec` are struck from the
-    group, each as its first matching entry.  Rungs are compared in doubled
-    integer units, so no `Fraction` is built per term.  A `top` outside
-    (1/2)Z≥0 is a stray shift; a missing rung fails the ladder.
+    `rec` and its largest doubled shift `top` = d-1 fix a ladder of length
+    d, and the rungs d-1, d-3, ..., 1-d of `rec` are struck from the group,
+    each as its first matching entry.  A negative `top` is a stray shift; a
+    missing rung fails the ladder.
     """
     groups: dict = {}
-    for rec, shift in s.terms:
-        groups.setdefault((rec.label, rec.degree), []).append((shift, rec))
+    for rec, j in s.terms:
+        groups.setdefault((rec.label, rec.degree), []).append((j, rec))
     summands = []
     for group in groups.values():
         while group:
             rec = group[0][1]
             top = group[-1][0]
-            n, q = top.numerator, top.denominator
-            if 2 % q or n < 0:
-                raise SpectraError(f"not a parameter sum: stray shift {top} for {rec.label}")
-            d = 2 * n // q + 1
-            for step in range(d - 1, -d, -2):
-                for i, (sh, r) in enumerate(group):
-                    if 2 * sh.numerator == step * sh.denominator and (r is rec or r == rec):
+            if top < 0:
+                raise SpectraError(
+                    f"not a parameter sum: stray shift {rat_str(Fraction(top, 2))} for {rec.label}"
+                )
+            for step in range(top, -top - 1, -2):
+                for i, (j, r) in enumerate(group):
+                    if j == step and (r is rec or r == rec):
                         del group[i]
                         break
                 else:
@@ -183,7 +184,7 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
                         "not a parameter sum: ladder of "
                         f"{rec.label} misses shift {rat_str(Fraction(step, 2))}"
                     )
-            summands.append((rec, d))
+            summands.append((rec, top + 1))
     return ArthurParameter(tuple(summands))
 
 
@@ -252,7 +253,7 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
             (candidate.core.summands[0][0].label, Fraction(0)),
         ]
     )
-    want = sorted((rec.label, shift) for rec, shift in expand(target).terms)
+    want = sorted((rec.label, Fraction(j, 2)) for rec, j in expand(target).terms)
     if got != want:
         return Verdict(False, f"multiset mismatch: {got} vs {want}")
     return Verdict(

@@ -225,3 +225,73 @@ def test_infchar_missing_label_is_domain_error():
     ic = InfChar((("r1", ("1", "-1")),))
     with pytest.raises(ArchError, match="no entries"):
         ic.at("r2")
+
+
+def _fraction_root_number_oracle(emb, p, q, r, t):
+    """The Fraction pair loop that `root_number_selfdual` replaced, verbatim."""
+    c = emb.d_C
+    if (c * r * t) % 2:
+        raise ArchError("hypothesis violated: complex-place count times degrees must be even")
+    half = Fraction(1, 2)
+    sign = -1 if ((c * r * t // 2) % 2) else 1
+    for label in emb.real_labels:
+        for pi in p.at(label):
+            for qj in q.at(label):
+                s = pi + qj
+                if s > 0:
+                    if (s + half).denominator != 1:
+                        raise ArchError("hypothesis violated: pair weights must be half-integral")
+                    sign *= (-1) ** (int(s + half) % 2)
+    for a, _ in emb.complex_pairs:
+        for pi in p.at(a):
+            for qj in q.at(a):
+                s = pi + qj
+                if s > 0:
+                    if (2 * s).denominator != 1:
+                        raise ArchError("hypothesis violated: pair weights must be half-integral")
+                    sign *= (-1) ** (int(2 * s) % 2)
+    return sign
+
+
+def _root_number_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ArchError as exc:
+        return f"ArchError: {exc}"
+    return out[0] if isinstance(out, tuple) else out
+
+
+def test_root_number_agrees_with_fraction_oracle():
+    """2,400 seeded pairs over real and complex embeddings, degrees 1-6,
+    with integral and half-odd entries mixed so that some pair weights are
+    not half-odd at a real embedding."""
+    import random
+
+    rng = random.Random(7)
+    outcomes = {}
+    for _ in range(2400):
+        d_r, d_c = rng.choice([(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1)])
+        emb = EmbeddingSet.build(
+            real=tuple(f"r{i}" for i in range(d_r)),
+            complex_pairs=tuple((f"c{i}", f"c{i}b") for i in range(d_c)),
+        )
+        deg_p, deg_q = rng.randint(1, 6), rng.randint(1, 6)
+        # integral entries only: every pair weight is an integer, none half-odd
+        step = 2 if rng.random() < 0.3 else 1
+
+        def entries(deg):
+            return tuple(Fraction(rng.randrange(-12, 13, step), 2) for _ in range(deg))
+
+        p = InfChar(tuple((label, entries(deg_p)) for label in emb.labels))
+        q = InfChar(tuple((label, entries(deg_q)) for label in emb.labels))
+        r, t = rng.choice([(deg_p, deg_q), (rng.randint(1, 6), rng.randint(1, 6))])
+        got = _root_number_outcome(root_number_selfdual, emb, p, q, r, t)
+        assert got == _root_number_outcome(_fraction_root_number_oracle, emb, p, q, r, t)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    assert set(outcomes) == {
+        1,
+        -1,
+        "ArchError: hypothesis violated: pair weights must be half-integral",
+        "ArchError: hypothesis violated: complex-place count times degrees must be even",
+    }
+    assert min(outcomes.values()) > 100, outcomes

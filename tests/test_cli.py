@@ -201,6 +201,15 @@ def test_exit_codes(tmp_path):
     assert missing.returncode != 0
 
 
+@pytest.mark.parametrize("raw", [b'{"schema": "1"', b'{"schema": "1", "name": "\xff"}'])
+def test_undecodable_scenario_is_a_usage_error(tmp_path, raw):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    proc = run_cli("pole", "--scenario", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: /: invalid JSON ("), proc.stderr
+
+
 def test_text_format_mentions_warnings():
     proc = run_cli("check-scenario", "--scenario", "thmB", "--format", "text")
     assert proc.returncode == 0
@@ -298,6 +307,9 @@ def test_schema_errors_carry_pointers(tmp_path, patch, pointer):
         cli.run("check-scenario", str(p))
 
 
+HUGE_INT = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "name,command,patch,pointer",
     [
@@ -321,13 +333,16 @@ def test_schema_errors_carry_pointers(tmp_path, patch, pointer):
          "/aut_spec/embedding_map/c1"),
         ("thmF", "check-scenario", lambda s: s["aut_spec"]["embedding_map"].update(c1b=None),
          "/aut_spec/embedding_map/c1b"),
+        # an integer literal past the interpreter's 4,300-digit conversion limit
+        ("thmB", "pole", lambda s: s.update(central_order=HUGE_INT), "/"),
     ],
 )
 def test_malformed_numbers_are_usage_errors(tmp_path, name, command, patch, pointer):
     scn = json.loads((cli.scenario_dir() / f"{name}.json").read_text())
     patch(scn)
     p = tmp_path / "malformed.json"
-    p.write_text(json.dumps(scn))
+    # json.dumps cannot write HUGE_INT as a number, so it goes in as a string and is unquoted
+    p.write_text(json.dumps(scn).replace(f'"{HUGE_INT}"', HUGE_INT))
     proc = run_cli(command, "--scenario", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {pointer}: "), proc.stderr
@@ -413,6 +428,8 @@ SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
         ("satake-act", {}, "/satake_class: missing"),
         ("check-scenario", {"records": [{"label": "pi", "degree": 4, "weight": "1e9"}]},
          '/records/0/weight: must be an integer or a "p/q" string, not "1e9"'),
+        ("satake-act", {"satake_class": {**SATAKE, "eigenvalues": ["q^1/0", "1"]}},
+         "/satake_class: q-exponent 1/0 has a zero denominator"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):

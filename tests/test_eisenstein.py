@@ -148,6 +148,17 @@ class TestLedgerAndPole:
         with pytest.raises(EisensteinError):
             pole_at_half(q, AnalyticLedger(), 0)
 
+    @pytest.mark.parametrize("order", [1.5, 1.0, True, Fraction(1), "1", None])
+    def test_ledger_refuses_non_int_orders(self, order):
+        from langkit.eisenstein import AnalyticLedger
+
+        led = AnalyticLedger()
+        with pytest.raises(EisensteinError, match="must be an int"):
+            led.set(("x",), 1, order, "p")
+        assert led.entries == {}
+        led.set(("x",), 1, -2, "p")
+        assert led.order(("x",), 1) == -2
+
     def test_every_step_has_one_citation(self):
         q = constant_term_quotient(sp(5), PI_B, RHO_B)
         led = default_ledger(PI_B, RHO_B)

@@ -8,6 +8,7 @@ from langkit.groups import res_gl, so_odd, sp, unitary
 from langkit.satake import (
     IDENTITY_AUT,
     AutModel,
+    Eigenvalue,
     SatakeClass,
     SatakeError,
     act,
@@ -162,3 +163,94 @@ def test_chain_random_units(n, r, e, swap_units):
     aut = AutModel(unit_map=unit_map, eps=e)
     ok, _, mismatch = bc_chain_check(n, r, aut)
     assert ok, mismatch
+
+
+def test_eigenvalue_holds_a_doubled_int_exponent():
+    assert ev("3/2", "u1").q2 == 3
+    assert ev("3/2", "u1").q_exp == Fraction(3, 2)
+    for bad in (Fraction(1, 2), "1", True, 0.5):
+        with pytest.raises(SatakeError, match="must be an int"):
+            Eigenvalue(bad)
+    with pytest.raises(SatakeError, match="q-exponent 1/3 is not half-integral"):
+        ev("1/3")
+    with pytest.raises(SatakeError, match="zero denominator"):
+        parse_eigenvalue("q^1/0*u1")
+    # the exponent is checked once, on the sum of the q tokens
+    assert parse_eigenvalue("q^1/3*q^1/6") == ev("1/2")
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("unit", [(), ("u1",), [("u1", -1), "u2"], ["x_1^3", ("y", -2)]])
+def test_parse_inverts_serialize(sign, unit):
+    for q2 in range(-12, 13):
+        e = Eigenvalue(q2, unit, sign)
+        assert parse_eigenvalue(e.serialize()) == e
+        assert e.q_exp == Fraction(q2, 2)
+
+
+def _fraction_chain(n, r, eps, pi_units, rho_units) -> bool:
+    """Fraction re-derivation of `bc_chain_check` for an identity unit map.
+
+    An eigenvalue is (q-exponent as a Fraction, symbol, sign); the plain
+    transport twists by eps exactly when 2e is odd.
+    """
+    half = Fraction(1, 2)
+
+    def e_m(m):
+        return eps ** ((m - 1) % 2)
+
+    def raw(evs, scale):
+        return [(q, u, s * scale * (eps if int(2 * q) % 2 else 1)) for q, u, s in evs]
+
+    def shifted(evs):
+        return [(q + half, u, s) for q, u, s in evs] + [(q - half, u, s) for q, u, s in evs]
+
+    N = 2 * n + r
+    lhs = raw(shifted(pi_units) + rho_units, e_m(N))
+    rhs = shifted(raw(pi_units, e_m(n) * e_m(n + r))) + raw(rho_units, e_m(N))
+    return sorted(lhs) == sorted(rhs)
+
+
+def _fraction_identities(eps, n, r) -> bool:
+    """e_N·e_n·e_0 = e_{n+r} and e_N·e_r = 1, with e_m = eps^{(m-1) mod 2}."""
+    e_m = [eps ** ((m - 1) % 2) for m in range(2 * n + r + 1)]
+    N = 2 * n + r
+    return e_m[N] * e_m[n] * e_m[0] == e_m[n + r] and e_m[N] * e_m[r] == 1
+
+
+@pytest.mark.parametrize("e", (1, -1))
+def test_chain_agrees_with_fraction_rederivation(e):
+    """The selftest grid with its default units, and with half-integral
+    exponents and signs on the first unit of each factor."""
+    aut = AutModel(eps=e)
+    for n in range(1, 7):
+        for r in range(0, 7):
+            assert eps_identities_hold(aut, n, r) == _fraction_identities(e, n, r)
+            pi = [(Fraction(0), f"u{i}", 1) for i in range(1, n + 1)]
+            rho = [(Fraction(0), f"w{j}", 1) for j in range(1, r + 1)]
+            assert bc_chain_check(n, r, aut)[0] == _fraction_chain(n, r, e, pi, rho)
+            pi[0] = (Fraction(1, 2), "u1", -1)
+            rho[:1] = [(Fraction(-3, 2), "w1", 1)] if r else []
+            ok, _, _ = bc_chain_check(
+                n,
+                r,
+                aut,
+                pi_units=[ev(q, u, s) for q, u, s in pi],
+                rho_units=[ev(q, u, s) for q, u, s in rho],
+            )
+            assert ok == _fraction_chain(n, r, e, pi, rho)
+
+
+@pytest.mark.parametrize("family", [res_gl(2), res_gl(3), so_odd(1), sp(1)])
+@pytest.mark.parametrize("aut", [FLIP, SWAP, IDENTITY_AUT])
+def test_transport_signs_agree_with_fraction_rule(family, aut):
+    """`raw` twists by eps when 2e is odd; `act` on a twisted family by
+    eps^{2e-1}, read off 2e as a Fraction product."""
+    eps = aut.eps_at("v")
+    twisted = family.family != "Sp" and (family.family == "SOodd" or family.size % 2 == 0)
+    for k in range(-6, 7):
+        q = Fraction(k, 2)
+        e = ev(q, "u1", -1)
+        assert aut.raw(e, "v").sign == -1 * (eps if int(2 * q) % 2 == 1 else 1)
+        want = -1 * (eps if twisted and (int(2 * q) - 1) % 2 == 1 else 1)
+        assert act(aut, SatakeClass((e,), family)).eigenvalues[0].sign == want

@@ -64,15 +64,15 @@ class TestExpand:
 
 class TestReconstruct:
     def test_ladder_two(self):
-        s = CuspidalSum(((PI, "1/2"), (PI, "-1/2")))
+        s = CuspidalSum(((PI, 1), (PI, -1)))
         assert reconstruct(s) == ArthurParameter(((PI, 2),))
 
     def test_singleton(self):
-        assert reconstruct(CuspidalSum(((PI, "0"),))) == ArthurParameter(((PI, 1),))
+        assert reconstruct(CuspidalSum(((PI, 0),))) == ArthurParameter(((PI, 1),))
 
     def test_incomplete_ladder(self):
         with pytest.raises(SpectraError):
-            reconstruct(CuspidalSum(((PI, "1/2"),)))
+            reconstruct(CuspidalSum(((PI, 1),)))
 
     def test_nested_ladders(self):
         p = ArthurParameter(((PI, 4), (PI, 2)))
@@ -94,7 +94,7 @@ class TestReconstruct:
 
 def _greedy_reconstruct_oracle(s: CuspidalSum) -> ArthurParameter:
     """The quadratic greedy ladder stripping that `reconstruct` replaced."""
-    remaining = list(s.terms)
+    remaining = [(rec, Fraction(j, 2)) for rec, j in s.terms]
     summands = []
     while remaining:
         by_record: dict = {}
@@ -127,21 +127,25 @@ def _outcome(fn, terms):
 
 
 def _corruptions(terms):
-    """Every single-term corruption of a term list."""
-    half = Fraction(1, 2)
-    for i, (rec, shift) in enumerate(terms):
+    """Every single-term corruption of a term list of doubled shifts."""
+    for i, (rec, j) in enumerate(terms):
         rest = terms[:i] + terms[i + 1:]
         yield rest
-        yield terms + [(rec, shift)]
-        yield rest + [(rec, shift + half)]
-        yield rest + [(rec, shift - half)]
-        yield rest + [(rec, Fraction(1, 3))]
-        yield terms + [(rec, -half)]
-        yield [(rec, -half)]
+        yield terms + [(rec, j)]
+        yield rest + [(rec, j + 1)]
+        yield rest + [(rec, j - 1)]
+        yield terms + [(rec, -1)]
+        yield [(rec, -1)]
 
 
 def _ladder(rec, d):
-    return [(rec, Fraction(j, 2)) for j in range(1 - d, d, 2)]
+    return [(rec, j) for j in range(1 - d, d, 2)]
+
+
+@pytest.mark.parametrize("shift", ["1/2", Fraction(1, 3), Fraction(1, 2), True, 0.5])
+def test_cuspidal_sum_takes_only_int_doubled_shifts(shift):
+    with pytest.raises(SpectraError, match="must be an int"):
+        CuspidalSum(((PI, 1), (PI, shift)))
 
 
 # distinct records that share (label, degree) and differ in duality or weight
