@@ -1,7 +1,9 @@
 """Infinitesimal-character arithmetic and archimedean sign formulas.
 
-Infinitesimal characters are per-embedding multisets of exact
-half-integers.  The predicates here (superregularity, disjointness,
+Infinitesimal characters are per-embedding multisets of half-integers v,
+each held doubled as the int 2v, so the predicates and the sign loop work
+on ints; a `Fraction` appears only in `serialize` and in the weight that
+`purity_weight` returns.  The predicates (superregularity, disjointness,
 regularity of the induced character, the even-orthogonal regularity shape)
 gate the pole pipeline; the sign formulas compute the archimedean part of
 the functional-equation sign and its invariance certificate.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import doubled, is_half_integer, rat, rat_str
+from .rationals import doubled, rat, rat_str
 
 
 class ArchError(ValueError):
@@ -86,23 +88,19 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class InfChar:
-    """Per-embedding multisets (descending tuples) of half-integers."""
+    """Per-embedding multisets of half-integers v, each given and held as
+    the int 2v (never a bool, str or Fraction)."""
 
-    data: tuple  # ((label, sorted-desc tuple of Fractions), ...)
+    data: tuple  # ((label, sorted-desc tuple of ints 2v), ...)
 
     def __post_init__(self):
-        norm = []
-        sizes = set()
         for label, values in self.data:
-            vals = tuple(sorted((rat(v) for v in values), reverse=True))
-            for v in vals:
-                if not is_half_integer(v):
-                    raise ArchError(f"entry {v} at {label} is not half-integral")
-            sizes.add(len(vals))
-            norm.append((label, vals))
-        if len(sizes) > 1:
+            if any(type(v) is not int for v in values):
+                raise ArchError(f"entries at {label} must be ints 2v, not {tuple(values)!r}")
+        data = tuple(sorted((label, tuple(sorted(v, reverse=True))) for label, v in self.data))
+        if len({len(vals) for _, vals in data}) > 1:
             raise ArchError("all embeddings must carry the same number of entries")
-        object.__setattr__(self, "data", tuple(sorted(norm)))
+        object.__setattr__(self, "data", data)
 
     def at(self, label: str) -> tuple:
         table = dict(self.data)
@@ -124,7 +122,7 @@ class InfChar:
         return InfChar(tuple((label, dict(self.data)[inv[label]]) for label in self.labels))
 
     def serialize(self) -> dict:
-        return {label: [rat_str(v) for v in vals] for label, vals in self.data}
+        return {label: [rat_str(Fraction(v, 2)) for v in vals] for label, vals in self.data}
 
 
 @dataclass(frozen=True)
@@ -155,8 +153,8 @@ class AutOnEmbeddings:
 
 def purity_weight(p: InfChar, emb: EmbeddingSet, degree: int) -> Fraction:
     """The unique weight w with paired entries summing to -w at every
-    embedding and total sum -[F:Q]·degree·w/... consistency; raises when no
-    single w fits."""
+    embedding, checked against the total: the entries over all embeddings
+    sum to -[F:Q]·degree·w/2.  Raises when no single w fits."""
     if set(p.labels) != set(emb.labels):
         raise ArchError("infinitesimal character does not match the embeddings")
     candidates = set()
@@ -176,25 +174,23 @@ def purity_weight(p: InfChar, emb: EmbeddingSet, degree: int) -> Fraction:
             raise ArchError(f"inconsistent pairing at complex pair ({a}, {b})")
         candidates.add(-sums.pop())
     if len(candidates) != 1:
-        raise ArchError(f"no single weight fits: {sorted(candidates)}")
-    w = candidates.pop()
-    # doubled sum over embeddings equals -[F:Q]·N·w
-    doubled = 2 * sum(sum(p.at(label)) for label in emb.labels)
-    if doubled != Fraction(-emb.degree * degree) * w:
+        raise ArchError(f"no single weight fits: {sorted(Fraction(c, 2) for c in candidates)}")
+    w2 = candidates.pop()
+    # the entries sum to -[F:Q]·N·w/2, so their doubles sum to -[F:Q]·N·w2/2
+    if 2 * sum(sum(p.at(label)) for label in emb.labels) != -emb.degree * degree * w2:
         raise ArchError("global sum does not match the paired weight")
-    return w
+    return Fraction(w2, 2)
 
 
 # ---------------------------------------------------------------------------
-# regularity predicates
+# regularity predicates, on the doubled entries 2v of an infinitesimal character
 
 
 def _symmetrize(values) -> tuple:
-    vals = sorted((rat(v) for v in values), reverse=True)
+    vals = sorted(values, reverse=True)
     if vals == sorted((-v for v in vals), reverse=True):
         return tuple(vals)
-    vals = vals + [-v for v in vals]
-    return tuple(sorted(vals, reverse=True))
+    return tuple(sorted(vals + [-v for v in vals], reverse=True))
 
 
 def is_superregular(values) -> bool:
@@ -208,38 +204,35 @@ def is_superregular(values) -> bool:
     if any(pos[i] != -closed[-1 - i] for i in range(m)):
         raise ArchError("multiset is not symmetric under negation")
     for i in range(m - 1):
-        if pos[i] < pos[i + 1] + 2:
+        if pos[i] < pos[i + 1] + 4:
             return False
-    return pos[-1] >= Fraction(3, 2)
+    return pos[-1] >= 3
 
 
 def is_disjoint(p, q) -> bool:
     """No entry of p shifted by ±1/2 meets an entry of q."""
-    half = Fraction(1, 2)
-    qs = {rat(x) for x in q}
-    return all(rat(x) + s not in qs for x in p for s in (half, -half))
+    qs = set(q)
+    return all(x + s not in qs for x in p for s in (1, -1))
 
 
-def strictly_gapped(values, gap=2) -> bool:
-    """Entries strictly decreasing with consecutive differences ≥ gap.
+def strictly_gapped(values) -> bool:
+    """Entries strictly decreasing with consecutive differences ≥ 2.
 
     The asymmetric variant of superregularity used for conjugate-self-dual
     data, where the multiset need not be negation-closed.
     """
-    vals = sorted((rat(v) for v in values), reverse=True)
-    g = rat(gap)
-    return all(vals[i] - vals[i + 1] >= g for i in range(len(vals) - 1))
+    vals = sorted(values, reverse=True)
+    return all(vals[i] - vals[i + 1] >= 4 for i in range(len(vals) - 1))
 
 
 def strictly_decreasing(values) -> bool:
-    vals = [rat(v) for v in values]
-    return all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
+    return all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
 
 def is_SO_regular(values) -> bool:
     """Shape p_1 > ... > p_n ≥ -p_n > ... > -p_1: strictly decreasing and
     symmetric, with equality allowed only at the middle."""
-    vals = tuple(sorted((rat(v) for v in values), reverse=True))
+    vals = tuple(sorted(values, reverse=True))
     if len(vals) % 2:
         raise ArchError("even cardinality required")
     n = len(vals) // 2
@@ -257,8 +250,7 @@ def is_SO_regular(values) -> bool:
 def induced_regular(p, q) -> bool:
     """The merged multiset {p_i ± 1/2} ∪ {q_j} has no repeated entry, with
     the single exception of 0 at multiplicity ≤ 2."""
-    half = Fraction(1, 2)
-    merged = [rat(x) + s for x in p for s in (half, -half)] + [rat(x) for x in q]
+    merged = [x + s for x in p for s in (1, -1)] + list(q)
     counts: dict = {}
     for v in merged:
         counts[v] = counts.get(v, 0) + 1
@@ -305,30 +297,21 @@ def eps_arch(kind: str, a, b=None) -> I4:
     (-1)^{2a} for the restriction of the induced parameter.
     """
     if kind == "real_induced":
-        a = rat(a)
-        if a < 0 or not is_half_integer(a):
+        a2 = doubled(rat(a))
+        if a2 is None or a2 < 0:
             raise ArchError("need a ∈ (1/2)Z≥0")
-        return I4(int(2 * a) + 1)
+        return I4(a2 + 1)
     if kind == "complex":
         a, b = rat(a), rat(b)
         if (a - b).denominator != 1:
             raise ArchError("character exponents must differ by an integer")
         return I4(int(abs(a - b)))
     if kind == "restriction":
-        a = rat(a)
-        if not is_half_integer(a):
+        a2 = doubled(rat(a))
+        if a2 is None:
             raise ArchError("need a half-integral")
-        return I4(2 * int(2 * a))
+        return I4(2 * a2)
     raise ArchError(f"unknown kind {kind!r}")
-
-
-def _doubled(values, label) -> tuple:
-    """The entries 2v of half-integers v, as ints."""
-    out = tuple(doubled(v) for v in values)
-    if None in out:
-        v = values[out.index(None)]
-        raise ArchError(f"entry {v} at {label} is not half-integral")
-    return out
 
 
 def root_number_selfdual(
@@ -344,18 +327,18 @@ def root_number_selfdual(
     Real embeddings contribute (-1)^{p_i+q_j+1/2} over pairs with positive
     sum; complex places contribute (-1)^{2p_i+2q_j} over the same pairs;
     the complex-place count enters through (-1)^{c·r·t/2}, which requires
-    c·r·t even.  Each embedding's entries are doubled once, so a pair sum
-    is the int s2 = 2p_i + 2q_j and the sign is (-1) to the sum of the
-    exponents.  The certificate records that the formula depends only on
-    the multiset of per-embedding data, hence is fixed by every relabeling.
+    c·r·t even.  The entries are held doubled, so a pair sum is the int
+    s2 = 2p_i + 2q_j and the sign is (-1) to the sum of the exponents.  The
+    certificate records that the formula depends only on the multiset of
+    per-embedding data, hence is fixed by every relabeling.
     """
     c = emb.d_C
     if (c * r * t) % 2:
         raise ArchError("hypothesis violated: complex-place count times degrees must be even")
     exponent = c * r * t // 2
     for label in emb.real_labels:
-        q2 = _doubled(q.at(label), label)
-        for a in _doubled(p.at(label), label):
+        q2 = q.at(label)
+        for a in p.at(label):
             for b in q2:
                 s2 = a + b
                 if s2 > 0:
@@ -363,8 +346,8 @@ def root_number_selfdual(
                         raise ArchError("hypothesis violated: pair weights must be half-integral")
                     exponent += (s2 + 1) // 2
     for label, _ in emb.complex_pairs:
-        q2 = _doubled(q.at(label), label)
-        for a in _doubled(p.at(label), label):
+        q2 = q.at(label)
+        for a in p.at(label):
             for b in q2:
                 s2 = a + b
                 if s2 > 0:

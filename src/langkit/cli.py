@@ -29,9 +29,10 @@ from .eisenstein import (
     pole_at_half,
     residual_parameter,
     sign_pipeline,
+    target_ambient,
     theorem_pipeline,
 )
-from .groups import SP, GroupDescriptor, ambient_with_block, unitary
+from .groups import GroupDescriptor
 from .normalizer import (
     AUX_KINDS,
     DiscreteSegment,
@@ -40,7 +41,7 @@ from .normalizer import (
     QuasiTemperedSelfdual,
     holomorphy_verdict,
 )
-from .rationals import rat, rat_str
+from .rationals import doubled, rat, rat_str
 from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
@@ -65,6 +66,7 @@ class ScenarioError(ValueError):
 # scenario parsing
 
 NON_NEGATIVE, POSITIVE = 0, 1  # integer kinds: the lower bound
+HALF_INTEGER = "half-integer"  # a rational in (1/2)Z, read as the int 2x
 SIGNS = (1, -1)
 _MISSING = object()
 _RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")  # "p/q" or "p": no decimals or exponents
@@ -72,7 +74,8 @@ _NOUNS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
 def _check(value, kind, at: str):
-    """value if it has kind (see `_field`), a rational as a Fraction."""
+    """value if it has kind (see `_field`), a rational as a Fraction and a
+    half-integer x as the int 2x."""
     if isinstance(kind, list):
         return [_check(v, kind[0], f"{at}/{i}") for i, v in enumerate(_check(value, list, at))]
     if kind in _NOUNS:
@@ -84,6 +87,11 @@ def _check(value, kind, at: str):
             return value
         allowed = ", ".join(json.dumps(v) for v in kind)
         raise ScenarioError(f"{at}: must be one of {allowed}, not {json.dumps(value)}")
+    if kind is HALF_INTEGER:
+        x2 = doubled(_check(value, Fraction, at))
+        if x2 is None:
+            raise ScenarioError(f"{at}: must be a half-integer, not {json.dumps(value)}")
+        return x2
     if kind is Fraction:
         try:
             if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
@@ -99,16 +107,21 @@ def _check(value, kind, at: str):
     return value
 
 
+def _pointer(parent: str, key: str) -> str:
+    return f"{parent}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
 def _field(obj: dict, key: str, kind, pointer: str, default=_MISSING):
     """obj[key] checked against kind, or default when the key is absent.
 
     ``pointer`` is obj's JSON pointer, "" at the scenario root.  Kinds:
     dict, list, str and bool; int, NON_NEGATIVE or POSITIVE for a JSON
     integer (never a bool, float or string) with no bound, >= 0 or >= 1;
-    Fraction for an integer or a "p/q" string; a tuple of allowed values;
-    [kind] for a list whose items all have that kind.
+    Fraction for an integer or a "p/q" string; HALF_INTEGER for one in
+    (1/2)Z, returned doubled; a tuple of allowed values; [kind] for a list
+    whose items all have that kind.
     """
-    at = f"{pointer}/{key.replace('~', '~0').replace('/', '~1')}"
+    at = _pointer(pointer, key)
     if key in obj:
         return _check(obj[key], kind, at)
     if default is _MISSING:
@@ -116,15 +129,17 @@ def _field(obj: dict, key: str, kind, pointer: str, default=_MISSING):
     return default
 
 
-def load_scenario(path) -> dict:
+def load_scenario(path, root: str = "") -> dict:
+    """The JSON object in the file; errors point below ``root``, "" for the
+    scenario and "<file>#" for an override file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"/: cannot read {path} ({exc.strerror})") from exc
+        raise ScenarioError(f"{root}/: cannot read {path} ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
-        raise ScenarioError(f"/: invalid JSON ({exc})") from exc
-    _field(_check(raw, dict, "/"), "schema", (SCHEMA,), "", SCHEMA)
+        raise ScenarioError(f"{root}/: invalid JSON ({exc})") from exc
+    _field(_check(raw, dict, f"{root}/"), "schema", (SCHEMA,), root, SCHEMA)
     return raw
 
 
@@ -133,24 +148,36 @@ def parse_embeddings(raw: dict | None, path: str = "/embeddings") -> EmbeddingSe
         return None
     real = _field(raw, "real", [str], path, [])
     pairs = _field(raw, "complex_pairs", [[str]], path, [])
+    for i, pair in enumerate(pairs):
+        if len(pair) != 2:
+            raise ScenarioError(f"{path}/complex_pairs/{i}: has length {len(pair)}, not 2")
     try:
         return EmbeddingSet.build(real=real, complex_pairs=pairs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def parse_record(raw: dict, path: str) -> CuspidalRecord:
+def parse_record(raw: dict, path: str, emb: EmbeddingSet | None = None) -> CuspidalRecord:
+    """The record at ``path``; its infinitesimal character, if any, must
+    hold ``degree`` entries at each of the embeddings ``emb``."""
     label = _field(raw, "label", str, path)
     degree = _field(raw, "degree", POSITIVE, path)
     table = _field(raw, "infchar", dict, path, None)
     infchar = None
     if table is not None:
         at = f"{path}/infchar"
-        values = tuple((k, _field(table, k, [Fraction], at)) for k in sorted(table))
-        try:
-            infchar = InfChar(values)
-        except ValueError as exc:
-            raise ScenarioError(f"{at}: {exc}") from exc
+        if emb is not None and set(table) != set(emb.labels):
+            labels = ", ".join(emb.labels)
+            raise ScenarioError(f"{at}: does not cover exactly the embeddings {labels}")
+        values = []
+        for k in sorted(table):
+            entries = _field(table, k, [HALF_INTEGER], at)
+            if len(entries) != degree:
+                raise ScenarioError(
+                    f"{_pointer(at, k)}: has length {len(entries)}, not the degree {degree}"
+                )
+            values.append((k, entries))
+        infchar = InfChar(tuple(values))
     try:
         return CuspidalRecord(
             label=label,
@@ -237,9 +264,9 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
     return pi, rho, aux
 
 
-def resolve_records(scn: dict):
+def resolve_records(scn: dict, emb: EmbeddingSet | None = None):
     records = _field(scn, "records", [dict], "", [])
-    parsed = [parse_record(r, f"/records/{i}") for i, r in enumerate(records)]
+    parsed = [parse_record(r, f"/records/{i}", emb) for i, r in enumerate(records)]
     by_label = {r.label: r for r in parsed}
     roles = _field(scn, "roles", dict, "", {})
     if roles:
@@ -259,14 +286,6 @@ def _ratio_flags(scn: dict) -> dict:
     flags = _field(scn, "ratio_flags", dict, "", {})
     kinds = dict(d_C=NON_NEGATIVE, eps_sqrt_disc=SIGNS, eps_i=SIGNS, discriminant_consistency=bool)
     return {k: _field(flags, k, kind, "/ratio_flags") for k, kind in kinds.items() if k in flags}
-
-
-def scenario_ambient(target: str, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
-    if target == "A":
-        return GroupDescriptor(SP, pi.degree)
-    if target == "E" or pi.duality == CONJ_SELFDUAL:
-        return unitary(2 * pi.degree + rho.degree)
-    return ambient_with_block(rho.duality, pi.degree, rho.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +317,28 @@ def _report(command: str, scn_name: str, payload: dict) -> dict:
     return report
 
 
-def cmd_normalize(scn: dict, strict: bool) -> dict:
+def cmd_normalize(scn: dict, strict: bool, override) -> dict:
     pi, rho, aux = parse_quasi_tempered(_field(scn, "quasi_tempered", dict, ""))
     return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict).serialize()
 
 
-def _ledger_and_central_order(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord):
-    """The analytic ledger with the scenario's overrides applied, and the
-    declared central vanishing order."""
+def _ledger_and_central_order(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord, override):
+    """The analytic ledger with the scenario's overrides applied, then those
+    of the override file, and the declared central vanishing order."""
     entries = _field(scn, "ledger_overrides", [dict], "", [])
     ledger = parse_ledger_overrides(entries, default_ledger(pi, rho))
+    if override is not None:
+        at, entries = override
+        parse_ledger_overrides(entries, ledger, at)
     return ledger, _field(scn, "central_order", NON_NEGATIVE, "", 0)
 
 
-def cmd_check_scenario(scn: dict, strict: bool) -> dict:
+def cmd_check_scenario(scn: dict, strict: bool, override) -> dict:
     target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target == "appendix":
-        return {"target": target, **cmd_normalize(scn, strict)}
-    pi, rho = resolve_records(scn)
+        return {"target": target, **cmd_normalize(scn, strict, override)}
     emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    pi, rho = resolve_records(scn, emb)
     aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), emb)
     if target in ("D", "F"):
         res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
@@ -324,19 +346,19 @@ def cmd_check_scenario(scn: dict, strict: bool) -> dict:
     effective = target
     if target == "custom":
         effective = "E" if pi.duality == CONJ_SELFDUAL else "C"
-    ledger, central = _ledger_and_central_order(scn, pi, rho)
+    ledger, central = _ledger_and_central_order(scn, pi, rho, override)
     res = theorem_pipeline(
         effective, pi, rho, emb, aut, central_order=central, ledger=ledger, strict=strict
     )
     return {"target": target, **res.serialize()}
 
 
-def cmd_pole(scn: dict, strict: bool) -> dict:
+def cmd_pole(scn: dict, strict: bool, override) -> dict:
     pi, rho = resolve_records(scn)
     target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
-    ambient = scenario_ambient(target, pi, rho)
+    ambient = target_ambient(target, pi, rho)
     quotient = constant_term_quotient(ambient, pi, rho)
-    ledger, central = _ledger_and_central_order(scn, pi, rho)
+    ledger, central = _ledger_and_central_order(scn, pi, rho, override)
     decision = pole_at_half(quotient, ledger, central)
     payload = {
         "target": target,
@@ -350,7 +372,7 @@ def cmd_pole(scn: dict, strict: bool) -> dict:
     return payload
 
 
-def cmd_classify(scn: dict, strict: bool) -> dict:
+def cmd_classify(scn: dict, strict: bool, override) -> dict:
     pi, rho = resolve_records(scn)
     target = ArthurParameter(((pi, 2), (rho, 1)))
     verdicts = [
@@ -368,9 +390,9 @@ def cmd_classify(scn: dict, strict: bool) -> dict:
     }
 
 
-def cmd_root_number(scn: dict, strict: bool) -> dict:
-    pi, rho = resolve_records(scn)
+def cmd_root_number(scn: dict, strict: bool, override) -> dict:
     emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    pi, rho = resolve_records(scn, emb)
     target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target not in ("D", "F"):
         target = "F" if pi.duality == CONJ_SELFDUAL else "D"
@@ -378,7 +400,7 @@ def cmd_root_number(scn: dict, strict: bool) -> dict:
     return {"target": target, **res.serialize()}
 
 
-def cmd_satake_act(scn: dict, strict: bool) -> dict:
+def cmd_satake_act(scn: dict, strict: bool, override) -> dict:
     raw = _field(scn, "satake_class", dict, "")
     at = "/satake_class"
     family = _field(raw, "family", str, at)
@@ -399,7 +421,9 @@ def cmd_satake_act(scn: dict, strict: bool) -> dict:
     }
 
 
-# name -> (help, handler) for the commands that read a scenario
+# name -> (help, handler) for the commands that read a scenario; a handler
+# takes the scenario, the strict flag and the override file's ledger entries
+# with their pointer (or None)
 SCENARIO_COMMANDS = {
     "check-scenario": ("run the full invariance pipeline for a scenario", cmd_check_scenario),
     "pole": ("decide the constant-term pole at the half point", cmd_pole),
@@ -492,8 +516,9 @@ def _resolve_scenario_path(value: str) -> Path:
 def run(command: str, scenario_path: str | None, strict: bool = False, args=None) -> dict:
     """Dispatch a command; returns the report dict.
 
-    The ledger overrides of ``args.ledger_override``, when given, are
-    appended to the scenario's own before the command runs.
+    The ledger overrides of the file ``args.ledger_override``, when given,
+    apply after the scenario's own; errors in them are reported at
+    ``<file>#/ledger_overrides/...``.
     """
     if command == "selftest":
         return cmd_selftest()
@@ -504,13 +529,13 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
     if scenario_path is None:
         raise ScenarioError("/: this command needs --scenario")
     scn = load_scenario(_resolve_scenario_path(scenario_path))
-    override = getattr(args, "ledger_override", None)
-    if override:
-        extra = load_scenario(Path(override))
-        own = _field(scn, "ledger_overrides", list, "", [])
-        scn["ledger_overrides"] = own + _field(extra, "ledger_overrides", list, "", [])
+    override, path = None, getattr(args, "ledger_override", None)
+    if path:
+        root = f"{path}#"
+        entries = _field(load_scenario(path, root), "ledger_overrides", [dict], root, [])
+        override = (f"{root}/ledger_overrides", entries)
     name = _field(scn, "name", str, "", "")
-    return _report(command, name, SCENARIO_COMMANDS[command][1](scn, strict))
+    return _report(command, name, SCENARIO_COMMANDS[command][1](scn, strict, override))
 
 
 def _comma_list(convert):

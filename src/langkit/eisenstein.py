@@ -391,7 +391,7 @@ def _check_infchar_hypotheses(
         if rho.infchar is not None:
             q_vals = rho.infchar.at(label)
         elif rho.is_trivial:
-            q_vals = (Fraction(0),)
+            q_vals = (0,)
         else:
             raise HypothesisError("regularity: core record lacks an infinitesimal character")
         if target in ("A", "B"):
@@ -412,7 +412,7 @@ def _check_infchar_hypotheses(
                             f"even-orthogonal regularity fails at embedding {label}"
                         )
         elif target == "E":
-            if not strictly_gapped(p_vals, 2):
+            if not strictly_gapped(p_vals):
                 raise HypothesisError(f"superregularity fails at embedding {label}")
             if not strictly_decreasing(q_vals):
                 raise HypothesisError(f"core regularity fails at embedding {label}")
@@ -470,6 +470,17 @@ def _validate_unitary_target(pi: CuspidalRecord, rho: CuspidalRecord):
         raise HypothesisError("core record must be algebraic")
 
 
+def target_ambient(target: str, pi: CuspidalRecord, rho: CuspidalRecord) -> GroupDescriptor:
+    """The ambient group of a target: Sp for the standard target A, the
+    unitary group for E and for conjugate-self-dual data, otherwise the
+    classical group with pi as block over the core rho."""
+    if target == "A":
+        return GroupDescriptor(SP, pi.degree)
+    if target == "E" or pi.duality == CONJ_SELFDUAL:
+        return unitary(2 * pi.degree + rho.degree)
+    return ambient_with_block(rho.duality, pi.degree, rho.degree)
+
+
 def theorem_pipeline(
     target: str,
     pi: CuspidalRecord,
@@ -487,23 +498,16 @@ def theorem_pipeline(
     Targets with a declared central zero return the vanishing direction of
     the equivalence instead (both sides vanish).
     """
-    if target not in ("A", "B", "C", "E", "custom"):
+    if target not in ("A", "B", "C", "E"):
         raise EisensteinError(f"theorem_pipeline does not handle target {target!r}")
     warnings = ["half-plane-region"]
 
-    if target in ("A", "B", "C"):
-        _validate_selfdual_target(target, pi, rho)
-        ambient = (
-            GroupDescriptor(SP, pi.degree)
-            if target == "A"
-            else ambient_with_block(rho.duality, pi.degree, rho.degree)
-        )
-    elif target == "E":
+    if target == "E":
         _validate_unitary_target(pi, rho)
-        ambient = unitary(2 * pi.degree + rho.degree)
         warnings.append("chain-final-halves")
     else:
-        ambient = ambient_with_block(rho.duality, pi.degree, rho.degree)
+        _validate_selfdual_target(target, pi, rho)
+    ambient = target_ambient(target, pi, rho)
     _check_infchar_hypotheses(target, pi, rho, emb)
 
     if strict and warnings:

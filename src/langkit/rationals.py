@@ -1,9 +1,11 @@
 """Exact rational helpers shared across the package.
 
 Every rational in this library's interfaces is a `fractions.Fraction`.
-The hot kernels (`weyl`, the `spectra` ladders, `satake` q-exponents and
-the `arch` root-number loop) hold a half-integer x as the int 2x instead,
-and build a Fraction only at their edges: in `rat_str` output, in report
+The kernels that only ever see half-integers (`weyl`, the `spectra`
+ladders, `satake` q-exponents and the `arch` infinitesimal characters)
+hold a half-integer x as the int 2x instead: `doubled` is the one
+conversion into that form, applied once where a value is parsed, and a
+Fraction is built again only at the edges, in `rat_str` output, report
 strings and where the ledger or pole layer reads a value.  Scenario files
 store rationals as strings like "3/2", "-1/2" or "2"; these helpers
 round-trip that format losslessly.
@@ -41,7 +43,3 @@ def doubled(x: Fraction):
         return None
     return x.numerator * (2 // x.denominator)
 
-
-def is_half_integer(x: Fraction) -> bool:
-    """True iff x lies in (1/2)Z."""
-    return doubled(Fraction(x)) is not None

@@ -3,7 +3,8 @@
 An eigenvalue is sign·q^e·u where e is an exact half-integer, q a formal
 residue-cardinality symbol attached to a place, and u a word in a free
 abelian group of opaque unit symbols.  The kernel holds e doubled, as the
-int 2e; `ev` and `parse_eigenvalue` take it as a rational.  A field
+int 2e, and u in normal form; `ev` and `parse_eigenvalue` take e as a
+rational and u as tokens or pairs, and normalize both once.  A field
 automorphism is modeled by the only data the computations use: a
 permutation of the unit symbols (compatible with inversion) and the sign
 eps = a(q^{1/2})/q^{1/2} at each place.  Equality of eigenvalues is
@@ -29,7 +30,8 @@ _UNIT_TOKEN = re.compile(r"^(?P<sym>[A-Za-z_][A-Za-z_0-9]*)(\^(?P<exp>-?\d+))?$"
 
 
 def _normalize_unit(unit) -> tuple:
-    """Canonical form: sorted tuple of (symbol, nonzero exponent)."""
+    """Normal form of tokens "u^k" or (symbol, exponent) pairs: the sorted
+    tuple of (symbol, nonzero exponent), equal symbols merged."""
     acc: dict = {}
     if isinstance(unit, str):
         unit = [unit] if unit else []
@@ -51,7 +53,9 @@ class Eigenvalue:
 
     The half-integral q-exponent is held doubled as the int ``q2``, so the
     products, inverses and transports below never build a `Fraction`; one
-    appears only in `serialize` and in the read-only view `q_exp`.
+    appears only in `serialize` and in the read-only view `q_exp`.  The
+    ``unit`` must already be in normal form: it is normalized only where it
+    is parsed (`ev`, `parse_eigenvalue`) or merged (`__mul__`, `apply_unit`).
     """
 
     q2: int
@@ -61,7 +65,12 @@ class Eigenvalue:
     def __post_init__(self):
         if type(self.q2) is not int:
             raise SatakeError(f"doubled q-exponent must be an int, not {self.q2!r}")
-        object.__setattr__(self, "unit", _normalize_unit(self.unit))
+        u = self.unit
+        if type(u) is not tuple or not all(
+            type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is int and p[1]
+            for p in u
+        ) or any(a[0] >= b[0] for a, b in zip(u, u[1:])):
+            raise SatakeError(f"unit must be a sorted tuple of (symbol, nonzero int) pairs: {u!r}")
         if self.sign not in (1, -1):
             raise SatakeError("sign must be ±1")
 
@@ -70,7 +79,8 @@ class Eigenvalue:
         return Fraction(self.q2, 2)
 
     def __mul__(self, other: "Eigenvalue") -> "Eigenvalue":
-        return Eigenvalue(self.q2 + other.q2, self.unit + other.unit, self.sign * other.sign)
+        unit = _normalize_unit(self.unit + other.unit)
+        return Eigenvalue(self.q2 + other.q2, unit, self.sign * other.sign)
 
     def inverse(self) -> "Eigenvalue":
         return Eigenvalue(-self.q2, tuple((s, -e) for s, e in self.unit), self.sign)
@@ -105,7 +115,7 @@ def _doubled(q_exp: Fraction) -> int:
 
 def ev(q_exp=0, unit=(), sign=1) -> Eigenvalue:
     """The eigenvalue sign·q^{q_exp}·unit, for a rational q_exp."""
-    return Eigenvalue(_doubled(rat(q_exp)), unit, sign)
+    return Eigenvalue(_doubled(rat(q_exp)), _normalize_unit(unit), sign)
 
 
 ONE = ev()
@@ -134,7 +144,7 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
             continue
         else:
             unit.append(token)
-    return Eigenvalue(_doubled(q_exp), unit, sign)
+    return Eigenvalue(_doubled(q_exp), _normalize_unit(unit), sign)
 
 
 @dataclass(frozen=True)
@@ -332,12 +342,12 @@ def bc_chain_check(
     Mpi = (
         list(pi_units)
         if pi_units is not None
-        else [Eigenvalue(0, (f"u{i}",)) for i in range(1, n + 1)]
+        else [Eigenvalue(0, ((f"u{i}", 1),)) for i in range(1, n + 1)]
     )
     Mrho = (
         list(rho_units)
         if rho_units is not None
-        else [Eigenvalue(0, (f"w{j}",)) for j in range(1, r + 1)]
+        else [Eigenvalue(0, ((f"w{j}", 1),)) for j in range(1, r + 1)]
     )
     e_N, e_n, e_r, e_0 = (eps_m(aut, m) for m in (N, n, r, 0))
 

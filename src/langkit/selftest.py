@@ -235,15 +235,12 @@ def _suite_arch_signs():
         deg_p = rng.choice((2, 4, 6))
         deg_q = rng.choice((1, 3, 5))
         p_data, q_data = [], []
-        for label in emb.labels:
-            halves = sorted(
-                rng.sample([Fraction(2 * k + 1, 2) for k in range(1, 12)], deg_p // 2),
-                reverse=True,
-            )
+        for label in emb.labels:  # entries doubled: half-odd p, integral q
+            halves = sorted(rng.sample([2 * k + 1 for k in range(1, 12)], deg_p // 2), reverse=True)
             p_data.append((label, tuple(halves) + tuple(-h for h in reversed(halves))))
             ints = sorted(rng.sample(range(1, 15), deg_q // 2), reverse=True)
-            q_vals = tuple(Fraction(i) for i in ints)
-            q_vals = q_vals + ((Fraction(0),) if deg_q % 2 else ()) + tuple(-v for v in reversed(q_vals))
+            q_vals = tuple(2 * i for i in ints)
+            q_vals = q_vals + ((0,) if deg_q % 2 else ()) + tuple(-v for v in reversed(q_vals))
             q_data.append((label, q_vals))
         p, q = InfChar(tuple(p_data)), InfChar(tuple(q_data))
         base, _ = root_number_selfdual(emb, p, q, deg_p, deg_q)

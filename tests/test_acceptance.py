@@ -264,15 +264,15 @@ def test_criterion_10_root_number_invariance():
         deg_p = rng.choice((2, 4, 6))
         deg_q = rng.choice((1, 3, 5))
         p_rows, q_rows = [], []
-        for label in emb.labels:
+        for label in emb.labels:  # entries doubled: half-odd p, integral q
             halves = sorted(
-                rng.sample([Fraction(2 * k + 1, 2) for k in range(1, 12)], deg_p // 2),
+                rng.sample([2 * k + 1 for k in range(1, 12)], deg_p // 2),
                 reverse=True,
             )
             p_rows.append((label, tuple(halves) + tuple(-h for h in reversed(halves))))
             ints = sorted(rng.sample(range(1, 15), deg_q // 2), reverse=True)
-            row = tuple(Fraction(v) for v in ints)
-            q_rows.append((label, row + (Fraction(0),) + tuple(-v for v in reversed(row))))
+            row = tuple(2 * v for v in ints)
+            q_rows.append((label, row + (0,) + tuple(-v for v in reversed(row))))
         p, q = InfChar(tuple(p_rows)), InfChar(tuple(q_rows))
         base, cert = root_number_selfdual(emb, p, q, deg_p, deg_q)
         assert cert["invariant"]

@@ -268,6 +268,53 @@ def test_ledger_override_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     assert list(scratch.iterdir()) == []
 
 
+def test_ledger_override_errors_point_into_the_override_file(tmp_path):
+    """The file's entries are read after the scenario's own, at their own
+    indices, and an entry without provenance is traced to the file."""
+    scn = json.loads((cli.scenario_dir() / "thmB.json").read_text())
+    scn["ledger_overrides"] = [{"factor": ["wedge2", "pi"], "point": "1", "order": 0}]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    override = tmp_path / "override.json"
+    entry = {"factor": ["wedge2", "pi"], "point": "1", "order": 1.5}
+    override.write_text(json.dumps({"schema": "1", "ledger_overrides": [entry]}))
+    proc = run_cli("pole", "--scenario", str(path), "--ledger-override", str(override))
+    assert proc.returncode == 2
+    pointer = f"{override}#/ledger_overrides/0/order"
+    assert proc.stderr == f"error: {pointer}: must be an integer, not 1.5\n"
+    override.write_text(json.dumps({"schema": "1", "ledger_overrides": "x"}))
+    proc = run_cli("pole", "--scenario", str(path), "--ledger-override", str(override))
+    assert proc.stderr == f"error: {override}#/ledger_overrides: must be a list\n"
+    override.write_text(json.dumps({"schema": "2"}))
+    proc = run_cli("pole", "--scenario", str(path), "--ledger-override", str(override))
+    assert proc.stderr == f'error: {override}#/schema: must be one of "1", not "2"\n'
+    entry["order"] = -1  # the file's entry wins over the scenario's order 0
+    override.write_text(json.dumps({"schema": "1", "ledger_overrides": [entry]}))
+    proc = run_cli("check-scenario", "--scenario", str(path), "--ledger-override", str(override))
+    assert proc.returncode == 0, proc.stderr
+    ledger = json.loads(proc.stdout)["details"]["ledger"]
+    assert f"override:{override}#/ledger_overrides/0" in [e["provenance"] for e in ledger]
+
+
+@pytest.mark.parametrize("command", ["check-scenario", "root-number"])
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ({"r1": ["1/2"]}, "/records/0/infchar/r1: has length 1, not the degree 2"),
+        ({"x1": ["1/2", "-1/2"]}, "/records/0/infchar: does not cover exactly the embeddings r1"),
+    ],
+)
+def test_infchar_must_fit_the_degree_and_the_embeddings(tmp_path, command, table, message):
+    """A short infinitesimal character used to give thmD the sign -1 with exit 0,
+    and foreign labels an exit 3 without a pointer."""
+    scn = json.loads((cli.scenario_dir() / "thmD.json").read_text())
+    scn["records"][0]["infchar"] = table
+    path = tmp_path / "thmD.json"
+    path.write_text(json.dumps(scn))
+    proc = run_cli(command, "--scenario", str(path))
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
 def test_missing_ledger_override_is_a_usage_error(tmp_path):
     proc = run_cli(
         "pole", "--scenario", "thmB", "--ledger-override", str(tmp_path / "nope.json")
@@ -430,6 +477,16 @@ SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
          '/records/0/weight: must be an integer or a "p/q" string, not "1e9"'),
         ("satake-act", {"satake_class": {**SATAKE, "eigenvalues": ["q^1/0", "1"]}},
          "/satake_class: q-exponent 1/0 has a zero denominator"),
+        ("check-scenario", {"records": [{"label": "pi", "degree": 2, "infchar": {"r1": ["1/2"]}}]},
+         "/records/0/infchar/r1: has length 1, not the degree 2"),
+        ("root-number", {"records": [{"label": "pi", "degree": 1, "infchar": {"x1": ["1/2"]}}]},
+         "/records/0/infchar: does not cover exactly the embeddings r1"),
+        ("pole", {"records": [{"label": "pi", "degree": 1, "infchar": {"r1": ["1/3"]}}]},
+         '/records/0/infchar/r1/0: must be a half-integer, not "1/3"'),
+        ("check-scenario", {"embeddings": {"complex_pairs": [["c1", "c2", "c3"]]}},
+         "/embeddings/complex_pairs/0: has length 3, not 2"),
+        ("root-number", {"embeddings": {"complex_pairs": [["c1"]]}},
+         "/embeddings/complex_pairs/0: has length 1, not 2"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):

@@ -34,14 +34,14 @@ PI_B = CuspidalRecord(
     4,
     duality=SELFDUAL_SYMPLECTIC,
     algebraicity="algebraic",
-    infchar=InfChar((("r1", ("9/2", "3/2", "-3/2", "-9/2")),)),
+    infchar=InfChar((("r1", (9, 3, -3, -9)),)),
 )
 RHO_B = CuspidalRecord(
     "rho",
     3,
     duality=SELFDUAL_ORTHOGONAL,
     algebraicity="algebraic",
-    infchar=InfChar((("r1", ("6", "0", "-6")),)),
+    infchar=InfChar((("r1", (12, 0, -12)),)),
 )
 
 EMB_E = EmbeddingSet.build(complex_pairs=(("c1", "c1b"),))
@@ -53,7 +53,7 @@ PI_E = CuspidalRecord(
     duality=CONJ_SELFDUAL,
     eta=-1,
     algebraicity="algebraic",
-    infchar=InfChar((("c1", ("5/2", "1/2")), ("c1b", ("-1/2", "-5/2")))),
+    infchar=InfChar((("c1", (5, 1)), ("c1b", (-1, -5)))),
 )
 RHO_E = CuspidalRecord(
     "rhou",
@@ -62,7 +62,7 @@ RHO_E = CuspidalRecord(
     duality=CONJ_SELFDUAL,
     eta=1,
     algebraicity="algebraic",
-    infchar=InfChar((("c1", ("5",)), ("c1b", ("-5",)))),
+    infchar=InfChar((("c1", (10,)), ("c1b", (-10,)))),
 )
 
 
@@ -231,7 +231,7 @@ class TestPipeline:
             4,
             duality=SELFDUAL_SYMPLECTIC,
             algebraicity="algebraic",
-            infchar=InfChar((("r1", ("5/2", "3/2", "-3/2", "-5/2")),)),
+            infchar=InfChar((("r1", (5, 3, -3, -5)),)),
         )
         with pytest.raises(HypothesisError, match="superregularity"):
             theorem_pipeline("B", flat, RHO_B, EMB, AUT, 0)
@@ -242,7 +242,7 @@ class TestPipeline:
             3,
             duality=SELFDUAL_ORTHOGONAL,
             algebraicity="algebraic",
-            infchar=InfChar((("r1", ("1", "0", "-1")),)),
+            infchar=InfChar((("r1", (2, 0, -2)),)),
         )
         with pytest.raises(HypothesisError, match="disjointness"):
             theorem_pipeline("B", PI_B, close, EMB, AUT, 0)

@@ -179,8 +179,37 @@ def test_eigenvalue_holds_a_doubled_int_exponent():
     assert parse_eigenvalue("q^1/3*q^1/6") == ev("1/2")
 
 
+@pytest.mark.parametrize(
+    "unit",
+    [
+        "u1",
+        ("u1",),
+        ["u1"],
+        [("u1", 1)],
+        (["u1", 1],),
+        (("u1", 0),),
+        (("u2", 1), ("u1", 1)),
+        (("u1", 1), ("u1", 2)),
+        (("u1", True),),
+        (("u1", 1.0),),
+        ((1, 1),),
+        (("u1", 1, 2),),
+        (1, 2),
+        ("u2", "u1"),
+    ],
+)
+def test_eigenvalue_takes_only_normal_form_units(unit):
+    """Unsorted, repeated, zero or non-int exponents and tokens are refused,
+    not rebuilt; `ev` is where a word is normalized."""
+    with pytest.raises(SatakeError, match="unit must be a sorted tuple"):
+        Eigenvalue(0, unit)
+    assert Eigenvalue(0, (("u1", 2), ("u2", -1))).serialize() == "u1^2*u2^-1"
+
+
 @pytest.mark.parametrize("sign", (1, -1))
-@pytest.mark.parametrize("unit", [(), ("u1",), [("u1", -1), "u2"], ["x_1^3", ("y", -2)]])
+@pytest.mark.parametrize(
+    "unit", [(), (("u1", 1),), (("u1", -1), ("u2", 1)), (("x_1", 3), ("y", -2))]
+)
 def test_parse_inverts_serialize(sign, unit):
     for q2 in range(-12, 13):
         e = Eigenvalue(q2, unit, sign)
