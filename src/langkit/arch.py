@@ -11,11 +11,11 @@ the functional-equation sign and its invariance certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .rationals import doubled, rat, rat_str
+from .record import Record
 
 
 class ArchError(ValueError):
@@ -26,25 +26,24 @@ class ArchError(ValueError):
 # embeddings and infinitesimal characters
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
+class EmbeddingSet(Record):
     """Embedding labels with the conjugation involution; fixed points are
     the real embeddings, the rest pair up into complex places."""
 
-    labels: tuple
-    involution: tuple  # ((label, partner), ...) covering all labels
+    _fields = ("labels", "involution")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple, involution: tuple):
+        """``involution`` is ((label, partner), ...) covering all labels."""
+        labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ArchError("embedding labels must be distinct")
-        inv = dict(self.involution)
+        inv = dict(involution)
         if set(inv) != set(labels):
             raise ArchError("involution must cover exactly the labels")
         for a, b in inv.items():
             if inv.get(b) != a:
                 raise ArchError("involution must be its own inverse")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "involution", tuple(sorted(inv.items())))
 
     @classmethod
@@ -86,18 +85,19 @@ class EmbeddingSet:
         return self.d_R + 2 * self.d_C
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(Record):
     """Per-embedding multisets of half-integers v, each given and held as
     the int 2v (never a bool, str or Fraction)."""
 
-    data: tuple  # ((label, sorted-desc tuple of ints 2v), ...)
+    _fields = ("data",)
 
-    def __post_init__(self):
-        for label, values in self.data:
+    def __init__(self, data: tuple):
+        """``data`` is ((label, ints 2v), ...), held sorted with each
+        multiset in descending order."""
+        for label, values in data:
             if any(type(v) is not int for v in values):
                 raise ArchError(f"entries at {label} must be ints 2v, not {tuple(values)!r}")
-        data = tuple(sorted((label, tuple(sorted(v, reverse=True))) for label, v in self.data))
+        data = tuple(sorted((label, tuple(sorted(v, reverse=True))) for label, v in data))
         if len({len(vals) for _, vals in data}) > 1:
             raise ArchError("all embeddings must carry the same number of entries")
         object.__setattr__(self, "data", data)
@@ -125,14 +125,14 @@ class InfChar:
         return {label: [rat_str(Fraction(v, 2)) for v in vals] for label, vals in self.data}
 
 
-@dataclass(frozen=True)
-class AutOnEmbeddings:
+class AutOnEmbeddings(Record):
     """A bijection of embedding labels."""
 
-    mapping: tuple  # ((label, image), ...)
+    _fields = ("mapping",)
 
-    def __post_init__(self):
-        pairs = tuple(sorted(dict(self.mapping).items()))
+    def __init__(self, mapping: tuple):
+        """``mapping`` is ((label, image), ...)."""
+        pairs = tuple(sorted(dict(mapping).items()))
         src = [a for a, _ in pairs]
         dst = [b for _, b in pairs]
         if sorted(src) != sorted(dst):
@@ -169,6 +169,8 @@ def purity_weight(p: InfChar, emb: EmbeddingSet, degree: int) -> Fraction:
     for a, b in emb.complex_pairs:
         va = p.at(a)
         vb_asc = tuple(sorted(p.at(b)))
+        if len(va) != degree:
+            raise ArchError("degree mismatch")
         sums = {va[i] + vb_asc[i] for i in range(degree)}
         if len(sums) != 1:
             raise ArchError(f"inconsistent pairing at complex pair ({a}, {b})")
@@ -197,6 +199,8 @@ def is_superregular(values) -> bool:
     """Positive entries strictly spaced by at least 2 with smallest ≥ 3/2,
     after closing the multiset under negation.  Odd closures are rejected."""
     closed = _symmetrize(values)
+    if not closed:
+        raise ArchError("superregularity needs a nonempty multiset")
     if len(closed) % 2:
         raise ArchError("superregularity needs an even symmetric multiset")
     m = len(closed) // 2
@@ -269,14 +273,13 @@ def algebraicity_required(n: int, r: int) -> str:
 # fourth roots of unity and archimedean signs
 
 
-@dataclass(frozen=True)
-class I4:
+class I4(Record):
     """Exact fourth root of unity i^k."""
 
-    k: int
+    _fields = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 4)
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k % 4)
 
     def __mul__(self, other: "I4") -> "I4":
         return I4(self.k + other.k)

@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import __version__, rules
@@ -432,6 +431,9 @@ SCENARIO_COMMANDS = {
     "normalize": ("certify the normalized-operator verdict", cmd_normalize),
     "satake-act": ("transport a symbolic eigenvalue class", cmd_satake_act),
 }
+# the commands that read the analytic ledger, so the only ones that take
+# --ledger-override
+LEDGER_COMMANDS = ("check-scenario", "pole")
 
 
 def cmd_kostant(args) -> dict:
@@ -497,7 +499,7 @@ def scenario_dir() -> Path:
     env = os.environ.get(SCENARIO_DIR_ENV)
     if env:
         return Path(env)
-    return Path(str(resources.files("langkit").joinpath("scenarios")))
+    return Path(__file__).parent / "scenarios"
 
 
 def _resolve_scenario_path(value: str) -> Path:
@@ -565,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=txt)
         p.add_argument("--scenario", required=True, help="scenario file or library name")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--ledger-override", help="extra ledger override file")
+        if name in LEDGER_COMMANDS:
+            p.add_argument("--ledger-override", help="extra ledger override file")
         p.add_argument("--strict", action="store_true", help="treat open-question choices as errors")
     p = sub.add_parser("kostant", help="coset representatives and shifted weights")
     p.add_argument("--family", required=True, choices=tuple("ABCD"))

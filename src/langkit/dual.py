@@ -12,8 +12,8 @@ at its fixed points and the involution property is a composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .record import Record
 from .weyl import SignedPerm
 
 
@@ -32,28 +32,29 @@ def phi_perm(N: int) -> SignedPerm:
     return SignedPerm(tuple((-1) ** (N - j) * (N + 1 - j) for j in range(1, N + 1)))
 
 
-@dataclass(frozen=True)
-class RepDescriptor:
+class RepDescriptor(Record):
     """A named factor representation with its degree."""
 
-    kind: str  # std | asai | wedge2 | sym2 | rankin | trivial
-    degree: int
-    sign: int = 0  # ±1 for asai, 0 otherwise
+    _fields = ("kind", "degree", "sign")
 
-    def __post_init__(self):
-        if self.kind not in ("std", "asai", "wedge2", "sym2", "rankin", "trivial"):
-            raise DualError(f"unknown representation kind {self.kind!r}")
-        if self.kind == "asai":
-            if self.sign not in (1, -1):
+    def __init__(self, kind: str, degree: int, sign: int = 0):
+        """``kind`` is std, asai, wedge2, sym2, rankin or trivial; ``sign``
+        is ±1 for asai, 0 otherwise."""
+        if kind not in ("std", "asai", "wedge2", "sym2", "rankin", "trivial"):
+            raise DualError(f"unknown representation kind {kind!r}")
+        if kind == "asai":
+            if sign not in (1, -1):
                 raise DualError("asai needs a sign")
-            if self.degree < 0 or math.isqrt(self.degree) ** 2 != self.degree:
+            if degree < 0 or math.isqrt(degree) ** 2 != degree:
                 raise DualError("asai degree must be a perfect square")
-        elif self.sign:
+        elif sign:
             raise DualError("only asai carries a sign")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class GradedNilradical:
+class GradedNilradical(Record):
     """Map degree → (dimension, factor label).
 
     Degrees are consecutive; they start at 1 whenever more than one
@@ -61,10 +62,11 @@ class GradedNilradical:
     single component at its pairing value 2).
     """
 
-    components: tuple  # ((degree, dim, label), ...)
+    _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components))
+    def __init__(self, components: tuple):
+        """``components`` is ((degree, dim, label), ...)."""
+        comps = tuple(sorted(components))
         degrees = [c[0] for c in comps]
         if degrees != list(range(degrees[0], degrees[0] + len(degrees))):
             raise DualError("degrees must be consecutive")

@@ -13,7 +13,6 @@ derivation log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .groups import (
     unitary,
 )
 from .rationals import rat, rat_str
+from .record import Record
 from .satake import AutModel, bc_chain_check, eps_identities_hold
 from .spectra import (
     CONJ_SELFDUAL,
@@ -64,21 +64,22 @@ class HypothesisError(EisensteinError):
 # L-factor references and the ledger
 
 
-@dataclass(frozen=True)
-class LFactorRef:
+class LFactorRef(Record):
     """One factor L(alpha·s + beta, kind)."""
 
-    kind: tuple  # ("rankin", a, b) | ("std", a) | ("wedge2", a) | ("sym2", a)
-    #              ("asai", sign, a) | ("bc_rankin", a, b)
-    alpha: int
-    beta: Fraction
+    _fields = ("kind", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", rat(self.beta))
-        if self.alpha not in (1, 2):
+    def __init__(self, kind: tuple, alpha: int, beta: Fraction):
+        """``kind`` is ("rankin", a, b), ("std", a), ("wedge2", a), ("sym2", a),
+        ("asai", sign, a) or ("bc_rankin", a, b)."""
+        beta = rat(beta)
+        if alpha not in (1, 2):
             raise EisensteinError("argument slope must be 1 or 2")
-        if self.kind[0] not in ("rankin", "std", "wedge2", "sym2", "asai", "bc_rankin"):
-            raise EisensteinError(f"unknown factor kind {self.kind[0]!r}")
+        if kind[0] not in ("rankin", "std", "wedge2", "sym2", "asai", "bc_rankin"):
+            raise EisensteinError(f"unknown factor kind {kind[0]!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def point_at(self, s) -> Fraction:
         return self.alpha * rat(s) + self.beta
@@ -101,10 +102,12 @@ class LFactorRef:
         return f"L({arg}, {body})"
 
 
-@dataclass(frozen=True)
-class LQuotient:
-    numerator: tuple
-    denominator: tuple
+class LQuotient(Record):
+    _fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: tuple, denominator: tuple):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def serialize(self) -> dict:
         return {
@@ -113,16 +116,21 @@ class LQuotient:
         }
 
 
-@dataclass
-class AnalyticLedger:
+class AnalyticLedger(Record):
     """Orders of factor kinds at points; negative = pole order.
 
     Defaults are derived from duality types; overrides are recorded with
     their provenance and shadow the defaults.
     """
 
-    entries: dict = field(default_factory=dict)  # (kind, point) -> order
-    provenance: dict = field(default_factory=dict)
+    _fields = ("entries", "provenance")
+    __hash__ = None
+
+    def __init__(self, entries: Optional[dict] = None, provenance: Optional[dict] = None):
+        """``entries`` maps (kind, point) to order; each ledger owns fresh
+        dicts unless given its own."""
+        object.__setattr__(self, "entries", {} if entries is None else entries)
+        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
 
     def set(self, kind: tuple, point, order: int, provenance: str):
         if type(order) is not int:
@@ -156,12 +164,17 @@ class AnalyticLedger:
         return out
 
 
-@dataclass(frozen=True)
-class PoleDecision:
-    has_pole: bool
-    total_order: int
-    contributing_factors: tuple
-    derivation: tuple  # ((claim, rule id), ...)
+class PoleDecision(Record):
+    _fields = ("has_pole", "total_order", "contributing_factors", "derivation")
+
+    def __init__(
+        self, has_pole: bool, total_order: int, contributing_factors: tuple, derivation: tuple
+    ):
+        """``derivation`` is ((claim, rule id), ...)."""
+        object.__setattr__(self, "has_pole", has_pole)
+        object.__setattr__(self, "total_order", total_order)
+        object.__setattr__(self, "contributing_factors", contributing_factors)
+        object.__setattr__(self, "derivation", derivation)
 
     def serialize(self) -> dict:
         return {
@@ -337,20 +350,26 @@ def residual_parameter(
 # the pipeline
 
 
-@dataclass(frozen=True)
-class AutSpec:
+class AutSpec(Record):
     """A coefficient automorphism: Satake-side model plus embedding action."""
 
-    model: AutModel
-    embeddings: Optional[AutOnEmbeddings] = None
+    _fields = ("model", "embeddings")
+
+    def __init__(self, model: AutModel, embeddings: Optional[AutOnEmbeddings] = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "embeddings", embeddings)
 
 
-@dataclass
-class PipelineResult:
-    verdict: str
-    derivation: list  # of {"step", "claim", "citation"}
-    warnings: list
-    details: dict
+class PipelineResult(Record):
+    _fields = ("verdict", "derivation", "warnings", "details")
+    __hash__ = None
+
+    def __init__(self, verdict: str, derivation: list, warnings: list, details: dict):
+        """``derivation`` is a list of {"step", "claim", "citation"}."""
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "details", details)
 
     def serialize(self) -> dict:
         return {

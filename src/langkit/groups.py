@@ -11,8 +11,9 @@ coordinates of the positive-root sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 GL = "GL"
 RES_GL = "ResGL"
@@ -28,8 +29,7 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """One of GL(N), Res_{E/F}GL(N), Sp(2n), SO(2n+1), SO(2n)^α, U(N).
 
     ``size`` is N for the linear and unitary families, n for Sp/SO (so the
@@ -38,21 +38,22 @@ class GroupDescriptor:
     are opaque labels, only compared for equality.
     """
 
-    family: str
-    size: int
-    alpha: str = ""
-    extension: str = ""
+    _fields = ("family", "size", "alpha", "extension")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise GroupError(f"unknown family {self.family!r}")
-        if self.family in (GL, RES_GL):
-            if self.size < 1:
+    def __init__(self, family: str, size: int, alpha: str = "", extension: str = ""):
+        if family not in _FAMILIES:
+            raise GroupError(f"unknown family {family!r}")
+        if family in (GL, RES_GL):
+            if size < 1:
                 raise GroupError("linear groups need size ≥ 1")
-        elif self.size < 0:
+        elif size < 0:
             raise GroupError("size must be ≥ 0")
-        if self.family in (RES_GL, UNITARY) and not self.extension:
-            object.__setattr__(self, "extension", "E/F")
+        if family in (RES_GL, UNITARY) and not extension:
+            extension = "E/F"
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "extension", extension)
 
     @property
     def std_degree(self) -> int:
@@ -99,30 +100,29 @@ def res_gl(N: int) -> GroupDescriptor:
     return GroupDescriptor(RES_GL, N)
 
 
-@dataclass(frozen=True)
-class LeviDescriptor:
+class LeviDescriptor(Record):
     """GL blocks (with base-field tags) times a core of the ambient type."""
 
-    gl_blocks: tuple  # tuple of (size, field tag)
-    core: GroupDescriptor
-    ambient: GroupDescriptor
+    _fields = ("gl_blocks", "core", "ambient")
 
-    def __post_init__(self):
-        blocks = tuple((int(b), str(f)) for b, f in self.gl_blocks)
-        object.__setattr__(self, "gl_blocks", blocks)
+    def __init__(self, gl_blocks: tuple, core: GroupDescriptor, ambient: GroupDescriptor):
+        """``gl_blocks`` is a tuple of (size, field tag)."""
+        blocks = tuple((int(b), str(f)) for b, f in gl_blocks)
         if any(b < 1 for b, _ in blocks):
             raise GroupError("block sizes must be positive")
         total = sum(b for b, _ in blocks)
-        amb = self.ambient
-        if amb.family == UNITARY:
-            if amb.size != 2 * total + self.core.size:
+        if ambient.family == UNITARY:
+            if ambient.size != 2 * total + core.size:
                 raise GroupError("blocks do not fit the unitary ambient group")
-        elif amb.family in (SP, SO_ODD, SO_EVEN):
-            if amb.size != total + self.core.size:
+        elif ambient.family in (SP, SO_ODD, SO_EVEN):
+            if ambient.size != total + core.size:
                 raise GroupError("blocks do not fit the ambient rank")
         else:
-            if amb.size != total + (self.core.size if self.core.family in (GL, RES_GL) else 0):
+            if ambient.size != total + (core.size if core.family in (GL, RES_GL) else 0):
                 raise GroupError("blocks do not fit the ambient group")
+        object.__setattr__(self, "gl_blocks", blocks)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "ambient", ambient)
 
     @property
     def is_maximal(self) -> bool:

@@ -12,11 +12,11 @@ bounds and the block-word decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rules
 from .rationals import HALF, rat, rat_str
+from .record import Record
 from .weyl import SignedPerm, length_additive
 
 
@@ -28,35 +28,34 @@ class NormalizerError(ValueError):
 # decompositions
 
 
-@dataclass(frozen=True)
-class DiscreteSegment:
+class DiscreteSegment(Record):
     """Discrete block datum: cuspidal size m, ladder height h, twist a.
 
     The cuspidal support itself stays opaque; every bound below uses only
     the twist exponent.
     """
 
-    label: str
-    m: int
-    h: int
-    a: Fraction = Fraction(0)
+    _fields = ("label", "m", "h", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        if self.m < 1 or self.h < 1:
+    def __init__(self, label: str, m: int, h: int, a: Fraction = Fraction(0)):
+        a = rat(a)
+        if m < 1 or h < 1:
             raise NormalizerError("segment sizes are positive")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class QuasiTemperedGL:
+class QuasiTemperedGL(Record):
     """Product of discrete blocks with exponents |a_i| < 1/2, sorted
     descending."""
 
-    segments: tuple
+    _fields = ("segments",)
 
-    def __post_init__(self):
+    def __init__(self, segments: tuple):
         segs = tuple(
-            sorted(self.segments, key=lambda s: (-s.a, s.label))
+            sorted(segments, key=lambda s: (-s.a, s.label))
         )
         for s in segs:
             if not (abs(s.a) < HALF):
@@ -66,24 +65,24 @@ class QuasiTemperedGL:
         object.__setattr__(self, "segments", segs)
 
 
-@dataclass(frozen=True)
-class QuasiTemperedSelfdual:
+class QuasiTemperedSelfdual(Record):
     """Untwisted discrete parts (at least one) plus inverse pairs with
     exponents strictly inside (0, 1/2)."""
 
-    selfdual_parts: tuple  # labels
-    paired_parts: tuple  # ((label, b), ...)
+    _fields = ("selfdual_parts", "paired_parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "selfdual_parts", tuple(self.selfdual_parts))
-        pairs = tuple((label, rat(b)) for label, b in self.paired_parts)
-        if not self.selfdual_parts:
+    def __init__(self, selfdual_parts: tuple, paired_parts: tuple):
+        """``selfdual_parts`` are labels, ``paired_parts`` ((label, b), ...)."""
+        selfdual_parts = tuple(selfdual_parts)
+        pairs = tuple((label, rat(b)) for label, b in paired_parts)
+        if not selfdual_parts:
             raise NormalizerError("need at least one untwisted discrete part")
         for label, b in pairs:
             if not (0 < b < HALF):
                 raise NormalizerError(
                     f"not quasi-tempered: pair {label} has exponent {rat_str(b)}"
                 )
+        object.__setattr__(self, "selfdual_parts", selfdual_parts)
         object.__setattr__(self, "paired_parts", pairs)
 
 
@@ -91,17 +90,17 @@ class QuasiTemperedSelfdual:
 # elementary ratios
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(Record):
     """L(arg, kind)/L(arg+1, kind) with arg = slope·s + offset."""
 
-    family: str  # "i" | "ii-" | "ii+" | "iii" | "iv"
-    kind: tuple
-    slope: int
-    offset: Fraction
+    _fields = ("family", "kind", "slope", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "offset", rat(self.offset))
+    def __init__(self, family: str, kind: tuple, slope: int, offset: Fraction):
+        """``family`` is one of "i", "ii-", "ii+", "iii", "iv"."""
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", rat(offset))
 
     def arg_str(self) -> str:
         base = f"{self.slope}s" if self.slope != 1 else "s"
@@ -186,12 +185,16 @@ def verify_wedge_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> boo
     return sorted(got) == sorted(want)
 
 
-@dataclass(frozen=True)
-class FactorClassification:
-    ratio: Ratio
-    status: str  # holo_nonzero | pole_candidate
-    bound: Fraction  # strict lower bound for Re(argument) on the region
-    rule: str
+class FactorClassification(Record):
+    _fields = ("ratio", "status", "bound", "rule")
+
+    def __init__(self, ratio: Ratio, status: str, bound: Fraction, rule: str):
+        """``status`` is holo_nonzero or pole_candidate; ``bound`` is a
+        strict lower bound for Re(argument) on the region."""
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "rule", rule)
 
     def serialize(self) -> dict:
         out = self.ratio.serialize()
@@ -275,12 +278,16 @@ def intertwining_word(t: int, u: int):
 # the verdict
 
 
-@dataclass
-class HolomorphyVerdict:
-    statement: str
-    certificate: list  # of {"part", "claim", "citation", ...}
-    word_lengths: dict
-    warnings: list
+class HolomorphyVerdict(Record):
+    _fields = ("statement", "certificate", "word_lengths", "warnings")
+    __hash__ = None
+
+    def __init__(self, statement: str, certificate: list, word_lengths: dict, warnings: list):
+        """``certificate`` is a list of {"part", "claim", "citation", ...}."""
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "word_lengths", word_lengths)
+        object.__setattr__(self, "warnings", warnings)
 
     def serialize(self) -> dict:
         return {

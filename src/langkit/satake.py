@@ -14,12 +14,12 @@ syntactic on the normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
 from .rationals import doubled, rat, rat_str
+from .record import Record
 
 
 class SatakeError(ValueError):
@@ -47,8 +47,7 @@ def _normalize_unit(unit) -> tuple:
     return tuple(sorted((s, e) for s, e in acc.items() if e != 0))
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(Record):
     """sign · q^{q2/2} · unit, in normal form.
 
     The half-integral q-exponent is held doubled as the int ``q2``, so the
@@ -58,21 +57,23 @@ class Eigenvalue:
     is parsed (`ev`, `parse_eigenvalue`) or merged (`__mul__`, `apply_unit`).
     """
 
-    q2: int
-    unit: tuple = ()
-    sign: int = 1
+    _fields = ("q2", "unit", "sign")
 
-    def __post_init__(self):
-        if type(self.q2) is not int:
-            raise SatakeError(f"doubled q-exponent must be an int, not {self.q2!r}")
-        u = self.unit
-        if type(u) is not tuple or not all(
+    def __init__(self, q2: int, unit: tuple = (), sign: int = 1):
+        if type(q2) is not int:
+            raise SatakeError(f"doubled q-exponent must be an int, not {q2!r}")
+        if type(unit) is not tuple or not all(
             type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is int and p[1]
-            for p in u
-        ) or any(a[0] >= b[0] for a, b in zip(u, u[1:])):
-            raise SatakeError(f"unit must be a sorted tuple of (symbol, nonzero int) pairs: {u!r}")
-        if self.sign not in (1, -1):
+            for p in unit
+        ) or any(a[0] >= b[0] for a, b in zip(unit, unit[1:])):
+            raise SatakeError(
+                f"unit must be a sorted tuple of (symbol, nonzero int) pairs: {unit!r}"
+            )
+        if sign not in (1, -1):
             raise SatakeError("sign must be ±1")
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def q_exp(self) -> Fraction:
@@ -147,17 +148,15 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
     return Eigenvalue(_doubled(q_exp), _normalize_unit(unit), sign)
 
 
-@dataclass(frozen=True)
-class SatakeClass:
+class SatakeClass(Record):
     """Multiset of eigenvalues tagged by group family and place."""
 
-    eigenvalues: tuple
-    family: GroupDescriptor
-    place: str = "v"
+    _fields = ("eigenvalues", "family", "place")
 
-    def __post_init__(self):
-        evs = tuple(sorted(self.eigenvalues, key=Eigenvalue.sort_key))
-        object.__setattr__(self, "eigenvalues", evs)
+    def __init__(self, eigenvalues: tuple, family: GroupDescriptor, place: str = "v"):
+        object.__setattr__(self, "eigenvalues", tuple(sorted(eigenvalues, key=Eigenvalue.sort_key)))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "place", place)
 
     def multiset(self):
         return sorted(e.sort_key() for e in self.eigenvalues)
@@ -177,8 +176,7 @@ class SatakeClass:
         return "{" + ", ".join(self.serialize()) + "}"
 
 
-@dataclass(frozen=True)
-class AutModel:
+class AutModel(Record):
     """Coefficient automorphism through its effect on unit symbols and on
     the square root of the residue cardinality at each place.
 
@@ -186,22 +184,21 @@ class AutModel:
     mapping from place labels to signs.
     """
 
-    unit_map: tuple = ()  # tuple of (symbol, image) pairs; missing = fixed
-    eps: object = 1
+    _fields = ("unit_map", "eps")
 
-    def __post_init__(self):
-        pairs = tuple(sorted(dict(self.unit_map).items()))
+    def __init__(self, unit_map: tuple = (), eps: object = 1):
+        """``unit_map`` is a tuple of (symbol, image) pairs; a missing
+        symbol is fixed.  A dict ``eps`` is held as its sorted items."""
+        pairs = tuple(sorted(dict(unit_map).items()))
         dst = [d for _, d in pairs]
         if len(set(dst)) != len(dst):
             raise SatakeError("unit_map must be a bijection on symbols")
-        object.__setattr__(self, "unit_map", pairs)
-        if isinstance(self.eps, dict):
-            eps = tuple(sorted(self.eps.items()))
-            object.__setattr__(self, "eps", eps)
-        elif isinstance(self.eps, tuple):
-            pass
-        elif self.eps not in (1, -1):
+        if isinstance(eps, dict):
+            eps = tuple(sorted(eps.items()))
+        elif not isinstance(eps, tuple) and eps not in (1, -1):
             raise SatakeError("eps must be ±1 or a place→±1 mapping")
+        object.__setattr__(self, "unit_map", pairs)
+        object.__setattr__(self, "eps", eps)
 
     def eps_at(self, place: str) -> int:
         if isinstance(self.eps, tuple):

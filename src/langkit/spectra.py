@@ -8,12 +8,12 @@ given two-term parameter, by the cuspidal count plus multiset matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .arch import AutOnEmbeddings, InfChar
 from .rationals import rat, rat_str
+from .record import Record
 
 SELFDUAL_SYMPLECTIC = "symplectic"
 SELFDUAL_ORTHOGONAL = "orthogonal"
@@ -27,8 +27,7 @@ class SpectraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CuspidalRecord:
+class CuspidalRecord(Record):
     """Formal descriptor of a cuspidal representation.
 
     ``eta`` is the parity sign of a conjugate-self-dual record (which of
@@ -36,30 +35,41 @@ class CuspidalRecord:
     unitary-normalization twist; ``algebraicity`` the regularity class.
     """
 
-    label: str
-    degree: int
-    base: str = "F"
-    duality: str = NO_DUALITY
-    eta: int = 0
-    weight: Fraction = Fraction(0)
-    algebraicity: str = "none"
-    infchar: Optional[InfChar] = None
+    _fields = ("label", "degree", "base", "duality", "eta", "weight", "algebraicity", "infchar")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", rat(self.weight))
-        if self.degree < 1:
+    def __init__(
+        self,
+        label: str,
+        degree: int,
+        base: str = "F",
+        duality: str = NO_DUALITY,
+        eta: int = 0,
+        weight: Fraction = Fraction(0),
+        algebraicity: str = "none",
+        infchar: Optional[InfChar] = None,
+    ):
+        weight = rat(weight)
+        if degree < 1:
             raise SpectraError("degree must be ≥ 1")
-        if self.duality not in _DUALITIES:
-            raise SpectraError(f"unknown duality {self.duality!r}")
-        if self.duality == CONJ_SELFDUAL:
-            if self.eta not in (1, -1):
+        if duality not in _DUALITIES:
+            raise SpectraError(f"unknown duality {duality!r}")
+        if duality == CONJ_SELFDUAL:
+            if eta not in (1, -1):
                 raise SpectraError("conjugate-self-dual records carry a parity sign")
-        elif self.eta:
+        elif eta:
             raise SpectraError("only conjugate-self-dual records carry eta")
-        if self.duality == SELFDUAL_SYMPLECTIC and self.degree % 2:
+        if duality == SELFDUAL_SYMPLECTIC and degree % 2:
             raise SpectraError("symplectic records have even degree")
-        if self.algebraicity not in ("algebraic", "half_algebraic", "none"):
-            raise SpectraError(f"unknown algebraicity {self.algebraicity!r}")
+        if algebraicity not in ("algebraic", "half_algebraic", "none"):
+            raise SpectraError(f"unknown algebraicity {algebraicity!r}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "duality", duality)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "algebraicity", algebraicity)
+        object.__setattr__(self, "infchar", infchar)
 
     @property
     def is_trivial(self) -> bool:
@@ -84,15 +94,15 @@ class CuspidalRecord:
 TRIVIAL = CuspidalRecord("1", 1, duality=SELFDUAL_ORTHOGONAL)
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
+class ArthurParameter(Record):
     """Multiplicity-one multiset of (record, ladder length) summands."""
 
-    summands: tuple  # ((CuspidalRecord, d), ...)
+    _fields = ("summands",)
 
-    def __post_init__(self):
+    def __init__(self, summands: tuple):
+        """``summands`` is ((CuspidalRecord, d), ...)."""
         pairs = tuple(
-            sorted(self.summands, key=lambda s: (s[0].label, s[0].degree, s[1]))
+            sorted(summands, key=lambda s: (s[0].label, s[0].degree, s[1]))
         )
         seen = set()
         for record, d in pairs:
@@ -116,8 +126,7 @@ class ArthurParameter:
         return [{"record": rec.serialize(), "sp": d} for rec, d in self.summands]
 
 
-@dataclass(frozen=True)
-class CuspidalSum:
+class CuspidalSum(Record):
     """Multiset of (record, j) terms, where j = 2·shift is an int.
 
     Shifts are half-integers, so the ladder kernel (`expand`, `reconstruct`)
@@ -125,13 +134,14 @@ class CuspidalSum:
     are kept sorted by (label, degree, j).
     """
 
-    terms: tuple  # ((CuspidalRecord, j), ...)
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        for _, j in self.terms:
+    def __init__(self, terms: tuple):
+        """``terms`` is ((CuspidalRecord, j), ...)."""
+        for _, j in terms:
             if type(j) is not int:
                 raise SpectraError(f"doubled shift must be an int, not {j!r}")
-        terms = tuple(sorted(self.terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
+        terms = tuple(sorted(terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
         object.__setattr__(self, "terms", terms)
 
     def __len__(self):
@@ -192,23 +202,25 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
 # Levi-support classification
 
 
-@dataclass(frozen=True)
-class LeviCandidate:
+class LeviCandidate(Record):
     """Induction datum: GL blocks with twist exponents plus a core parameter."""
 
-    blocks: tuple  # ((CuspidalRecord, shift), ...)
-    core: ArthurParameter
+    _fields = ("blocks", "core")
 
-    def __post_init__(self):
-        blocks = tuple((rec, rat(s)) for rec, s in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks: tuple, core: ArthurParameter):
+        """``blocks`` is ((CuspidalRecord, shift), ...)."""
+        object.__setattr__(self, "blocks", tuple((rec, rat(s)) for rec, s in blocks))
+        object.__setattr__(self, "core", core)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: str
-    block: Optional[tuple] = None  # (record, shift) of the accepted block
+class Verdict(Record):
+    _fields = ("accepted", "reason", "block")
+
+    def __init__(self, accepted: bool, reason: str, block: Optional[tuple] = None):
+        """``block`` is the (record, shift) of the accepted block."""
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "block", block)
 
     def serialize(self) -> dict:
         out = {"accepted": self.accepted, "reason": self.reason}
@@ -323,7 +335,16 @@ def duality_preserved(record: CuspidalRecord, emb_action: Optional[AutOnEmbeddin
     infchar = record.infchar
     if infchar is not None and emb_action is not None:
         infchar = infchar.permuted(emb_action)
-    moved = replace(record, label=f"a({record.label})", infchar=infchar)
+    moved = CuspidalRecord(
+        f"a({record.label})",
+        record.degree,
+        record.base,
+        record.duality,
+        record.eta,
+        record.weight,
+        record.algebraicity,
+        infchar,
+    )
     assertions = [
         ("weight preserved", moved.weight == record.weight),
         ("duality type preserved", moved.duality == record.duality),

@@ -19,11 +19,11 @@ search upward from the identity on integer windows: the cost follows the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .rationals import rat, rat_str
+from .record import Record
 
 
 class WeylError(ValueError):
@@ -34,22 +34,22 @@ class WeylError(ValueError):
 # weights
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """A coordinate vector of exact half-integers with a rank tag.
 
     ``context`` is a free-form tag ("C3", "ambient", ...) used only for
     error messages and serialization.
     """
 
-    coords: tuple
-    context: str = ""
+    _fields = ("coords", "context")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(rat(c) for c in self.coords))
-        for c in self.coords:
+    def __init__(self, coords: tuple, context: str = ""):
+        coords = tuple(rat(c) for c in coords)
+        for c in coords:
             if (2 * c).denominator != 1:
                 raise WeylError(f"weight coordinate {c} is not half-integral")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "context", context)
 
     def __len__(self):
         return len(self.coords)
@@ -74,22 +74,26 @@ def _inverse_window(window: tuple) -> tuple:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Record):
     """A permutation w of {±1, ..., ±t} with w(-i) = -w(i).
 
     Stored through the window (w(1), ..., w(t)).  The product convention
     follows word composition left to right: ``u.then(v)`` applies u first.
     """
 
-    images: tuple
+    _fields = ("images",)
+
+    def __init__(self, images: tuple):
+        object.__setattr__(self, "images", tuple(int(v) for v in images))
+        self.__post_init__()
 
     def __post_init__(self):
-        t = len(self.images)
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
-        seen = sorted(abs(v) for v in self.images)
-        if seen != list(range(1, t + 1)) or any(v == 0 for v in self.images):
-            raise WeylError(f"not a signed permutation window: {self.images}")
+        """Check the window.  Every construction runs it, looked up on the
+        class, so the benchmark tracer can count constructions by patching it."""
+        images = self.images
+        seen = sorted(abs(v) for v in images)
+        if seen != list(range(1, len(images) + 1)) or any(v == 0 for v in images):
+            raise WeylError(f"not a signed permutation window: {images}")
 
     @classmethod
     def identity(cls, t: int) -> "SignedPerm":
@@ -241,24 +245,24 @@ _POSITIVE_ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Classical root datum: family A/B/C/D at a given rank.
 
     Type A_n is realized on n+1 coordinates (roots e_i - e_j), the other
     families on `rank` coordinates with their usual root sets.
     """
 
-    family: str
-    rank: int
+    _fields = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in "ABCD":
-            raise WeylError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    def __init__(self, family: str, rank: int):
+        if family not in "ABCD":
+            raise WeylError(f"unknown family {family!r}")
+        if rank < 1:
             raise WeylError("rank must be positive")
-        if self.family == "D" and self.rank < 2:
+        if family == "D" and rank < 2:
             raise WeylError("family D needs rank ≥ 2")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def dim(self) -> int:
@@ -377,35 +381,35 @@ class RootDatum:
         return all(self.cartan_entry(a, weight.coords) >= 0 for a in self.simple_roots())
 
 
-@dataclass(frozen=True)
-class ParabolicShape:
+class ParabolicShape(Record):
     """Standard-parabolic shape: GL block sizes followed by a core of the
     ambient family.  For type A the blocks partition all coordinates and
     the core is empty."""
 
-    gl_block_sizes: tuple
-    core_rank: int
-    ambient: RootDatum
+    _fields = ("gl_block_sizes", "core_rank", "ambient")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gl_block_sizes", tuple(int(b) for b in self.gl_block_sizes))
-        if any(b < 1 for b in self.gl_block_sizes):
+    def __init__(self, gl_block_sizes: tuple, core_rank: int, ambient: RootDatum):
+        gl_block_sizes = tuple(int(b) for b in gl_block_sizes)
+        if any(b < 1 for b in gl_block_sizes):
             raise WeylError("block sizes must be positive")
-        if self.core_rank < 0:
+        if core_rank < 0:
             raise WeylError("core rank must be ≥ 0")
-        total = sum(self.gl_block_sizes) + self.core_rank
-        if self.ambient.family == "A":
-            if self.core_rank != 0:
+        total = sum(gl_block_sizes) + core_rank
+        if ambient.family == "A":
+            if core_rank != 0:
                 raise WeylError("type A shapes have no core")
-            if total != self.ambient.dim:
+            if total != ambient.dim:
                 raise WeylError(
-                    f"blocks {self.gl_block_sizes} do not fill {self.ambient.dim} coordinates"
+                    f"blocks {gl_block_sizes} do not fill {ambient.dim} coordinates"
                 )
         else:
-            if total != self.ambient.rank:
+            if total != ambient.rank:
                 raise WeylError(
-                    f"blocks+core {total} do not match ambient rank {self.ambient.rank}"
+                    f"blocks+core {total} do not match ambient rank {ambient.rank}"
                 )
+        object.__setattr__(self, "gl_block_sizes", gl_block_sizes)
+        object.__setattr__(self, "core_rank", core_rank)
+        object.__setattr__(self, "ambient", ambient)
 
     def levi_simple_roots(self) -> list:
         """Simple roots of the Levi inside the ambient coordinates."""

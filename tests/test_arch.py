@@ -554,3 +554,18 @@ def test_infchar_takes_only_int_doubled_entries(entry):
     with pytest.raises(ArchError, match="must be ints 2v"):
         InfChar((("r1", (entry, -1)),))
     assert InfChar((("r1", (1, -1)),)).serialize() == {"r1": ["1/2", "-1/2"]}
+
+
+def test_empty_multiset_is_not_superregular_but_a_domain_error():
+    with pytest.raises(ArchError, match="nonempty"):
+        is_superregular(())
+
+
+@pytest.mark.parametrize("entries", [((1,), (-3,)), ((5, 3, 1), (-7, -5, -3))])
+def test_purity_weight_checks_the_degree_at_complex_pairs(entries):
+    """A complex pair with fewer entries than the degree used to raise
+    IndexError, and one with more was read only up to the degree."""
+    emb = EmbeddingSet.build(complex_pairs=(("c1", "c1b"),))
+    p = InfChar((("c1", entries[0]), ("c1b", entries[1])))
+    with pytest.raises(ArchError, match="degree mismatch"):
+        purity_weight(p, emb, 2)

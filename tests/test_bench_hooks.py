@@ -35,3 +35,17 @@ def test_counted_constructors_are_defined_where_they_are_patched():
     assert callable(weyl.SignedPerm.__dict__["__post_init__"])
     assert callable(weyl.RootDatum.__dict__["positive_roots"])
     assert all(s.__name__.startswith("_suite_") for s in selftest.SUITES)
+
+
+def test_counting_sees_each_construction_and_root_build():
+    """A constructor that bound the hook when its class was created would
+    leave `perms_built` unset while every other test passed."""
+    from langkit import weyl
+
+    tracing = _tracing()
+    datum = weyl.RootDatum("C", 2)
+    with tracing.counting():
+        weyl.SignedPerm((2, -1))
+        datum.positive_roots()
+    counts = tracing.REC.counts
+    assert (counts["perms_built"], counts["positive_roots"]) == (1, 1)

@@ -226,6 +226,20 @@ def test_scenario_dir_env(tmp_path, monkeypatch):
     assert report["verdict"] == "nonvanishing invariant: YES"
 
 
+def test_library_names_resolve_beside_the_package(tmp_path, monkeypatch):
+    shipped = Path(cli.__file__).parent / "scenarios"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.SCENARIO_DIR_ENV, raising=False)
+    assert cli.scenario_dir() == shipped
+    assert sorted(p.stem for p in shipped.glob("*.json")) == sorted(LIBRARY)
+    for name in LIBRARY:
+        assert cli._resolve_scenario_path(name) == shipped / f"{name}.json"
+    monkeypatch.setenv(cli.SCENARIO_DIR_ENV, str(tmp_path))
+    assert cli.scenario_dir() == tmp_path
+    with pytest.raises(cli.ScenarioError, match="not found"):
+        cli._resolve_scenario_path("thmB")
+
+
 def test_selftest_passes():
     report = cli.run("selftest", None)
     assert report["verdict"] == "all oracle suites pass"
@@ -315,6 +329,18 @@ def test_infchar_must_fit_the_degree_and_the_embeddings(tmp_path, command, table
     assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "root-number", "normalize", "satake-act"])
+def test_ledger_override_is_refused_where_no_ledger_is_read(tmp_path, command):
+    """Only check-scenario and pole read the ledger; elsewhere the flag used
+    to be accepted and silently ignored."""
+    p = tmp_path / "override.json"
+    p.write_text(json.dumps({"schema": "1", "ledger_overrides": []}))
+    proc = run_cli(command, "--scenario", "thmB", "--ledger-override", str(p))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ")
+    assert "unrecognized arguments: --ledger-override" in proc.stderr
+
+
 def test_missing_ledger_override_is_a_usage_error(tmp_path):
     proc = run_cli(
         "pole", "--scenario", "thmB", "--ledger-override", str(tmp_path / "nope.json")
@@ -334,6 +360,17 @@ def test_imports_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['langkit']"
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    """Both cost a cold process about ten milliseconds before any work."""
+    code = (
+        "import sys, langkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
