@@ -94,9 +94,10 @@ class InfChar(Record):
     def __init__(self, data: tuple):
         """``data`` is ((label, ints 2v), ...), held sorted with each
         multiset in descending order."""
+        data = tuple((label, tuple(values)) for label, values in data)
         for label, values in data:
             if any(type(v) is not int for v in values):
-                raise ArchError(f"entries at {label} must be ints 2v, not {tuple(values)!r}")
+                raise ArchError(f"entries at {label} must be ints 2v, not {values!r}")
         data = tuple(sorted((label, tuple(sorted(v, reverse=True))) for label, v in data))
         if len({len(vals) for _, vals in data}) > 1:
             raise ArchError("all embeddings must carry the same number of entries")

@@ -21,12 +21,16 @@ from .arch import (
     ArchError,
     AutOnEmbeddings,
     EmbeddingSet,
+    algebraicity_required,
+    induced_regular,
     invariance_ratio_conjdual,
     is_disjoint,
     is_SO_regular,
     is_superregular,
     parity_of_order,
     root_number_selfdual,
+    strictly_decreasing,
+    strictly_gapped,
 )
 from .groups import (
     SO_EVEN,
@@ -49,6 +53,7 @@ from .spectra import (
     candidate_family,
     classify_levi_support,
     duality_preserved,
+    purity_consistent,
 )
 
 
@@ -396,9 +401,6 @@ def _check_infchar_hypotheses(
     """
     if pi.infchar is None or emb is None:
         raise HypothesisError("regularity: no infinitesimal character supplied")
-    from .arch import induced_regular, strictly_decreasing, strictly_gapped
-    from .spectra import purity_consistent
-
     for rec in (pi, rho):
         if not purity_consistent(rec, emb):
             raise HypothesisError(
@@ -480,8 +482,6 @@ def _validate_unitary_target(pi: CuspidalRecord, rho: CuspidalRecord):
         raise HypothesisError("sign condition violated: block parity must be (-1)^r")
     if rho.eta != (-1) ** ((r - 1) % 2):
         raise HypothesisError("sign condition violated: core parity must be (-1)^(r-1)")
-    from .arch import algebraicity_required
-
     needed = algebraicity_required(pi.degree, r)
     if pi.algebraicity != needed:
         raise HypothesisError(f"block record must be {needed}")

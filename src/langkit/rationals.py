@@ -6,9 +6,12 @@ ladders, `satake` q-exponents and the `arch` infinitesimal characters)
 hold a half-integer x as the int 2x instead: `doubled` is the one
 conversion into that form, applied once where a value is parsed, and a
 Fraction is built again only at the edges, in `rat_str` output, report
-strings and where the ledger or pole layer reads a value.  Scenario files
-store rationals as strings like "3/2", "-1/2" or "2"; these helpers
-round-trip that format losslessly.
+strings and where the ledger or pole layer reads a value.  In `weyl` the
+roots, 2ρ and the shifted weights are ints from the moment a `Weight` is
+passed in until `kostant_weights` returns, and `Weight.coords` stay
+Fractions at the interface.  Scenario files store rationals as strings
+like "3/2", "-1/2" or "2"; these helpers round-trip that format
+losslessly.
 """
 
 from __future__ import annotations

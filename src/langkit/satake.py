@@ -180,32 +180,26 @@ class AutModel(Record):
     """Coefficient automorphism through its effect on unit symbols and on
     the square root of the residue cardinality at each place.
 
-    ``unit_map`` permutes unit symbols; ``eps`` is a single sign or a
-    mapping from place labels to signs.
+    ``unit_map`` permutes unit symbols; ``eps`` is the sign 1 or -1 (an
+    int, never a bool), the same at every place.
     """
 
     _fields = ("unit_map", "eps")
 
-    def __init__(self, unit_map: tuple = (), eps: object = 1):
+    def __init__(self, unit_map: tuple = (), eps: int = 1):
         """``unit_map`` is a tuple of (symbol, image) pairs; a missing
-        symbol is fixed.  A dict ``eps`` is held as its sorted items."""
+        symbol is fixed."""
         pairs = tuple(sorted(dict(unit_map).items()))
         dst = [d for _, d in pairs]
         if len(set(dst)) != len(dst):
             raise SatakeError("unit_map must be a bijection on symbols")
-        if isinstance(eps, dict):
-            eps = tuple(sorted(eps.items()))
-        elif not isinstance(eps, tuple) and eps not in (1, -1):
-            raise SatakeError("eps must be ±1 or a place→±1 mapping")
+        if type(eps) is not int or eps not in (1, -1):
+            raise SatakeError(f"eps must be the int 1 or -1, not {eps!r}")
         object.__setattr__(self, "unit_map", pairs)
         object.__setattr__(self, "eps", eps)
 
     def eps_at(self, place: str) -> int:
-        if isinstance(self.eps, tuple):
-            table = dict(self.eps)
-            if place not in table:
-                raise SatakeError(f"no eps for place {place!r}")
-            return table[place]
+        """The sign at ``place``; ``eps`` is the same at every place."""
         return self.eps
 
     def map_symbol(self, sym: str) -> str:
@@ -228,13 +222,7 @@ class AutModel(Record):
         syms = set(table) | set(dict(self.unit_map))
         for s in syms:
             composed[s] = self.map_symbol(other.map_symbol(s))
-        if isinstance(self.eps, tuple) or isinstance(other.eps, tuple):
-            places = set(dict(self.eps if isinstance(self.eps, tuple) else ()))
-            places |= set(dict(other.eps if isinstance(other.eps, tuple) else ()))
-            eps = {p: self.eps_at(p) * other.eps_at(p) for p in places}
-        else:
-            eps = self.eps * other.eps
-        return AutModel(tuple(sorted(composed.items())), eps)
+        return AutModel(tuple(sorted(composed.items())), self.eps * other.eps)
 
 
 IDENTITY_AUT = AutModel()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .arch import AutOnEmbeddings, InfChar
+from .arch import ArchError, AutOnEmbeddings, InfChar, purity_weight
 from .rationals import rat, rat_str
 from .record import Record
 
@@ -138,6 +138,7 @@ class CuspidalSum(Record):
 
     def __init__(self, terms: tuple):
         """``terms`` is ((CuspidalRecord, j), ...)."""
+        terms = tuple(terms)
         for _, j in terms:
             if type(j) is not int:
                 raise SpectraError(f"doubled shift must be an int, not {j!r}")
@@ -313,8 +314,6 @@ def purity_consistent(record: CuspidalRecord, emb) -> bool:
     its infinitesimal character (vacuously true without one)."""
     if record.infchar is None:
         return True
-    from .arch import ArchError, purity_weight
-
     try:
         w = purity_weight(record.infchar, emb, record.degree)
     except ArchError:

@@ -14,15 +14,22 @@ a lower ideal of the weak order (Kostant 1961; Björner–Brenti,
 *Combinatorics of Coxeter Groups*, §2.4–2.5), so they are found by a level
 search upward from the identity on integer windows: the cost follows the
 |W|/|W_M| outputs, not the order of W.
+
+The kernel is integer-only.  Roots are int vectors, built by one helper;
+the Levi's simple roots are selected from the datum's; 2ρ is the int sum
+of the positive roots; and `kostant_weights` doubles λ once, computes the
+shifted weights 2(w(λ+ρ)-ρ) on ints and reads dominance off the sign of an
+integer pairing.  `Weight.coords` stay `Fraction`s at the interface.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .rationals import rat, rat_str
+from .rationals import doubled, rat, rat_str
 from .record import Record
 
 
@@ -46,7 +53,7 @@ class Weight(Record):
     def __init__(self, coords: tuple, context: str = ""):
         coords = tuple(rat(c) for c in coords)
         for c in coords:
-            if (2 * c).denominator != 1:
+            if doubled(c) is None:
                 raise WeylError(f"weight coordinate {c} is not half-integral")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "context", context)
@@ -140,28 +147,18 @@ class SignedPerm(Record):
 
         Counted as the number of positive roots e_i ± e_j (i<j), 2e_i sent
         to negative roots; a root is negative iff its lowest-index nonzero
-        coordinate is negative.
+        coordinate is negative.  For i < j with images a, b, the pair
+        e_i ± e_j maps to e_a ± e_b: when |a| < |b| both images have the
+        sign of a, and when |a| > |b| exactly one of them is negative.
         """
         w = self.images
-        t = self.rank
         total = sum(1 for v in w if v < 0)
-        for i in range(t):
-            for j in range(i + 1, t):
-                a, b = w[i], w[j]
-                # e_{i+1} - e_{j+1}  maps to  e_a - e_b
-                if abs(a) < abs(b):
-                    if a < 0:
-                        total += 1
-                else:
-                    if b > 0:
-                        total += 1
-                # e_{i+1} + e_{j+1}  maps to  e_a + e_b
-                if abs(a) < abs(b):
-                    if a < 0:
-                        total += 1
-                else:
-                    if b < 0:
-                        total += 1
+        for i, a in enumerate(w):
+            for b in w[i + 1:]:
+                if abs(a) > abs(b):
+                    total += 1
+                elif a < 0:
+                    total += 2
         return total
 
     def __str__(self):
@@ -237,6 +234,15 @@ def all_signed_perms(t: int) -> Iterator[SignedPerm]:
 # root data
 
 
+def _root(n: int, *entries) -> tuple:
+    """The integer vector on n coordinates with the given (index, value)
+    entries and zeros elsewhere."""
+    v = [0] * n
+    for i, c in entries:
+        v[i] = c
+    return tuple(v)
+
+
 _POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
@@ -270,96 +276,31 @@ class RootDatum(Record):
         return self.rank + 1 if self.family == "A" else self.rank
 
     def positive_roots(self) -> list:
+        """e_i - e_j (i<j), then e_i + e_j (i<j) and e_i (B) or 2e_i (C)."""
         n, fam = self.dim, self.family
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [0] * n
-                v[i], v[j] = 1, -1
-                roots.append(tuple(map(Fraction, v)))
-        if fam == "A":
-            return roots
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [0] * n
-                v[i] = v[j] = 1
-                roots.append(tuple(map(Fraction, v)))
-        if fam == "B":
-            for i in range(n):
-                v = [0] * n
-                v[i] = 1
-                roots.append(tuple(map(Fraction, v)))
-        elif fam == "C":
-            for i in range(n):
-                v = [0] * n
-                v[i] = 2
-                roots.append(tuple(map(Fraction, v)))
+        pairs = list(itertools.combinations(range(n), 2))
+        roots = [_root(n, (i, 1), (j, -1)) for i, j in pairs]
+        if fam != "A":
+            roots += [_root(n, (i, 1), (j, 1)) for i, j in pairs]
+        if fam in "BC":
+            roots += [_root(n, (i, 1 if fam == "B" else 2)) for i in range(n)]
         return roots
 
     def simple_roots(self) -> list:
+        """e_i - e_{i+1}, then e_n (B), 2e_n (C) or e_{n-1} + e_n (D)."""
         n, fam = self.dim, self.family
-        simples = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(map(Fraction, v)))
-        if fam == "B":
-            v = [0] * n
-            v[n - 1] = 1
-            simples.append(tuple(map(Fraction, v)))
-        elif fam == "C":
-            v = [0] * n
-            v[n - 1] = 2
-            simples.append(tuple(map(Fraction, v)))
+        simples = [_root(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+        if fam in "BC":
+            simples.append(_root(n, (n - 1, 1 if fam == "B" else 2)))
         elif fam == "D":
-            v = [0] * n
-            v[n - 2] = v[n - 1] = 1
-            simples.append(tuple(map(Fraction, v)))
+            simples.append(_root(n, (n - 2, 1), (n - 1, 1)))
         return simples
 
-    def rho(self) -> Weight:
-        half = Fraction(1, 2)
-        roots = self.positive_roots()
-        coords = [half * sum(r[i] for r in roots) for i in range(self.dim)]
-        return Weight(tuple(coords), context=f"{self.family}{self.rank}")
-
-    def cartan_entry(self, alpha, beta) -> Fraction:
-        """⟨β, α̌⟩ = 2(β,α)/(α,α) in the standard inner product."""
-        aa = sum(a * a for a in alpha)
-        ab = sum(a * b for a, b in zip(alpha, beta))
-        return 2 * ab / aa
-
-    def validate(self):
-        """Cartan-matrix fingerprint and positive-root count for the family."""
-        simples = self.simple_roots()
-        n = len(simples)
-        if n != self.rank:
-            raise WeylError("simple root count does not match the rank")
-        cartan = [[self.cartan_entry(simples[i], simples[j]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            if cartan[i][i] != 2:
-                raise WeylError("bad Cartan diagonal")
-        expected = _POSITIVE_ROOT_COUNTS[self.family](self.rank)
-        if len(self.positive_roots()) != expected:
-            raise WeylError("positive root count does not match the family")
-        return cartan
-
-    def weyl_elements(self) -> Iterator[SignedPerm]:
-        """Enumerate the Weyl group as (signed) coordinate permutations."""
-        n = self.dim
-        if self.family == "A":
-            for perm in itertools.permutations(range(1, n + 1)):
-                yield SignedPerm(perm)
-        elif self.family in "BC":
-            yield from all_signed_perms(n)
-        else:  # D: even number of sign changes
-            for w in all_signed_perms(n):
-                if sum(1 for v in w.images if v < 0) % 2 == 0:
-                    yield w
+    def twice_rho(self) -> tuple:
+        """2ρ, the sum of the positive roots."""
+        return tuple(map(sum, zip(*self.positive_roots())))
 
     def order(self) -> int:
-        import math
-
         n = self.rank
         if self.family == "A":
             return math.factorial(n + 1)
@@ -367,18 +308,9 @@ class RootDatum(Record):
             return 2**n * math.factorial(n)
         return 2 ** (n - 1) * math.factorial(n)
 
-    def length_of(self, w: SignedPerm) -> int:
-        """Number of positive roots of this datum sent to negative roots."""
-        count = 0
-        for root in self.positive_roots():
-            img = w.act_coords(root)
-            first = next(x for x in img if x != 0)
-            if first < 0:
-                count += 1
-        return count
-
     def is_dominant(self, weight: Weight) -> bool:
-        return all(self.cartan_entry(a, weight.coords) >= 0 for a in self.simple_roots())
+        twice = [doubled(c) for c in weight.coords]
+        return _pairs_nonnegative(map(_sparse, self.simple_roots()), twice)
 
 
 class ParabolicShape(Record):
@@ -412,39 +344,19 @@ class ParabolicShape(Record):
         object.__setattr__(self, "ambient", ambient)
 
     def levi_simple_roots(self) -> list:
-        """Simple roots of the Levi inside the ambient coordinates."""
-        n = self.ambient.dim
-        simples = []
-        offset = 0
-        for b in self.gl_block_sizes:
-            for i in range(offset, offset + b - 1):
-                v = [0] * n
-                v[i], v[i + 1] = 1, -1
-                simples.append(tuple(map(Fraction, v)))
-            offset += b
-        m = self.core_rank
-        if m:
-            fam = self.ambient.family
-            for i in range(offset, offset + m - 1):
-                v = [0] * n
-                v[i], v[i + 1] = 1, -1
-                simples.append(tuple(map(Fraction, v)))
-            v = [0] * n
-            if fam == "B":
-                v[n - 1] = 1
-                simples.append(tuple(map(Fraction, v)))
-            elif fam == "C":
-                v[n - 1] = 2
-                simples.append(tuple(map(Fraction, v)))
-            elif fam == "D":
-                if m >= 2:
-                    v[n - 2] = v[n - 1] = 1
-                    simples.append(tuple(map(Fraction, v)))
-        return simples
+        """The ambient simple roots that lie in the Levi: each e_i - e_{i+1}
+        that joins no two blocks and no block to the core, then the family's
+        last root when the core carries it (core rank ≥ 1 for B and C, ≥ 2
+        for D; type A has no core)."""
+        ambient = self.ambient
+        simples = ambient.simple_roots()
+        cuts = set(itertools.accumulate(self.gl_block_sizes))
+        levi = [a for i, a in enumerate(simples[: ambient.dim - 1]) if i + 1 not in cuts]
+        if self.core_rank >= (2 if ambient.family == "D" else 1):
+            levi.append(simples[-1])
+        return levi
 
     def levi_order(self) -> int:
-        import math
-
         order = 1
         for b in self.gl_block_sizes:
             order *= math.factorial(b)
@@ -461,7 +373,13 @@ class ParabolicShape(Record):
 def _sparse(root) -> tuple:
     """A root as the (0-based index, integer coefficient) pairs of its
     nonzero coordinates."""
-    return tuple((i, int(c)) for i, c in enumerate(root) if c)
+    return tuple((i, c) for i, c in enumerate(root) if c)
+
+
+def _pairs_nonnegative(roots, twice) -> bool:
+    """Whether the doubled weight ``twice`` pairs non-negatively with each
+    sparse root α, which is the sign of ⟨weight, α̌⟩ since (α, α) > 0."""
+    return all(sum(c * twice[i] for i, c in root) >= 0 for root in roots)
 
 
 def _sends_positive(window, root) -> bool:
@@ -520,23 +438,23 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     """Degree-graded weights w(λ+ρ)-ρ over the minimal coset representatives.
 
     λ must be dominant; every returned weight is dominant for the Levi and
-    the degree of each entry is the length of its representative.  The
-    weights are computed doubled, on integers; Levi-dominance is the sign
-    of the integer pairing (a, 2·shifted), which has the sign of ⟨shifted, ǎ⟩
-    because (a, a) > 0.
+    the degree of each entry is the length of its representative.  λ is
+    doubled once and the weights are computed doubled, on integers, with
+    dominance read off the sign of the integer pairing; a `Fraction` is
+    built again only for the returned coordinates.
     """
     if len(lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
-    if not datum.is_dominant(lam):
+    twice_lam = [doubled(c) for c in lam.coords]
+    if not _pairs_nonnegative(map(_sparse, datum.simple_roots()), twice_lam):
         raise WeylError(f"weight {lam} is not dominant")
-    rho = datum.rho()
-    twice_rho = [int(2 * r) for r in rho.coords]
-    twice_shift = [int(2 * (x + r)) for x, r in zip(lam.coords, rho.coords)]
+    twice_rho = datum.twice_rho()
+    twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
     levi = list(map(_sparse, shape.levi_simple_roots()))
     out = []
     for w, ell in kostant_reps(datum, shape):
         shifted = [x - r for x, r in zip(w.act_coords(twice_shift), twice_rho)]
-        if any(sum(c * shifted[i] for i, c in a) < 0 for a in levi):
+        if not _pairs_nonnegative(levi, shifted):
             raise WeylError("shifted weight is not Levi-dominant")
         out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted), lam.context)))
     return out

@@ -556,6 +556,17 @@ def test_infchar_takes_only_int_doubled_entries(entry):
     assert InfChar((("r1", (1, -1)),)).serialize() == {"r1": ["1/2", "-1/2"]}
 
 
+def test_infchar_reads_generator_arguments_once():
+    """The argument used to be iterated twice, so a generator gave an empty
+    record; the entries may be generators too."""
+    expected = InfChar((("c1", (3, 1)), ("c1b", (-5, -3))))
+    pairs = (("c1b", (-3, -5)), ("c1", (1, 3)))
+    assert InfChar(pair for pair in pairs) == expected
+    assert InfChar((label, (v for v in vals)) for label, vals in pairs) == expected
+    with pytest.raises(ArchError, match="must be ints 2v"):
+        InfChar(pair for pair in (("r1", (1, "1/2")),))
+
+
 def test_empty_multiset_is_not_superregular_but_a_domain_error():
     with pytest.raises(ArchError, match="nonempty"):
         is_superregular(())

@@ -140,7 +140,7 @@ SAMPLES = {
         lambda: SatakeClass((), sp(1), "w"),
     ),
     AutModel: (
-        lambda: AutModel((("v", "u"), ("u", "v")), {"w": -1, "v": 1}),
+        lambda: AutModel((("v", "u"), ("u", "v")), -1),
         lambda: AutModel(),
     ),
     GroupDescriptor: (

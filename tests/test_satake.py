@@ -206,6 +206,22 @@ def test_eigenvalue_takes_only_normal_form_units(unit):
     assert Eigenvalue(0, (("u1", 2), ("u2", -1))).serialize() == "u1^2*u2^-1"
 
 
+@pytest.mark.parametrize("eps", [{"v": 2}, {"v": -1}, (("v", -1),), 2, 0, True, -1.0, "1"])
+def test_aut_model_takes_only_a_sign(eps):
+    """eps is the int 1 or -1; a per-place mapping, another int, a bool or a
+    float is refused (a dict {"v": 2} used to be accepted and read as +1)."""
+    with pytest.raises(SatakeError, match="eps must be the int 1 or -1"):
+        AutModel(eps=eps)
+
+
+def test_aut_model_eps_is_the_same_at_every_place():
+    for e in (1, -1):
+        aut = AutModel((("u1", "u2"), ("u2", "u1")), e)
+        assert aut.eps_at("v") == aut.eps_at("w") == e
+        assert aut.compose(FLIP).eps == -e
+        assert aut.compose(aut).eps == 1
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize(
     "unit", [(), (("u1", 1),), (("u1", -1), ("u2", 1)), (("x_1", 3), ("y", -2))]

@@ -148,6 +148,15 @@ def test_cuspidal_sum_takes_only_int_doubled_shifts(shift):
         CuspidalSum(((PI, 1), (PI, shift)))
 
 
+def test_cuspidal_sum_reads_a_generator_argument_once():
+    """The argument used to be iterated twice, so a generator gave an empty sum."""
+    terms = ((PI, 1), (PI, -1))
+    assert CuspidalSum(t for t in terms) == CuspidalSum(terms)
+    assert len(CuspidalSum(t for t in terms)) == 2
+    with pytest.raises(SpectraError, match="must be an int"):
+        CuspidalSum(t for t in ((PI, 1), (PI, "1/2")))
+
+
 # distinct records that share (label, degree) and differ in duality or weight
 TWINS = [
     CuspidalRecord("x", 2, duality=SELFDUAL_SYMPLECTIC),

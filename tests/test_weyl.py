@@ -1,4 +1,8 @@
+import ast
+import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from langkit.weyl import (
     SignedPerm,
     Weight,
     WeylError,
+    _POSITIVE_ROOT_COUNTS,
     all_signed_perms,
     bfs_length,
     kostant_reps,
@@ -17,6 +22,55 @@ from langkit.weyl import (
     length_additive,
     simple_reflections,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracle helpers over the root data: the Weyl group by enumeration, lengths
+# by counting roots, and the Cartan matrix in Fraction arithmetic
+
+
+def cartan_entry(alpha, beta) -> Fraction:
+    """⟨β, α̌⟩ = 2(β,α)/(α,α) in the standard inner product."""
+    aa = sum(a * a for a in alpha)
+    ab = sum(a * b for a, b in zip(alpha, beta))
+    return Fraction(2 * ab) / aa
+
+
+def validate(datum):
+    """Cartan-matrix fingerprint and positive-root count for the family."""
+    simples = datum.simple_roots()
+    n = len(simples)
+    assert n == datum.rank, "simple root count does not match the rank"
+    cartan = [[cartan_entry(simples[i], simples[j]) for j in range(n)] for i in range(n)]
+    assert all(cartan[i][i] == 2 for i in range(n)), "bad Cartan diagonal"
+    expected = _POSITIVE_ROOT_COUNTS[datum.family](datum.rank)
+    assert len(datum.positive_roots()) == expected, "positive root count does not match"
+    return cartan
+
+
+def weyl_elements(datum):
+    """Enumerate the Weyl group as (signed) coordinate permutations."""
+    n = datum.dim
+    if datum.family == "A":
+        for perm in itertools.permutations(range(1, n + 1)):
+            yield SignedPerm(perm)
+    elif datum.family in "BC":
+        yield from all_signed_perms(n)
+    else:  # D: even number of sign changes
+        for w in all_signed_perms(n):
+            if sum(1 for v in w.images if v < 0) % 2 == 0:
+                yield w
+
+
+def length_of(datum, w) -> int:
+    """Number of positive roots of the datum sent to negative roots."""
+    count = 0
+    for root in datum.positive_roots():
+        img = w.act_coords(root)
+        first = next(x for x in img if x != 0)
+        if first < 0:
+            count += 1
+    return count
 
 
 def shuffle_word(t, u):
@@ -92,16 +146,16 @@ class TestRootData:
     )
     def test_positive_root_counts(self, family, rank, count):
         datum = RootDatum(family, rank)
-        datum.validate()
+        validate(datum)
         assert len(datum.positive_roots()) == count
 
     def test_rho_type_c(self):
-        assert RootDatum("C", 3).rho().coords == (Fraction(3), Fraction(2), Fraction(1))
+        assert RootDatum("C", 3).twice_rho() == (6, 4, 2)
 
     def test_weyl_orders(self):
-        assert sum(1 for _ in RootDatum("C", 3).weyl_elements()) == 48
-        assert sum(1 for _ in RootDatum("D", 3).weyl_elements()) == 24
-        assert sum(1 for _ in RootDatum("A", 2).weyl_elements()) == 6
+        assert sum(1 for _ in weyl_elements(RootDatum("C", 3))) == 48
+        assert sum(1 for _ in weyl_elements(RootDatum("D", 3))) == 24
+        assert sum(1 for _ in weyl_elements(RootDatum("A", 2))) == 6
 
 
 class TestKostant:
@@ -155,7 +209,7 @@ class TestKostant:
         reps = kostant_reps(datum, shape)
         assert len(reps) == datum.order()
         assert sorted(l for _, l in reps) == sorted(
-            datum.length_of(w) for w in datum.weyl_elements()
+            length_of(datum, w) for w in weyl_elements(datum)
         )
 
     def test_weights_rank_one(self):
@@ -229,7 +283,7 @@ def levi_positive_roots(shape):
 def levi_dim(shape, weight):
     """Weyl dimension formula over the Levi subsystem."""
     roots = levi_positive_roots(shape)
-    rho_m = [sum(r[i] for r in roots) / 2 for i in range(shape.ambient.dim)]
+    rho_m = [Fraction(sum(r[i] for r in roots), 2) for i in range(shape.ambient.dim)]
     dim = Fraction(1)
     for alpha in roots:
         num = sum((w + r) * a for w, r, a in zip(weight.coords, rho_m, alpha))
@@ -296,10 +350,10 @@ def brute_force_reps(datum, shape):
     positive = set(datum.positive_roots())
     levi_simples = shape.levi_simple_roots()
     reps = []
-    for w in datum.weyl_elements():
+    for w in weyl_elements(datum):
         winv = w.inverse()
         if all(winv.act_coords(a) in positive for a in levi_simples):
-            reps.append((w.images, datum.length_of(w)))
+            reps.append((w.images, length_of(datum, w)))
     return sorted(reps, key=lambda pair: (pair[1], pair[0]))
 
 
@@ -437,10 +491,241 @@ def test_root_datum_matches_sympy(family, rank):
     # sympy's entry (i, j) is <α_i, α_j^∨>; RootDatum's is <α_j, α_i^∨>.
     # sympy fails to build the 1×1 matrix of A1, which is (2).
     if rank == 1:
-        assert datum.validate() == [[2]]
+        assert validate(datum) == [[2]]
     else:
         cartan = system.cartan_matrix()
-        assert datum.validate() == [[int(cartan[j, i]) for j in range(rank)] for i in range(rank)]
+        assert validate(datum) == [[int(cartan[j, i]) for j in range(rank)] for i in range(rank)]
 
     rho = tuple(sum(r[i] for r in positive) / 2 for i in range(datum.dim))
-    assert datum.rho().coords == rho
+    assert datum.twice_rho() == tuple(2 * x for x in rho)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction root builders, Levi roots, length and dominance test that the
+# integer kernel replaced, kept verbatim as oracles
+
+
+def fraction_positive_roots(self) -> list:
+    n, fam = self.dim, self.family
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [0] * n
+            v[i], v[j] = 1, -1
+            roots.append(tuple(map(Fraction, v)))
+    if fam == "A":
+        return roots
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [0] * n
+            v[i] = v[j] = 1
+            roots.append(tuple(map(Fraction, v)))
+    if fam == "B":
+        for i in range(n):
+            v = [0] * n
+            v[i] = 1
+            roots.append(tuple(map(Fraction, v)))
+    elif fam == "C":
+        for i in range(n):
+            v = [0] * n
+            v[i] = 2
+            roots.append(tuple(map(Fraction, v)))
+    return roots
+
+
+def fraction_simple_roots(self) -> list:
+    n, fam = self.dim, self.family
+    simples = []
+    for i in range(n - 1):
+        v = [0] * n
+        v[i], v[i + 1] = 1, -1
+        simples.append(tuple(map(Fraction, v)))
+    if fam == "B":
+        v = [0] * n
+        v[n - 1] = 1
+        simples.append(tuple(map(Fraction, v)))
+    elif fam == "C":
+        v = [0] * n
+        v[n - 1] = 2
+        simples.append(tuple(map(Fraction, v)))
+    elif fam == "D":
+        v = [0] * n
+        v[n - 2] = v[n - 1] = 1
+        simples.append(tuple(map(Fraction, v)))
+    return simples
+
+
+def fraction_rho(self) -> Weight:
+    half = Fraction(1, 2)
+    roots = fraction_positive_roots(self)
+    coords = [half * sum(r[i] for r in roots) for i in range(self.dim)]
+    return Weight(tuple(coords), context=f"{self.family}{self.rank}")
+
+
+def fraction_levi_simple_roots(self) -> list:
+    """Simple roots of the Levi inside the ambient coordinates."""
+    n = self.ambient.dim
+    simples = []
+    offset = 0
+    for b in self.gl_block_sizes:
+        for i in range(offset, offset + b - 1):
+            v = [0] * n
+            v[i], v[i + 1] = 1, -1
+            simples.append(tuple(map(Fraction, v)))
+        offset += b
+    m = self.core_rank
+    if m:
+        fam = self.ambient.family
+        for i in range(offset, offset + m - 1):
+            v = [0] * n
+            v[i], v[i + 1] = 1, -1
+            simples.append(tuple(map(Fraction, v)))
+        v = [0] * n
+        if fam == "B":
+            v[n - 1] = 1
+            simples.append(tuple(map(Fraction, v)))
+        elif fam == "C":
+            v[n - 1] = 2
+            simples.append(tuple(map(Fraction, v)))
+        elif fam == "D":
+            if m >= 2:
+                v[n - 2] = v[n - 1] = 1
+                simples.append(tuple(map(Fraction, v)))
+    return simples
+
+
+def two_branch_length(self) -> int:
+    w = self.images
+    t = self.rank
+    total = sum(1 for v in w if v < 0)
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = w[i], w[j]
+            # e_{i+1} - e_{j+1}  maps to  e_a - e_b
+            if abs(a) < abs(b):
+                if a < 0:
+                    total += 1
+            else:
+                if b > 0:
+                    total += 1
+            # e_{i+1} + e_{j+1}  maps to  e_a + e_b
+            if abs(a) < abs(b):
+                if a < 0:
+                    total += 1
+            else:
+                if b < 0:
+                    total += 1
+    return total
+
+
+def cartan_is_dominant(self, weight: Weight) -> bool:
+    return all(cartan_entry(a, weight.coords) >= 0 for a in fraction_simple_roots(self))
+
+
+ORACLE_DATA = [
+    RootDatum(family, rank)
+    for family, ranks in (
+        ("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)), ("D", range(2, 7))
+    )
+    for rank in ranks
+]
+
+
+def _all_ints(roots) -> bool:
+    return all(type(c) is int for root in roots for c in root)
+
+
+@pytest.mark.parametrize("datum", ORACLE_DATA, ids=lambda d: f"{d.family}{d.rank}")
+def test_integer_roots_match_the_fraction_builders(datum):
+    positive, simples = datum.positive_roots(), datum.simple_roots()
+    assert positive == fraction_positive_roots(datum) and _all_ints(positive)
+    assert simples == fraction_simple_roots(datum) and _all_ints(simples)
+    assert tuple(Fraction(x, 2) for x in datum.twice_rho()) == fraction_rho(datum).coords
+    n = len(simples)
+    fractions = fraction_simple_roots(datum)
+    assert validate(datum) == [
+        [cartan_entry(fractions[i], fractions[j]) for j in range(n)] for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("datum", ORACLE_DATA, ids=lambda d: f"{d.family}{d.rank}")
+def test_levi_simple_roots_are_the_fraction_ones(datum):
+    """Every block composition × core rank, D with core rank 1 included."""
+    for shape in all_shapes(datum.family, datum.rank):
+        levi = shape.levi_simple_roots()
+        assert levi == fraction_levi_simple_roots(shape), shape
+        assert _all_ints(levi)
+        assert set(levi) <= set(datum.simple_roots())
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_length_matches_the_two_branch_count(t):
+    for w in all_signed_perms(t):
+        assert w.length() == two_branch_length(w), w
+
+
+def test_is_dominant_matches_the_cartan_test():
+    rng = random.Random(1018)
+    seen = set()
+    for datum in ORACLE_DATA:
+        for _ in range(120):
+            coords = [Fraction(rng.randint(-6, 6), 2) for _ in range(datum.dim)]
+            if rng.random() < 0.5:
+                coords.sort(reverse=True)
+            weight = Weight(tuple(coords))
+            got = datum.is_dominant(weight)
+            assert got == cartan_is_dominant(datum, weight), (datum, weight)
+            seen.add((datum.family, got))
+    assert seen == {(f, b) for f in "ABCD" for b in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "datum", [d for d in ORACLE_DATA if d.rank <= 4], ids=lambda d: f"{d.family}{d.rank}"
+)
+def test_kostant_weights_match_fraction_arithmetic(datum):
+    """w(λ+ρ)-ρ in Fractions, over the representatives, for a seeded dominant λ."""
+    rng = random.Random(datum.dim * 10 + "ABCD".index(datum.family))
+    rho = fraction_rho(datum).coords
+    for shape in all_shapes(datum.family, datum.rank):
+        half = rng.randint(0, 1)
+        coords = sorted((Fraction(2 * rng.randint(0, 3) + half, 2) for _ in rho), reverse=True)
+        lam = Weight(tuple(coords))
+        assert cartan_is_dominant(datum, lam)
+        shifted = tuple(x + r for x, r in zip(lam.coords, rho))
+        expected = [
+            (ell, Weight(tuple(x - r for x, r in zip(w.act_coords(shifted), rho))))
+            for w, ell in kostant_reps(datum, shape)
+        ]
+        assert kostant_weights(lam, datum, shape) == expected
+
+
+INTEGER_KERNEL = {
+    "RootDatum.positive_roots",
+    "RootDatum.simple_roots",
+    "RootDatum.twice_rho",
+    "ParabolicShape.levi_simple_roots",
+    "SignedPerm.length",
+    "_root",
+    "_sparse",
+    "_pairs_nonnegative",
+    "_sends_positive",
+    "kostant_reps",
+}
+
+
+def test_integer_kernel_names_no_fraction():
+    """Between a weight's input and its output the kernel is integer-only."""
+    source = Path(__file__).resolve().parents[1] / "src" / "langkit" / "weyl.py"
+    functions = {}
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    functions[f"{node.name}.{fn.name}"] = fn
+    for name in sorted(INTEGER_KERNEL):
+        used = set()
+        for n in ast.walk(functions[name]):
+            used.add(n.id if isinstance(n, ast.Name) else getattr(n, "attr", None))
+        assert not used & {"Fraction", "rat", "HALF"}, name
