@@ -23,6 +23,7 @@ from .eisenstein import (
     AutSpec,
     EisensteinError,
     HypothesisError,
+    check_kind,
     constant_term_quotient,
     default_ledger,
     pole_at_half,
@@ -219,11 +220,10 @@ def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec")
 def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/ledger_overrides"):
     for idx, entry in enumerate(entries):
         at = f"{path}/{idx}"
-        # a factor names its L-function by strings and, for Asai factors, a parity sign
-        factor = tuple(
-            _check(x, str if isinstance(x, str) else SIGNS, f"{at}/factor/{j}")
-            for j, x in enumerate(_field(entry, "factor", list, at))
-        )
+        try:
+            factor = check_kind(_field(entry, "factor", list, at), f"{at}/factor")
+        except EisensteinError as exc:
+            raise ScenarioError(str(exc)) from exc
         ledger.set(
             factor,
             _field(entry, "point", Fraction, at),
@@ -254,7 +254,7 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
         )
         for i, p in enumerate(_field(core, "pairs", [dict], f"{path}/rho", []))
     )
-    aux = _field(raw, "aux", AUX_KINDS, path, "wedge2")
+    aux = _field(raw, "aux", tuple(AUX_KINDS), path, "wedge2")
     try:
         pi = QuasiTemperedGL(segments)
         rho = QuasiTemperedSelfdual(tuple(selfdual), pairs)
@@ -580,6 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weight", type=_comma_list(rat), default="", help="comma-separated dominant weight"
     )
+    # a weight such as -1,-2 or -1/2 is a value: kostant has no option that
+    # starts with "-" and a digit
+    p._negative_number_matcher = re.compile(r"-[0-9]")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p = sub.add_parser("selftest", help="run all brute-force oracle suites")
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -1,17 +1,16 @@
-"""Dual-side data: the two-step grading of the unipotent radical and the
-identification of the factor representation in its degree-2 piece.
+"""Dual-side oracles for `selftest`: the two-step grading of the unipotent
+radical and the operator that identifies the factor in its degree-2 piece.
 
 The degree-2 piece is the n×n block; the group of the quadratic extension
 acts on it through the signed anti-transposition x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹,
 whose trace (-1)^r·n detects which of the two extensions of the tensor
-square occurs.  That involution permutes the basis e_{kl} up to sign, so it
-is carried as a `SignedPerm` of rank n²: the trace is the sum of the signs
-at its fixed points and the involution property is a composition.
+square occurs; `selftest` checks it against `eisenstein.asai_sign(r)·n`.
+That involution permutes the basis e_{kl} up to sign, so it is carried as
+a `SignedPerm` of rank n²: the trace is the sum of the signs at its fixed
+points and the involution property is a composition.
 """
 
 from __future__ import annotations
-
-import math
 
 from .record import Record
 from .weyl import SignedPerm
@@ -30,28 +29,6 @@ def phi_perm(N: int) -> SignedPerm:
     if N < 1:
         raise DualError("need N ≥ 1")
     return SignedPerm(tuple((-1) ** (N - j) * (N + 1 - j) for j in range(1, N + 1)))
-
-
-class RepDescriptor(Record):
-    """A named factor representation with its degree."""
-
-    _fields = ("kind", "degree", "sign")
-
-    def __init__(self, kind: str, degree: int, sign: int = 0):
-        """``kind`` is std, asai, wedge2, sym2, rankin or trivial; ``sign``
-        is ±1 for asai, 0 otherwise."""
-        if kind not in ("std", "asai", "wedge2", "sym2", "rankin", "trivial"):
-            raise DualError(f"unknown representation kind {kind!r}")
-        if kind == "asai":
-            if sign not in (1, -1):
-                raise DualError("asai needs a sign")
-            if degree < 0 or math.isqrt(degree) ** 2 != degree:
-                raise DualError("asai degree must be a perfect square")
-        elif sign:
-            raise DualError("only asai carries a sign")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "sign", sign)
 
 
 class GradedNilradical(Record):
@@ -112,16 +89,6 @@ def grade_nilradical_by_roots(n: int, r: int) -> dict:
     return buckets
 
 
-def asai_trace(sign: int, n: int) -> int:
-    """Trace of the nontrivial coset on either extension of the tensor
-    square: sign·n."""
-    if sign not in (1, -1):
-        raise DualError("sign must be ±1")
-    if n < 0:
-        raise DualError("n must be ≥ 0")
-    return sign * n
-
-
 def conjugation_operator(n: int, r: int) -> SignedPerm:
     """The involution x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹ on n×n matrices, as a
     rank-n² signed permutation of the basis e_{kl} (row-major, 1-based
@@ -139,22 +106,3 @@ def conjugation_operator(n: int, r: int) -> SignedPerm:
             index = (abs(a) - 1) * n + abs(b)
             images.append(index if sign * a * b > 0 else -index)
     return SignedPerm(tuple(images))
-
-
-def identify_R1(n: int, r: int):
-    """The degree-2 factor: the extension of the tensor square with sign
-    (-1)^r, witnessed by the explicit conjugation operator.
-
-    Returns (descriptor, operator); the operator's trace equals the sign
-    times n and it squares to the identity.
-    """
-    if n < 1 or r < 0:
-        raise DualError("need n ≥ 1, r ≥ 0")
-    sign = (-1) ** r
-    op = conjugation_operator(n, r)
-    tr = op.trace()
-    if tr != sign * n:
-        raise DualError(f"operator trace {tr} does not match {sign * n}")
-    if not op.then(op).is_identity():
-        raise DualError("conjugation operator is not an involution")
-    return RepDescriptor("asai", n * n, sign=sign), op

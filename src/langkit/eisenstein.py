@@ -13,6 +13,7 @@ derivation log.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Optional
 
@@ -69,22 +70,53 @@ class HypothesisError(EisensteinError):
 # L-factor references and the ledger
 
 
+# kind -> number of labels; an Asai factor carries its parity sign, 1 or -1,
+# between the kind and its label
+FACTOR_KINDS = {"std": 1, "rankin": 2, "bc_rankin": 2, "wedge2": 1, "sym2": 1, "asai": 1}
+
+
+def check_kind(kind, at: str = "kind") -> tuple:
+    """``kind`` as a tuple if it names a factor of FACTOR_KINDS, such as
+    ("rankin", a, b) or ("asai", sign, a); errors name the offending
+    position below ``at``."""
+    kind = tuple(kind)
+    if not kind:
+        raise EisensteinError(f"{at}: must name a factor kind")
+    name = kind[0]
+    if type(name) is not str or name not in FACTOR_KINDS:
+        names = ", ".join(json.dumps(k) for k in FACTOR_KINDS)
+        raise EisensteinError(f"{at}/0: must be one of {names}, not {json.dumps(name)}")
+    signed = name == "asai"
+    for i, x in enumerate(kind[1:], 1):
+        if signed and i == 1:
+            if type(x) is not int or x not in (1, -1):
+                raise EisensteinError(f"{at}/1: must be one of 1, -1, not {json.dumps(x)}")
+        elif type(x) is not str:
+            raise EisensteinError(f"{at}/{i}: must be a string")
+    length = 1 + signed + FACTOR_KINDS[name]
+    if len(kind) != length:
+        raise EisensteinError(f"{at}: has length {len(kind)}, not {length}")
+    return kind
+
+
+def asai_sign(r: int) -> int:
+    """The parity sign (-1)^r of the twisted tensor factor over a core of
+    degree r: the extension of the tensor square that carries the pole."""
+    return -1 if r % 2 else 1
+
+
 class LFactorRef(Record):
     """One factor L(alpha·s + beta, kind)."""
 
     _fields = ("kind", "alpha", "beta")
 
     def __init__(self, kind: tuple, alpha: int, beta: Fraction):
-        """``kind`` is ("rankin", a, b), ("std", a), ("wedge2", a), ("sym2", a),
-        ("asai", sign, a) or ("bc_rankin", a, b)."""
-        beta = rat(beta)
+        """``kind`` passes `check_kind`; ``alpha`` is 1 or 2."""
         if alpha not in (1, 2):
             raise EisensteinError("argument slope must be 1 or 2")
-        if kind[0] not in ("rankin", "std", "wedge2", "sym2", "asai", "bc_rankin"):
-            raise EisensteinError(f"unknown factor kind {kind[0]!r}")
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", check_kind(kind))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", rat(beta))
 
     def point_at(self, s) -> Fraction:
         return self.alpha * rat(s) + self.beta
@@ -201,8 +233,7 @@ def _aux_kind(ambient: GroupDescriptor, pi: CuspidalRecord, rho: CuspidalRecord)
     if fam == SO_ODD:
         return ("sym2", pi.label)
     if fam == UNITARY:
-        sign = (-1) ** (rho.degree % 2)
-        return ("asai", sign, pi.label)
+        return ("asai", asai_sign(rho.degree), pi.label)
     raise EisensteinError(f"no auxiliary factor for family {fam}")
 
 
@@ -478,9 +509,9 @@ def _validate_unitary_target(pi: CuspidalRecord, rho: CuspidalRecord):
     if pi.duality != CONJ_SELFDUAL or rho.duality != CONJ_SELFDUAL:
         raise HypothesisError("unitary target needs conjugate-self-dual records")
     r = rho.degree
-    if pi.eta != (-1) ** (r % 2):
+    if pi.eta != asai_sign(r):
         raise HypothesisError("sign condition violated: block parity must be (-1)^r")
-    if rho.eta != (-1) ** ((r - 1) % 2):
+    if rho.eta != asai_sign(r - 1):
         raise HypothesisError("sign condition violated: core parity must be (-1)^(r-1)")
     needed = algebraicity_required(pi.degree, r)
     if pi.algebraicity != needed:

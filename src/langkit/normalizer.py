@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import rules
+from .eisenstein import LFactorRef
 from .rationals import HALF, rat, rat_str
 from .record import Record
 from .weyl import SignedPerm, length_additive
@@ -90,39 +91,24 @@ class QuasiTemperedSelfdual(Record):
 # elementary ratios
 
 
-class Ratio(Record):
-    """L(arg, kind)/L(arg+1, kind) with arg = slope·s + offset."""
+class Ratio(LFactorRef):
+    """L(arg, kind)/L(arg+1, kind) for the factor L(arg, kind) of one of the
+    families "i", "ii-", "ii+", "iii", "iv"."""
 
-    _fields = ("family", "kind", "slope", "offset")
+    _fields = ("family", "kind", "alpha", "beta")
 
-    def __init__(self, family: str, kind: tuple, slope: int, offset: Fraction):
-        """``family`` is one of "i", "ii-", "ii+", "iii", "iv"."""
+    def __init__(self, family: str, kind: tuple, alpha: int, beta: Fraction):
+        super().__init__(kind, alpha, beta)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "offset", rat(offset))
-
-    def arg_str(self) -> str:
-        base = f"{self.slope}s" if self.slope != 1 else "s"
-        if self.offset:
-            base += f"+{rat_str(self.offset)}" if self.offset > 0 else rat_str(self.offset)
-        return base
-
-    def serialize(self) -> dict:
-        return {
-            "family": self.family,
-            "numerator": f"L({self.arg_str()}, {self._body()})",
-            "denominator": f"L({self.arg_str()}+1, {self._body()})",
-        }
-
-    def _body(self) -> str:
-        k = self.kind
-        if k[0] == "pair":
-            return f"{k[1]} x {k[2]}"
-        return f"{k[1]}, {k[0]}"
 
 
-AUX_KINDS = ("wedge2", "sym2", "asai+", "asai-")
+# the scenario's names for the auxiliary square -> the kind prefix of its factor
+AUX_KINDS = {
+    "wedge2": ("wedge2",),
+    "sym2": ("sym2",),
+    "asai+": ("asai", 1),
+    "asai-": ("asai", -1),
+}
 
 
 def factor_normalization(
@@ -137,23 +123,23 @@ def factor_normalization(
     (iv)  the auxiliary square of each block at 2s+2a_i.
     """
     if aux_kind not in AUX_KINDS:
-        raise NormalizerError(f"auxiliary kind must be one of {AUX_KINDS}")
+        raise NormalizerError(f"auxiliary kind must be one of {tuple(AUX_KINDS)}")
     out = []
     rho_label = "+".join(rho.selfdual_parts)
     for seg in pi.segments:
-        out.append(Ratio("i", ("pair", seg.label, rho_label), 1, seg.a))
+        out.append(Ratio("i", ("rankin", seg.label, rho_label), 1, seg.a))
     for seg in pi.segments:
         for lab, b in rho.paired_parts:
-            out.append(Ratio("ii-", ("pair", seg.label, f"{lab}^"), 1, seg.a - b))
-            out.append(Ratio("ii+", ("pair", seg.label, lab), 1, seg.a + b))
+            out.append(Ratio("ii-", ("rankin", seg.label, f"{lab}^"), 1, seg.a - b))
+            out.append(Ratio("ii+", ("rankin", seg.label, lab), 1, seg.a + b))
     segs = pi.segments
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             out.append(
-                Ratio("iii", ("pair", segs[i].label, segs[j].label), 2, segs[i].a + segs[j].a)
+                Ratio("iii", ("rankin", segs[i].label, segs[j].label), 2, segs[i].a + segs[j].a)
             )
     for seg in pi.segments:
-        out.append(Ratio("iv", (aux_kind, seg.label), 2, 2 * seg.a))
+        out.append(Ratio("iv", AUX_KINDS[aux_kind] + (seg.label,), 2, 2 * seg.a))
     return out
 
 
@@ -163,11 +149,11 @@ def square_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> list:
     out = []
     segs = pi.segments
     for seg in segs:
-        out.append(Ratio("iv", (aux_kind, seg.label), 2, 2 * seg.a))
+        out.append(Ratio("iv", AUX_KINDS[aux_kind] + (seg.label,), 2, 2 * seg.a))
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             out.append(
-                Ratio("iii", ("pair", segs[i].label, segs[j].label), 2, segs[i].a + segs[j].a)
+                Ratio("iii", ("rankin", segs[i].label, segs[j].label), 2, segs[i].a + segs[j].a)
             )
     return out
 
@@ -177,11 +163,11 @@ def verify_wedge_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> boo
     multiset of (kind, argument) pairs, with the square expansion."""
     rho = QuasiTemperedSelfdual(("1",), ())
     got = [
-        (r.kind, r.slope, r.offset)
+        (r.kind, r.alpha, r.beta)
         for r in factor_normalization(pi, rho, aux_kind)
         if r.family in ("iii", "iv")
     ]
-    want = [(r.kind, r.slope, r.offset) for r in square_expansion(pi, aux_kind)]
+    want = [(r.kind, r.alpha, r.beta) for r in square_expansion(pi, aux_kind)]
     return sorted(got) == sorted(want)
 
 
@@ -196,18 +182,11 @@ class FactorClassification(Record):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "rule", rule)
 
-    def serialize(self) -> dict:
-        out = self.ratio.serialize()
-        out["status"] = self.status
-        out["bound"] = rat_str(self.bound)
-        out["rule"] = self.rule
-        return out
-
 
 def classify_holomorphy(ratios) -> list:
     """Status of every ratio on Re(s) ≥ 1/2.
 
-    All numerators have argument real part ≥ slope/2 + offset; with
+    All numerators have argument real part ≥ alpha/2 + beta; with
     tempered inducing data a positive bound certifies holomorphic nonzero.
     The minus-twist family is the only one whose bound can be ≤ 0 and is
     flagged as the pole candidate.  Denominators sit one unit further
@@ -215,14 +194,12 @@ def classify_holomorphy(ratios) -> list:
     """
     out = []
     for ratio in ratios:
-        bound = ratio.slope * HALF + ratio.offset
+        bound = ratio.alpha * HALF + ratio.beta
         if ratio.family == "ii-":
             status, rule = "pole_candidate", rules.cite("ratio-pole-candidate")
         else:
             if bound <= 0:
-                raise NormalizerError(
-                    f"unbounded argument: {ratio.serialize()['numerator']}"
-                )
+                raise NormalizerError(f"unbounded argument: {ratio.serialize()}")
             status, rule = "holo_nonzero", rules.cite("ratio-bound-positive")
         out.append(FactorClassification(ratio, status, bound, rule))
     return out

@@ -187,14 +187,15 @@ class AutModel(Record):
     _fields = ("unit_map", "eps")
 
     def __init__(self, unit_map: tuple = (), eps: int = 1):
-        """``unit_map`` is a tuple of (symbol, image) pairs; a missing
-        symbol is fixed."""
-        pairs = tuple(sorted(dict(unit_map).items()))
-        dst = [d for _, d in pairs]
-        if len(set(dst)) != len(dst):
+        """``unit_map`` is a tuple of (symbol, image) pairs whose images are
+        its symbols; a missing symbol is fixed, and fixed pairs are dropped,
+        so equal models act alike."""
+        table = dict(unit_map)
+        if set(table) != set(table.values()):
             raise SatakeError("unit_map must be a bijection on symbols")
         if type(eps) is not int or eps not in (1, -1):
             raise SatakeError(f"eps must be the int 1 or -1, not {eps!r}")
+        pairs = tuple(sorted((s, d) for s, d in table.items() if s != d))
         object.__setattr__(self, "unit_map", pairs)
         object.__setattr__(self, "eps", eps)
 

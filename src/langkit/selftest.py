@@ -62,7 +62,8 @@ def _suite_modulus():
 
 
 def _suite_grading_and_operator():
-    from .dual import asai_trace, grade_nilradical, grade_nilradical_by_roots, identify_R1
+    from .dual import conjugation_operator, grade_nilradical, grade_nilradical_by_roots
+    from .eisenstein import asai_sign
 
     for n in range(1, 7):
         for r in range(0, 7):
@@ -72,8 +73,8 @@ def _suite_grading_and_operator():
                 raise AssertionError(f"grading mismatch {n} {r}")
     for n in range(1, 5):
         for r in range(0, 5):
-            desc, op = identify_R1(n, r)
-            if op.trace() != asai_trace((-1) ** r, n):
+            op = conjugation_operator(n, r)
+            if op.trace() != asai_sign(r) * n:
                 raise AssertionError(f"trace mismatch {n} {r}")
             if not op.then(op).is_identity():
                 raise AssertionError(f"involution fails {n} {r}")

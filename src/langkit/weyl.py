@@ -366,7 +366,7 @@ class ParabolicShape(Record):
             if fam in "BC":
                 order *= 2**m * math.factorial(m)
             elif fam == "D":
-                order *= (2 ** (m - 1) if m >= 1 else 1) * math.factorial(m)
+                order *= 2 ** (m - 1) * math.factorial(m)
         return order
 
 

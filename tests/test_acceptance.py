@@ -88,12 +88,13 @@ def _dense_conjugation(n, r):
 
 
 def test_criterion_03_conjugation_operator():
-    from langkit.dual import asai_trace, identify_R1
+    from langkit.dual import conjugation_operator
+    from langkit.eisenstein import asai_sign
 
     start = time.monotonic()
     for n in range(1, 5):
         for r in range(0, 5):
-            desc, op = identify_R1(n, r)
+            op = conjugation_operator(n, r)
             m = _dense_conjugation(n, r)
             N = n * n
             dense = [[0] * N for _ in range(N)]
@@ -101,11 +102,10 @@ def test_criterion_03_conjugation_operator():
                 v = op(j)
                 dense[abs(v) - 1][j - 1] = 1 if v > 0 else -1
             assert dense == m
-            assert sum(m[i][i] for i in range(N)) == (-1) ** r * n == asai_trace((-1) ** r, n)
+            assert sum(m[i][i] for i in range(N)) == (-1) ** r * n == asai_sign(r) * n
             assert op.trace() == (-1) ** r * n
             assert _matmul(m, m) == [[int(i == j) for j in range(N)] for i in range(N)]
             assert op.then(op).is_identity()
-            assert desc.sign == (-1) ** r
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(3, f"operator trace (-1)^r·n and involution for n,r <= 4 ({elapsed:.2f}s)")

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,38 @@ def test_every_public_name_is_used_by_the_package():
         and name not in TEST_ORACLES
     ]
     assert unused == []
+
+
+# public methods and properties that only tests call, each named
+TEST_ONLY_METHODS = {
+    "SatakeClass.is_inversion_stable",
+    "AutModel.compose",
+    "GroupDescriptor.std_degree",
+    "GradedNilradical.as_dict",
+    "GradedNilradical.total_dim",
+    "RootDatum.is_dominant",
+}
+
+
+def test_every_public_method_is_used_by_the_package():
+    """A method counts as used when its name is read as an attribute
+    somewhere in the package outside its own body."""
+
+    def attrs(tree) -> Counter:
+        return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+    modules = _package_modules()
+    everywhere = sum((attrs(tree) for tree in modules.values()), Counter())
+    unused = {
+        f"{cls.name}.{node.name}"
+        for tree in modules.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if everywhere[node.name] == attrs(node)[node.name]
+    }
+    assert unused == TEST_ONLY_METHODS
 
 
 def test_scenario_types_are_checked_in_one_place():
@@ -438,6 +471,7 @@ TARGET_ERROR = (
 )
 SEGMENT = {"pi": {"segments": []}, "rho": {"selfdual": ["r0"]}}
 SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
+FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
 
 
 @pytest.mark.parametrize(
@@ -524,6 +558,22 @@ SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
          "/embeddings/complex_pairs/0: has length 3, not 2"),
         ("root-number", {"embeddings": {"complex_pairs": [["c1"]]}},
          "/embeddings/complex_pairs/0: has length 1, not 2"),
+        ("pole", {"ledger_overrides": [{"factor": ["bogus", "pi"], "point": "1", "order": 0}]},
+         f'/ledger_overrides/0/factor/0: must be one of {FACTOR_KINDS}, not "bogus"'),
+        ("pole", {"ledger_overrides": [{"factor": ["asai", "pi"], "point": "1", "order": 0}]},
+         '/ledger_overrides/0/factor/1: must be one of 1, -1, not "pi"'),
+        ("pole", {"ledger_overrides": [{"factor": ["wedge2"], "point": "1", "order": 0}]},
+         "/ledger_overrides/0/factor: has length 1, not 2"),
+        ("pole", {"ledger_overrides": [{"factor": [], "point": "1", "order": 0}]},
+         "/ledger_overrides/0/factor: must name a factor kind"),
+        ("pole", {"ledger_overrides": [{"factor": ["wedge2", "pi", "x"], "point": "1", "order": 0}]},
+         "/ledger_overrides/0/factor: has length 3, not 2"),
+        ("pole", {"ledger_overrides": [{"factor": [1, "pi"], "point": "1", "order": 0}]},
+         f"/ledger_overrides/0/factor/0: must be one of {FACTOR_KINDS}, not 1"),
+        ("pole", {"ledger_overrides": [{"factor": ["asai", 1, 2], "point": "1", "order": 0}]},
+         "/ledger_overrides/0/factor/2: must be a string"),
+        ("satake-act", {"satake_class": SATAKE, "aut_spec": {"unit_map": {"u1": "u2"}}},
+         "/aut_spec: unit_map must be a bijection on symbols"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -534,6 +584,42 @@ def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message)
     proc = run_cli(command, "--scenario", str(p))
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_override_accepts_every_factor_kind(tmp_path):
+    """One override per kind of the table, at a point no verdict reads."""
+    scn = json.loads((cli.scenario_dir() / "thmB.json").read_text())
+    factors = (
+        ["std", "pi"],
+        ["rankin", "pi", "rho"],
+        ["bc_rankin", "pi", "rho"],
+        ["wedge2", "pi"],
+        ["sym2", "rho"],
+        ["asai", -1, "pi"],
+    )
+    scn["ledger_overrides"] = [{"factor": f, "point": "7", "order": 0} for f in factors]
+    p = tmp_path / "kinds.json"
+    p.write_text(json.dumps(scn))
+    proc = run_cli("pole", "--scenario", str(p))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("pole", "--scenario", "thmB").stdout
+
+
+@pytest.mark.parametrize(
+    "family,blocks,weight",
+    [("C", "2", "-1,-2"), ("A", "1,2", "-1,-2,-3"), ("A", "2,1", "-1/2,-1/2,-5/2")],
+)
+def test_negative_weight_is_a_value(family, blocks, weight):
+    """``--weight -1,-2`` reads as ``--weight=-1,-2``, not as an option."""
+    common = ("kostant", "--family", family, "--rank", "2", "--blocks", blocks)
+    spaced = run_cli(*common, "--weight", weight)
+    joined = run_cli(*common, f"--weight={weight}")
+    assert "usage:" not in joined.stderr
+    assert (spaced.stdout, spaced.stderr, spaced.returncode) == (
+        joined.stdout,
+        joined.stderr,
+        joined.returncode,
+    )
 
 
 def test_non_integer_blocks_is_a_usage_error():

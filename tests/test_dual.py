@@ -2,14 +2,12 @@ import pytest
 
 from langkit.dual import (
     DualError,
-    RepDescriptor,
-    asai_trace,
     conjugation_operator,
     grade_nilradical,
     grade_nilradical_by_roots,
-    identify_R1,
     phi_perm,
 )
+from langkit.eisenstein import asai_sign
 
 # Dense integer oracle, independent of the signed-permutation code.
 
@@ -98,12 +96,12 @@ class TestGrading:
 
 class TestConjugationOperator:
     def test_trace_values(self):
-        desc, op = identify_R1(2, 1)
-        assert desc.sign == -1 and trace(dense(op)) == op.trace() == -2
-        desc, op = identify_R1(1, 0)
-        assert desc.sign == 1 and trace(dense(op)) == op.trace() == 1
-        desc, op = identify_R1(3, 2)
-        assert desc.sign == 1 and trace(dense(op)) == op.trace() == 3
+        op = conjugation_operator(2, 1)
+        assert asai_sign(1) == -1 and trace(dense(op)) == op.trace() == -2
+        op = conjugation_operator(1, 0)
+        assert asai_sign(0) == 1 and trace(dense(op)) == op.trace() == 1
+        op = conjugation_operator(3, 2)
+        assert asai_sign(2) == 1 and trace(dense(op)) == op.trace() == 3
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("r", range(0, 5))
@@ -113,35 +111,15 @@ class TestConjugationOperator:
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("r", range(0, 5))
     def test_involution_and_trace(self, n, r):
-        desc, op = identify_R1(n, r)
+        op = conjugation_operator(n, r)
         m = dense_operator(n, r)
         assert dense(op) == m
         assert matmul(m, m) == identity(n * n)
         assert op.then(op).is_identity()
-        assert trace(m) == op.trace() == asai_trace((-1) ** r, n)
-        assert desc.kind == "asai" and desc.degree == n * n
+        assert trace(m) == op.trace() == asai_sign(r) * n
 
     def test_signed_permutation_shape(self):
         m = dense(conjugation_operator(3, 1))
         assert len(m) == 9
         assert all(sorted(map(abs, row)) == [0] * 8 + [1] for row in m)
         assert all(sorted(map(abs, col)) == [0] * 8 + [1] for col in zip(*m))
-
-
-class TestAsaiDescriptor:
-    @pytest.mark.parametrize("root", [1, 3, 2**53 + 1, 10**200])
-    def test_large_perfect_squares(self, root):
-        assert RepDescriptor("asai", root * root, sign=1).degree == root * root
-
-    @pytest.mark.parametrize("degree", [2, 8, (2**53 + 1) ** 2 + 1, 10**400 - 1])
-    def test_non_squares(self, degree):
-        with pytest.raises(DualError, match="perfect square"):
-            RepDescriptor("asai", degree, sign=-1)
-
-
-def test_asai_trace_values():
-    assert asai_trace(1, 3) == 3
-    assert asai_trace(-1, 3) == -3
-    assert asai_trace(1, 0) == 0
-    with pytest.raises(DualError):
-        asai_trace(2, 3)

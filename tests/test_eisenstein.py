@@ -9,6 +9,8 @@ from langkit.eisenstein import (
     HypothesisError,
     LFactorRef,
     LQuotient,
+    asai_sign,
+    check_kind,
     constant_term_quotient,
     default_ledger,
     pole_at_half,
@@ -97,6 +99,48 @@ class TestQuotient:
             constant_term_quotient(unitary(6), PI_E, RHO_E)
         with pytest.raises(EisensteinError):
             constant_term_quotient(sp(4), PI_B, RHO_B)
+
+
+class TestFactorKinds:
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            (("std", "pi"), "L(2s-1/2, pi)"),
+            (("rankin", "pi", "rho"), "L(2s-1/2, pi x rho)"),
+            (("bc_rankin", "pi", "rho"), "L(2s-1/2, pi x bc(rho))"),
+            (("wedge2", "pi"), "L(2s-1/2, pi, wedge2)"),
+            (("sym2", "pi"), "L(2s-1/2, pi, sym2)"),
+            (("asai", 1, "pi"), "L(2s-1/2, pi, asai+)"),
+            (("asai", -1, "pi"), "L(2s-1/2, pi, asai-)"),
+        ],
+    )
+    def test_every_kind_renders(self, kind, text):
+        assert LFactorRef(list(kind), 2, "-1/2").kind == kind
+        assert LFactorRef(kind, 2, "-1/2").serialize() == text
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ((), "kind: must name a factor kind"),
+            (("pair", "pi", "rho"), 'kind/0: must be one of "std", .*, not "pair"'),
+            (("asai+", "pi"), 'kind/0: must be one of .*, not "asai\\+"'),
+            (("asai", True, "pi"), "kind/1: must be one of 1, -1, not true"),
+            (("asai", "pi"), 'kind/1: must be one of 1, -1, not "pi"'),
+            (("asai", 1), "kind: has length 2, not 3"),
+            (("rankin", "pi", 2), "kind/2: must be a string"),
+            (("std", "pi", "rho"), "kind: has length 3, not 2"),
+        ],
+    )
+    def test_malformed_kinds_are_refused(self, kind, message):
+        with pytest.raises(EisensteinError, match=message):
+            LFactorRef(kind, 1, 0)
+        with pytest.raises(EisensteinError, match=message.replace("kind", "/f", 1)):
+            check_kind(kind, "/f")
+
+    def test_asai_sign_is_the_parity_of_the_core_degree(self):
+        assert [asai_sign(r) for r in range(6)] == [1, -1, 1, -1, 1, -1]
+        q = constant_term_quotient(unitary(5), PI_E, RHO_E)
+        assert q.numerator[1].kind == ("asai", asai_sign(RHO_E.degree), "piu")
 
 
 class TestLedgerAndPole:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from langkit.normalizer import (
+    AUX_KINDS,
     DiscreteSegment,
     NormalizerError,
     QuasiTemperedGL,
@@ -62,14 +63,14 @@ class TestFactorFamilies:
     def test_arguments(self):
         rs = factor_normalization(make_pi("1/4"), RHO1)
         by_family = {r.family: r for r in rs}
-        assert by_family["ii-"].offset == Fraction(0)  # 1/4 - 1/4
-        assert by_family["ii+"].offset == Fraction(1, 2)
-        assert by_family["iv"].slope == 2 and by_family["iv"].offset == Fraction(1, 2)
+        assert by_family["ii-"].beta == Fraction(0)  # 1/4 - 1/4
+        assert by_family["ii+"].beta == Fraction(1, 2)
+        assert by_family["iv"].alpha == 2 and by_family["iv"].beta == Fraction(1, 2)
 
     @pytest.mark.parametrize("aux", ("wedge2", "sym2", "asai+", "asai-"))
     def test_aux_kind_is_a_parameter(self, aux):
         rs = factor_normalization(make_pi("1/4"), RHO0, aux)
-        assert any(r.kind[0] == aux for r in rs)
+        assert any(r.kind == AUX_KINDS[aux] + ("p1",) for r in rs)
 
 
 class TestSquareExpansion:

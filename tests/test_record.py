@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from langkit.arch import I4, AutOnEmbeddings, EmbeddingSet, InfChar
-from langkit.dual import GradedNilradical, RepDescriptor, grade_nilradical
+from langkit.dual import GradedNilradical, grade_nilradical
 from langkit.eisenstein import (
     AnalyticLedger,
     AutSpec,
@@ -59,7 +59,7 @@ def _pi():
 
 
 def _ratio(slope=1):
-    return Ratio("ii-", ("pair", "p1", "r1"), slope, Fraction(-1, 4))
+    return Ratio("ii-", ("rankin", "p1", "r1"), slope, Fraction(-1, 4))
 
 
 def _ledger():
@@ -125,7 +125,7 @@ SAMPLES = {
         lambda: QuasiTemperedSelfdual(["s"], (("r1", "1/4"),)),
         lambda: QuasiTemperedSelfdual(("s", "t"), ()),
     ),
-    Ratio: (_ratio, lambda: _ratio(2), lambda: Ratio("iii", ("p1", "wedge2"), 2, 0)),
+    Ratio: (_ratio, lambda: _ratio(2), lambda: Ratio("iii", ("wedge2", "p1"), 2, 0)),
     FactorClassification: (
         lambda: FactorClassification(_ratio(), "pole_candidate", Fraction(1, 4), "r1"),
         lambda: FactorClassification(_ratio(2), "holo_nonzero", Fraction(3, 4), "r2"),
@@ -148,7 +148,6 @@ SAMPLES = {
         lambda: GroupDescriptor("U", 3),
     ),
     LeviDescriptor: (lambda: maximal_levi(sp(3), 1), lambda: maximal_levi(unitary(5), 2)),
-    RepDescriptor: (lambda: RepDescriptor("asai", 4, 1), lambda: RepDescriptor("std", 3)),
     GradedNilradical: (lambda: grade_nilradical(2, 1), lambda: grade_nilradical(1, 0)),
     LFactorRef: (
         lambda: LFactorRef(("std", "pi"), 1, "1/2"),

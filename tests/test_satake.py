@@ -222,6 +222,30 @@ def test_aut_model_eps_is_the_same_at_every_place():
         assert aut.compose(aut).eps == 1
 
 
+def test_aut_model_drops_fixed_pairs():
+    """Equal models act alike: the unit swap composed with itself is the identity."""
+    units = AutModel((("u1", "u2"), ("u2", "u1")))
+    assert units.compose(units) == IDENTITY_AUT
+    assert SWAP.compose(SWAP) == IDENTITY_AUT
+    assert AutModel((("u1", "u1"),)) == IDENTITY_AUT
+    assert AutModel((("u3", "u3"), ("u2", "u1"), ("u1", "u2"))).unit_map == (
+        ("u1", "u2"),
+        ("u2", "u1"),
+    )
+
+
+def test_aut_model_unit_map_is_a_bijection():
+    """The images are exactly the symbols mapped: a map into an unlisted
+    symbol, which is fixed, is refused, as is a repeated image."""
+    for unit_map in (
+        (("u1", "u2"),),
+        (("u1", "u2"), ("u2", "u3")),
+        (("u1", "u2"), ("u2", "u2")),
+    ):
+        with pytest.raises(SatakeError, match="unit_map must be a bijection"):
+            AutModel(unit_map)
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize(
     "unit", [(), (("u1", 1),), (("u1", -1), ("u2", 1)), (("x_1", 3), ("y", -2))]
