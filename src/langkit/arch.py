@@ -11,8 +11,8 @@ the functional-equation sign and its invariance certificate.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .rationals import doubled, rat, rat_str
 from .record import Record
@@ -112,10 +112,6 @@ class InfChar(Record):
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.data)
-
-    @property
-    def degree(self) -> int:
-        return len(self.data[0][1]) if self.data else 0
 
     def permuted(self, perm: "AutOnEmbeddings") -> "InfChar":
         """Relabel: the new value at ι is the old value at perm⁻¹(ι)."""
@@ -281,12 +277,6 @@ class I4(Record):
 
     def __init__(self, k: int):
         object.__setattr__(self, "k", k % 4)
-
-    def __mul__(self, other: "I4") -> "I4":
-        return I4(self.k + other.k)
-
-    def __pow__(self, n: int) -> "I4":
-        return I4(self.k * n)
 
     def __str__(self):
         return ("1", "i", "-1", "-i")[self.k]

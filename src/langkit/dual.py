@@ -53,13 +53,6 @@ class GradedNilradical(Record):
             raise DualError("grading starts at degree 1 or 2")
         object.__setattr__(self, "components", comps)
 
-    def as_dict(self):
-        return {d: (dim, label) for d, dim, label in self.components}
-
-    @property
-    def total_dim(self) -> int:
-        return sum(dim for _, dim, _ in self.components)
-
 
 def grade_nilradical(n: int, r: int) -> GradedNilradical:
     """Grading of the radical for the block-n Levi: degree 1 holds the two

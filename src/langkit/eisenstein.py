@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from . import rules
 from .arch import (
@@ -163,7 +162,7 @@ class AnalyticLedger(Record):
     _fields = ("entries", "provenance")
     __hash__ = None
 
-    def __init__(self, entries: Optional[dict] = None, provenance: Optional[dict] = None):
+    def __init__(self, entries: dict | None = None, provenance: dict | None = None):
         """``entries`` maps (kind, point) to order; each ledger owns fresh
         dicts unless given its own."""
         object.__setattr__(self, "entries", {} if entries is None else entries)
@@ -373,7 +372,7 @@ def pole_at_half(
 
 
 def residual_parameter(
-    pi: CuspidalRecord, rho: CuspidalRecord, decision: Optional[PoleDecision] = None
+    pi: CuspidalRecord, rho: CuspidalRecord, decision: PoleDecision | None = None
 ) -> ArthurParameter:
     """The discrete parameter of the residue: ladder 2 on the block record
     plus ladder 1 on the core record."""
@@ -391,7 +390,7 @@ class AutSpec(Record):
 
     _fields = ("model", "embeddings")
 
-    def __init__(self, model: AutModel, embeddings: Optional[AutOnEmbeddings] = None):
+    def __init__(self, model: AutModel, embeddings: AutOnEmbeddings | None = None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "embeddings", embeddings)
 
@@ -420,7 +419,7 @@ def _check_infchar_hypotheses(
     target: str,
     pi: CuspidalRecord,
     rho: CuspidalRecord,
-    emb: Optional[EmbeddingSet],
+    emb: EmbeddingSet | None,
 ):
     """Regularity and disjointness at every embedding, per target.
 
@@ -535,10 +534,10 @@ def theorem_pipeline(
     target: str,
     pi: CuspidalRecord,
     rho: CuspidalRecord,
-    emb: Optional[EmbeddingSet],
+    emb: EmbeddingSet | None,
     aut: AutSpec,
     central_order: int = 0,
-    ledger: Optional[AnalyticLedger] = None,
+    ledger: AnalyticLedger | None = None,
     strict: bool = False,
 ) -> PipelineResult:
     """Replay the invariance argument for targets A, B, C (self-dual) and E
@@ -683,8 +682,8 @@ def sign_pipeline(
     target: str,
     pi: CuspidalRecord,
     rho: CuspidalRecord,
-    emb: Optional[EmbeddingSet],
-    ratio_flags: Optional[dict] = None,
+    emb: EmbeddingSet | None,
+    ratio_flags: dict | None = None,
     strict: bool = False,
 ) -> PipelineResult:
     """Sign targets: the self-dual archimedean product (D) or the

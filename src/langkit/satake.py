@@ -7,15 +7,15 @@ int 2e, and u in normal form; `ev` and `parse_eigenvalue` take e as a
 rational and u as tokens or pairs, and normalize both once.  A field
 automorphism is modeled by the only data the computations use: a
 permutation of the unit symbols (compatible with inversion) and the sign
-eps = a(q^{1/2})/q^{1/2} at each place.  Equality of eigenvalues is
-syntactic on the normal form.
+eps = a(q^{1/2})/q^{1/2}, the same at every place.  Equality of
+eigenvalues is syntactic on the normal form.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
 from .rationals import doubled, rat, rat_str
@@ -199,21 +199,16 @@ class AutModel(Record):
         object.__setattr__(self, "unit_map", pairs)
         object.__setattr__(self, "eps", eps)
 
-    def eps_at(self, place: str) -> int:
-        """The sign at ``place``; ``eps`` is the same at every place."""
-        return self.eps
-
     def map_symbol(self, sym: str) -> str:
         return dict(self.unit_map).get(sym, sym)
 
     def apply_unit(self, unit: tuple) -> tuple:
         return _normalize_unit([(self.map_symbol(s), e) for s, e in unit])
 
-    def raw(self, e: Eigenvalue, place: str) -> Eigenvalue:
+    def raw(self, e: Eigenvalue) -> Eigenvalue:
         """Plain coefficient transport a(sign·q^e·u): q^{1/2} ↦ eps·q^{1/2},
         units permuted."""
-        eps = self.eps_at(place)
-        twist = -1 if (eps == -1 and e.q2 % 2 == 1) else 1
+        twist = -1 if (self.eps == -1 and e.q2 % 2 == 1) else 1
         return Eigenvalue(e.q2, self.apply_unit(e.unit), e.sign * twist)
 
     def compose(self, other: "AutModel") -> "AutModel":
@@ -230,8 +225,8 @@ IDENTITY_AUT = AutModel()
 
 
 def eps_m(aut: AutModel, m: int) -> int:
-    """Sign a(q^{(m-1)/2})·q^{-(m-1)/2} at v: +1 for m odd, eps for m even."""
-    return aut.eps_at("v") ** ((m - 1) % 2)
+    """Sign a(q^{(m-1)/2})·q^{-(m-1)/2}: +1 for m odd, eps for m even."""
+    return aut.eps ** ((m - 1) % 2)
 
 
 def _twist_parity(family: GroupDescriptor) -> int:
@@ -260,7 +255,7 @@ def act(aut: AutModel, cls: SatakeClass) -> SatakeClass:
     acquire the square-root normalization sign eps^{2e-1} on sign·q^e·u.
     """
     twist = _twist_parity(cls.family)
-    eps = aut.eps_at(cls.place)
+    eps = aut.eps
 
     def one(e: Eigenvalue) -> Eigenvalue:
         # eps^{2e-1} is -1 exactly when eps = -1 and 2e is even
@@ -268,35 +263,6 @@ def act(aut: AutModel, cls: SatakeClass) -> SatakeClass:
         return Eigenvalue(e.q2, aut.apply_unit(e.unit), e.sign * sign)
 
     return cls.map_eigenvalues(one)
-
-
-def twisted_shift(cls: SatakeClass, two_eps) -> SatakeClass:
-    """Multiply every eigenvalue by q^{⟨ε,·⟩} for a central twist 2ε.
-
-    ``two_eps`` is either a rational (the determinant multiplicity: every
-    eigenvalue is scaled by q^{two_eps/2}) or a coordinate vector, which
-    must be constant to be central.
-    """
-    if isinstance(two_eps, (tuple, list)):
-        vals = {rat(x) for x in two_eps}
-        if len(vals) > 1:
-            raise SatakeError("twist is not central: nonconstant coordinates")
-        two = vals.pop() if vals else Fraction(0)
-    else:
-        two = rat(two_eps)
-    # the shift two/2 is half-integral exactly when two is an integer
-    if two.denominator != 1:
-        raise SatakeError("central twist must scale by a half-integral power")
-    return cls.map_eigenvalues(lambda e: e.scaled(shift2=two.numerator))
-
-
-def act_twisted(aut: AutModel, cls: SatakeClass, two_eps) -> SatakeClass:
-    """z^{-1}·a(z·class) with z = q^{two_eps/2}: the normalization relation
-    the twisted transport satisfies by construction."""
-    shifted = twisted_shift(cls, two_eps)
-    moved = shifted.map_eigenvalues(lambda e: aut.raw(e, cls.place))
-    neg = -rat(two_eps) if not isinstance(two_eps, (tuple, list)) else [-rat(x) for x in two_eps]
-    return twisted_shift(moved, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +277,8 @@ def bc_chain_check(
     n: int,
     r: int,
     aut: AutModel,
-    pi_units: Optional[Iterable[Eigenvalue]] = None,
-    rho_units: Optional[Iterable[Eigenvalue]] = None,
+    pi_units: Iterable[Eigenvalue] | None = None,
+    rho_units: Iterable[Eigenvalue] | None = None,
 ):
     """Replay the sign bookkeeping that identifies the transported residual
     parameter, and compare with the direct target form.
@@ -338,7 +304,7 @@ def bc_chain_check(
     e_N, e_n, e_r, e_0 = (eps_m(aut, m) for m in (N, n, r, 0))
 
     def rawA(evs):
-        return [aut.raw(e, "v") for e in evs]
+        return [aut.raw(e) for e in evs]
 
     steps = []
     # base change of the residual class: the two half shifts of the degree-n
@@ -377,7 +343,7 @@ def bc_chain_check(
 
 
 def eps_identities_hold(aut: AutModel, n: int, r: int) -> bool:
-    """e_N·e_n·e_0 = e_{n+r} and e_N·e_r = 1 for N = 2n+r, at the place v."""
+    """e_N·e_n·e_0 = e_{n+r} and e_N·e_r = 1 for N = 2n+r."""
     N = 2 * n + r
     lhs1 = eps_m(aut, N) * eps_m(aut, n) * eps_m(aut, 0)
     ok1 = lhs1 == eps_m(aut, n + r)

@@ -13,6 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .groups import SO_EVEN, SO_ODD, SP, UNITARY
+from .weyl import ParabolicShape, RootDatum
+
 
 def _suite_word_lengths():
     from .normalizer import intertwining_word
@@ -28,37 +31,70 @@ def _suite_word_lengths():
     return "word lengths: closed count = reduced-word search (rank <= 3), block words on the grid"
 
 
+# the split families by the type of their root datum
+_ROOT_TYPE = {SP: "C", SO_ODD: "B", SO_EVEN: "D"}
+
+
+def _radical_sum(family: str, rank: int, blocks: tuple, core: int = 0) -> tuple:
+    """Coordinates of the sum of the roots of the unipotent radical."""
+    roots = ParabolicShape(blocks, core, RootDatum(family, rank)).radical_roots()
+    return tuple(map(sum, zip(*roots)))
+
+
+def _fold(v) -> tuple:
+    """A GL_N coordinate vector on the relative torus of U(N): coordinate i
+    pairs with N+1-i, and (v_i - v_{N+1-i})/2 is the exponent of |·|_E."""
+    return tuple(Fraction(v[i] - v[-1 - i], 2) for i in range(len(v) // 2))
+
+
+def _levi_root_sum(group, r: int):
+    """δ_P exponent of the block-r maximal Levi, read off the radical's roots.
+    SO(2) has no roots (and `RootDatum` refuses D1)."""
+    N = group.size
+    if group.family == UNITARY:
+        blocks = (r, N - 2 * r, r) if N > 2 * r else (r, r)
+        return _fold(_radical_sum("A", N - 1, blocks))[0]
+    if group.family == SO_EVEN and N == 1:
+        return 0
+    return _radical_sum(_ROOT_TYPE[group.family], N, (r,), N - r)[0]
+
+
+def _borel_root_sum(group) -> tuple:
+    """δ_B exponents from 2ρ; U(1) and SO(2) have no roots."""
+    N = group.size
+    if group.family == UNITARY:
+        return _fold(RootDatum("A", N - 1).twice_rho()) if N > 1 else ()
+    if group.family == SO_EVEN and N == 1:
+        return (0,)
+    return RootDatum(_ROOT_TYPE[group.family], N).twice_rho()
+
+
 def _suite_modulus():
     from .groups import (
+        borel_modulus_compose,
         maximal_levi,
         modulus_borel,
-        modulus_borel_root_sum,
         modulus_levi,
-        modulus_levi_root_sum,
         so_even,
         so_odd,
         sp,
         unitary,
     )
 
-    for n in range(1, 5):
-        for r in range(1, n + 1):
-            for mk in (sp, so_odd, so_even):
-                lv = maximal_levi(mk(n), r)
-                if modulus_levi(lv) != modulus_levi_root_sum(lv):
-                    raise AssertionError(f"modulus mismatch {mk} {n} {r}")
-    for N in range(2, 10):
-        for r in range(1, N // 2 + 1):
-            lv = maximal_levi(unitary(N), r)
-            if modulus_levi(lv) != modulus_levi_root_sum(lv):
-                raise AssertionError(f"unitary modulus mismatch {N} {r}")
-        if modulus_borel(unitary(N)) != modulus_borel_root_sum(unitary(N)):
-            raise AssertionError(f"unitary borel mismatch {N}")
-    for n in range(1, 5):
-        for g in (sp(n), so_odd(n)) + ((so_even(n),) if n >= 2 else ()):
-            if modulus_borel(g) != modulus_borel_root_sum(g):
-                raise AssertionError(f"borel mismatch {g}")
-    return "modulus exponents: closed forms = positive-root sums (all families)"
+    groups = [mk(n) for n in range(1, 5) for mk in (sp, so_odd, so_even)]
+    groups += [unitary(N) for N in range(2, 10)]
+    for g in groups:
+        if modulus_borel(g) != _borel_root_sum(g):
+            raise AssertionError(f"borel mismatch {g.label()}")
+        for r in range(1, (g.size // 2 if g.family == UNITARY else g.size) + 1):
+            if modulus_levi(maximal_levi(g, r)) != _levi_root_sum(g, r):
+                raise AssertionError(f"modulus mismatch {g.label()} block {r}")
+            if not borel_modulus_compose(g, r):
+                raise AssertionError(f"composition fails {g.label()} block {r}")
+    return (
+        "modulus exponents: closed forms = radical root sums (all families), "
+        "delta_B = delta_P * delta_B^M"
+    )
 
 
 def _suite_grading_and_operator():

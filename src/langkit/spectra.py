@@ -9,7 +9,6 @@ given two-term parameter, by the cuspidal count plus multiset matching.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .arch import ArchError, AutOnEmbeddings, InfChar, purity_weight
 from .rationals import rat, rat_str
@@ -46,7 +45,7 @@ class CuspidalRecord(Record):
         eta: int = 0,
         weight: Fraction = Fraction(0),
         algebraicity: str = "none",
-        infchar: Optional[InfChar] = None,
+        infchar: InfChar | None = None,
     ):
         weight = rat(weight)
         if degree < 1:
@@ -115,10 +114,6 @@ class ArthurParameter(Record):
         object.__setattr__(self, "summands", pairs)
 
     @property
-    def degree(self) -> int:
-        return sum(rec.degree * d for rec, d in self.summands)
-
-    @property
     def cuspidal_count(self) -> int:
         return sum(d for _, d in self.summands)
 
@@ -130,8 +125,8 @@ class CuspidalSum(Record):
     """Multiset of (record, j) terms, where j = 2·shift is an int.
 
     Shifts are half-integers, so the ladder kernel (`expand`, `reconstruct`)
-    holds them doubled and builds a `Fraction` only in `serialize`.  Terms
-    are kept sorted by (label, degree, j).
+    holds them doubled and builds a `Fraction` only in its error messages.
+    Terms are kept sorted by (label, degree, j).
     """
 
     _fields = ("terms",)
@@ -147,9 +142,6 @@ class CuspidalSum(Record):
 
     def __len__(self):
         return len(self.terms)
-
-    def serialize(self) -> list:
-        return [{"label": rec.label, "shift": rat_str(Fraction(j, 2))} for rec, j in self.terms]
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
@@ -217,7 +209,7 @@ class LeviCandidate(Record):
 class Verdict(Record):
     _fields = ("accepted", "reason", "block")
 
-    def __init__(self, accepted: bool, reason: str, block: Optional[tuple] = None):
+    def __init__(self, accepted: bool, reason: str, block: tuple | None = None):
         """``block`` is the (record, shift) of the accepted block."""
         object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "reason", reason)
@@ -321,7 +313,7 @@ def purity_consistent(record: CuspidalRecord, emb) -> bool:
     return w == record.weight
 
 
-def duality_preserved(record: CuspidalRecord, emb_action: Optional[AutOnEmbeddings]):
+def duality_preserved(record: CuspidalRecord, emb_action: AutOnEmbeddings | None):
     """Transport a record along a coefficient automorphism: identical
     weight, duality and algebraicity class, infinitesimal character
     relabeled by the embedding action.

@@ -16,18 +16,20 @@ search upward from the identity on integer windows: the cost follows the
 |W|/|W_M| outputs, not the order of W.
 
 The kernel is integer-only.  Roots are int vectors, built by one helper;
-the Levi's simple roots are selected from the datum's; 2ρ is the int sum
-of the positive roots; and `kostant_weights` doubles λ once, computes the
-shifted weights 2(w(λ+ρ)-ρ) on ints and reads dominance off the sign of an
-integer pairing.  `Weight.coords` stay `Fraction`s at the interface.
+the Levi's simple roots are selected from the datum's, and the roots of
+the unipotent radical by an integer pairing; 2ρ is the int sum of the
+positive roots; and `kostant_weights` doubles λ once, computes the shifted
+weights 2(w(λ+ρ)-ρ) on ints and reads dominance off the sign of an integer
+pairing.  `Weight.coords` stay `Fraction`s at the interface.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import mul
 
 from .rationals import doubled, rat, rat_str
 from .record import Record
@@ -121,9 +123,6 @@ class SignedPerm(Record):
         if self.rank != other.rank:
             raise WeylError("rank mismatch in composition")
         return SignedPerm(_then(self.images, other.images))
-
-    def inverse(self) -> "SignedPerm":
-        return SignedPerm(_inverse_window(self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
@@ -356,6 +355,15 @@ class ParabolicShape(Record):
             levi.append(simples[-1])
         return levi
 
+    def radical_roots(self) -> list:
+        """The positive roots of the unipotent radical: those that pair
+        positively with the grading element in which block k of b (counted
+        from 0) gets b - k on each of its coordinates and the core gets 0."""
+        b = len(self.gl_block_sizes)
+        h = [b - k for k, size in enumerate(self.gl_block_sizes) for _ in range(size)]
+        h += [0] * self.core_rank
+        return [root for root in self.ambient.positive_roots() if sum(map(mul, root, h)) > 0]
+
     def levi_order(self) -> int:
         order = 1
         for b in self.gl_block_sizes:
@@ -445,9 +453,9 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     """
     if len(lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
-    twice_lam = [doubled(c) for c in lam.coords]
-    if not _pairs_nonnegative(map(_sparse, datum.simple_roots()), twice_lam):
+    if not datum.is_dominant(lam):
         raise WeylError(f"weight {lam} is not dominant")
+    twice_lam = [doubled(c) for c in lam.coords]
     twice_rho = datum.twice_rho()
     twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
     levi = list(map(_sparse, shape.levi_simple_roots()))

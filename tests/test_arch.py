@@ -136,8 +136,7 @@ class TestEpsArch:
     @pytest.mark.parametrize("a", ("1/2", "1", "3/2", "2"))
     def test_fourth_roots(self, a):
         v = eps_arch("real_induced", a)
-        assert (v * v * v * v) == I4(0)
-        assert (v * v) == I4(2 * (int(2 * Fraction(a)) + 1))
+        assert I4(2 * v.k) == I4(2 * (int(2 * Fraction(a)) + 1))
 
     def test_rejects_negative(self):
         with pytest.raises(ArchError):

@@ -81,15 +81,15 @@ class TestPhi:
 
 class TestGrading:
     def test_small_cases(self):
-        assert grade_nilradical(1, 1).as_dict() == {1: (2, "R2"), 2: (1, "R1")}
-        assert grade_nilradical(2, 3).as_dict() == {1: (12, "R2"), 2: (4, "R1")}
-        assert grade_nilradical(2, 0).as_dict() == {2: (4, "R1")}
+        assert grade_nilradical(1, 1).components == ((1, 2, "R2"), (2, 1, "R1"))
+        assert grade_nilradical(2, 3).components == ((1, 12, "R2"), (2, 4, "R1"))
+        assert grade_nilradical(2, 0).components == ((2, 4, "R1"),)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("r", range(0, 7))
     def test_against_root_enumeration(self, n, r):
         grading = grade_nilradical(n, r)
-        assert grading.total_dim == n * n + 2 * n * r
+        assert sum(dim for _, dim, _ in grading.components) == n * n + 2 * n * r
         by_roots = grade_nilradical_by_roots(n, r)
         assert {d: dim for d, dim, _ in grading.components} == by_roots
 

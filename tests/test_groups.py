@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from langkit import groups, selftest
 from langkit.groups import (
     GroupError,
     borel_modulus_compose,
     maximal_levi,
     modulus_borel,
-    modulus_borel_root_sum,
     modulus_levi,
-    modulus_levi_root_sum,
     so_even,
     so_odd,
     sp,
     unitary,
 )
+from langkit.selftest import _borel_root_sum, _levi_root_sum
 
 
 class TestModulusLevi:
@@ -32,13 +32,13 @@ class TestModulusLevi:
         for r in range(1, n + 1):
             for make in (sp, so_odd, so_even):
                 levi = maximal_levi(make(n), r)
-                assert modulus_levi(levi) == modulus_levi_root_sum(levi)
+                assert modulus_levi(levi) == _levi_root_sum(make(n), r)
 
     @pytest.mark.parametrize("N", range(2, 10))
     def test_unitary_against_root_sum(self, N):
         for r in range(1, N // 2 + 1):
             levi = maximal_levi(unitary(N), r)
-            assert modulus_levi(levi) == modulus_levi_root_sum(levi)
+            assert modulus_levi(levi) == _levi_root_sum(unitary(N), r)
 
     def test_needs_maximal(self):
         from langkit.groups import LeviDescriptor
@@ -59,14 +59,12 @@ class TestModulusBorel:
 
     @pytest.mark.parametrize("N", range(1, 10))
     def test_unitary_oracle(self, N):
-        assert modulus_borel(unitary(N)) == modulus_borel_root_sum(unitary(N))
+        assert modulus_borel(unitary(N)) == _borel_root_sum(unitary(N))
 
     def test_split_oracle(self):
         for n in range(1, 5):
-            assert modulus_borel(sp(n)) == modulus_borel_root_sum(sp(n))
-            assert modulus_borel(so_odd(n)) == modulus_borel_root_sum(so_odd(n))
-            if n >= 2:
-                assert modulus_borel(so_even(n)) == modulus_borel_root_sum(so_even(n))
+            for g in (sp(n), so_odd(n), so_even(n)):
+                assert modulus_borel(g) == _borel_root_sum(g)
 
     def test_compositionality(self):
         for N in range(2, 10):
@@ -76,3 +74,30 @@ class TestModulusBorel:
             for r in range(1, n + 1):
                 assert borel_modulus_compose(sp(n), r)
                 assert borel_modulus_compose(so_odd(n), r)
+                assert borel_modulus_compose(so_even(n), r)
+
+
+@pytest.mark.parametrize(
+    "name,family",
+    [
+        ("modulus_levi", groups.SP),
+        ("modulus_levi", groups.UNITARY),
+        ("modulus_borel", groups.SO_ODD),
+    ],
+)
+def test_modulus_suite_catches_an_off_by_one(monkeypatch, name, family):
+    """An off-by-one closed form for one family fails the root-sum oracle of
+    `selftest`, and only the modulus suite."""
+    closed = getattr(groups, name)
+
+    def wrong(arg):  # a maximal Levi or a group
+        value = closed(arg)
+        if getattr(arg, "ambient", arg).family != family:
+            return value
+        return value - 1 if name == "modulus_levi" else value[:-1] + (value[-1] + 1,)
+
+    monkeypatch.setattr(groups, name, wrong)
+    lines, ok = selftest.run_all()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert not ok and len(failed) == 1
+    assert failed[0].startswith("FAIL _suite_modulus: ") and "mismatch" in failed[0]

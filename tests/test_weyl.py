@@ -15,6 +15,7 @@ from langkit.weyl import (
     Weight,
     WeylError,
     _POSITIVE_ROOT_COUNTS,
+    _inverse_window,
     all_signed_perms,
     bfs_length,
     kostant_reps,
@@ -27,6 +28,10 @@ from langkit.weyl import (
 # ---------------------------------------------------------------------------
 # oracle helpers over the root data: the Weyl group by enumeration, lengths
 # by counting roots, and the Cartan matrix in Fraction arithmetic
+
+
+def inverse(w: SignedPerm) -> SignedPerm:
+    return SignedPerm(_inverse_window(w.images))
 
 
 def cartan_entry(alpha, beta) -> Fraction:
@@ -135,8 +140,8 @@ class TestAdditivity:
 def test_inverse_has_same_length(t, data):
     perms = list(all_signed_perms(t))
     w = data.draw(st.sampled_from(perms))
-    assert w.length() == w.inverse().length()
-    assert w.then(w.inverse()).is_identity()
+    assert w.length() == inverse(w).length()
+    assert w.then(inverse(w)).is_identity()
 
 
 class TestRootData:
@@ -351,7 +356,7 @@ def brute_force_reps(datum, shape):
     levi_simples = shape.levi_simple_roots()
     reps = []
     for w in weyl_elements(datum):
-        winv = w.inverse()
+        winv = inverse(w)
         if all(winv.act_coords(a) in positive for a in levi_simples):
             reps.append((w.images, length_of(datum, w)))
     return sorted(reps, key=lambda pair: (pair[1], pair[0]))
