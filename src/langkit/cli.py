@@ -318,7 +318,7 @@ def _report(command: str, scn_name: str, payload: dict) -> dict:
 
 def cmd_normalize(scn: dict, strict: bool, override) -> dict:
     pi, rho, aux = parse_quasi_tempered(_field(scn, "quasi_tempered", dict, ""))
-    return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict).serialize()
+    return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict)
 
 
 def _ledger_and_central_order(scn: dict, pi: CuspidalRecord, rho: CuspidalRecord, override):
@@ -341,7 +341,7 @@ def cmd_check_scenario(scn: dict, strict: bool, override) -> dict:
     aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), emb)
     if target in ("D", "F"):
         res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
-        return {"target": target, **res.serialize()}
+        return {"target": target, **res}
     effective = target
     if target == "custom":
         effective = "E" if pi.duality == CONJ_SELFDUAL else "C"
@@ -349,7 +349,7 @@ def cmd_check_scenario(scn: dict, strict: bool, override) -> dict:
     res = theorem_pipeline(
         effective, pi, rho, emb, aut, central_order=central, ledger=ledger, strict=strict
     )
-    return {"target": target, **res.serialize()}
+    return {"target": target, **res}
 
 
 def cmd_pole(scn: dict, strict: bool, override) -> dict:
@@ -396,7 +396,7 @@ def cmd_root_number(scn: dict, strict: bool, override) -> dict:
     if target not in ("D", "F"):
         target = "F" if pi.duality == CONJ_SELFDUAL else "D"
     res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
-    return {"target": target, **res.serialize()}
+    return {"target": target, **res}
 
 
 def cmd_satake_act(scn: dict, strict: bool, override) -> dict:
@@ -405,10 +405,9 @@ def cmd_satake_act(scn: dict, strict: bool, override) -> dict:
     family = _field(raw, "family", str, at)
     size = _field(raw, "size", int, at)
     eigenvalues = _field(raw, "eigenvalues", [str], at)
-    place = _field(raw, "place", str, at, "v")
     try:
         group = GroupDescriptor(family, size)
-        cls = SatakeClass(tuple(parse_eigenvalue(e) for e in eigenvalues), group, place)
+        cls = SatakeClass(tuple(parse_eigenvalue(e) for e in eigenvalues), group)
     except ValueError as exc:
         raise ScenarioError(f"{at}: {exc}") from exc
     aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), None)

@@ -41,7 +41,7 @@ from .groups import (
     ambient_with_block,
     unitary,
 )
-from .rationals import rat, rat_str
+from .rationals import HALF, rat, rat_str
 from .record import Record
 from .satake import AutModel, bc_chain_check, eps_identities_hold
 from .spectra import (
@@ -217,7 +217,7 @@ class PoleDecision(Record):
             "has_pole": self.has_pole,
             "total_order": self.total_order,
             "contributing_factors": list(self.contributing_factors),
-            "derivation": [{"claim": c, "citation": r} for c, r in self.derivation],
+            "derivation": [rules.cited(c, r) for c, r in self.derivation],
         }
 
 
@@ -322,49 +322,34 @@ def pole_at_half(
     """
     if central_order < 0:
         raise EisensteinError("central order is an order of vanishing, ≥ 0")
-    half = Fraction(1, 2)
-    derivation = []
-    total = 0
-    contributing = []
     pair, aux = quotient.numerator
-    total += central_order
-    derivation.append(
+    aux_point = aux.point_at(HALF)
+    aux_order = ledger.order(aux.kind, aux_point)
+    total = central_order + aux_order
+    contributing = [aux.serialize()] if aux_order < 0 else []
+    derivation = [
         (
             f"declared central order of {pair.serialize()} at 1/2 is {central_order}",
-            rules.cite("central-nonvanishing-gate"),
-        )
-    )
-    aux_order = ledger.order(aux.kind, aux.point_at(half))
-    total += aux_order
-    derivation.append(
-        (
-            f"{aux.serialize()} has order {aux_order} at {rat_str(aux.point_at(half))}",
-            rules.cite("aux-pole-duality"),
-        )
-    )
-    if aux_order < 0:
-        contributing.append(aux.serialize())
+            "central-nonvanishing-gate",
+        ),
+        (f"{aux.serialize()} has order {aux_order} at {rat_str(aux_point)}", "aux-pole-duality"),
+    ]
     for f in quotient.denominator:
-        o = ledger.order(f.kind, f.point_at(half))
-        if o != 0:
+        point = f.point_at(HALF)
+        if ledger.order(f.kind, point) != 0:
             raise EisensteinError(
                 f"denominator factor {f.serialize()} is not regular nonzero"
             )
         derivation.append(
-            (
-                f"{f.serialize()} is regular nonzero at {rat_str(f.point_at(half))}",
-                rules.cite("denominator-regular"),
-            )
+            (f"{f.serialize()} is regular nonzero at {rat_str(point)}", "denominator-regular")
         )
-    derivation.append(
+    derivation += [
         (
             "normalized local operators contribute no zero or pole on the region",
-            rules.cite("normalized-operator-region"),
-        )
-    )
-    derivation.append(
-        ("epsilon factors are order-0 units", rules.cite("epsilon-units"))
-    )
+            "normalized-operator-region",
+        ),
+        ("epsilon factors are order-0 units", "epsilon-units"),
+    ]
     has_pole = total < 0
     if has_pole:
         contributing.append("central value nonzero: " + pair.serialize())
@@ -395,24 +380,23 @@ class AutSpec(Record):
         object.__setattr__(self, "embeddings", embeddings)
 
 
-class PipelineResult(Record):
-    _fields = ("verdict", "derivation", "warnings", "details")
-    __hash__ = None
+def refuse_open_choices(warnings, strict: bool):
+    """Strict mode refuses a run that relies on open-question choices."""
+    if strict and warnings:
+        raise HypothesisError(
+            "strict mode: open-question choices relied upon: " + ", ".join(sorted(warnings))
+        )
 
-    def __init__(self, verdict: str, derivation: list, warnings: list, details: dict):
-        """``derivation`` is a list of {"step", "claim", "citation"}."""
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "derivation", derivation)
-        object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "details", details)
 
-    def serialize(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "derivation": self.derivation,
-            "warnings": sorted(self.warnings),
-            "details": self.details,
-        }
+def _pipeline_report(verdict: str, steps: list, warnings: list, details: dict) -> dict:
+    """The report payload of a pipeline; ``steps`` are (claim, rule id)
+    pairs, numbered from 1 in the report."""
+    return {
+        "verdict": verdict,
+        "derivation": [rules.cited(c, r, step=i) for i, (c, r) in enumerate(steps, 1)],
+        "warnings": sorted(warnings),
+        "details": details,
+    }
 
 
 def _check_infchar_hypotheses(
@@ -539,13 +523,14 @@ def theorem_pipeline(
     central_order: int = 0,
     ledger: AnalyticLedger | None = None,
     strict: bool = False,
-) -> PipelineResult:
+) -> dict:
     """Replay the invariance argument for targets A, B, C (self-dual) and E
     (conjugate-self-dual): pole, residual parameter, transport, support
     classification, transported pole, conclusion.
 
     Targets with a declared central zero return the vanishing direction of
-    the equivalence instead (both sides vanish).
+    the equivalence instead (both sides vanish).  Returns the report
+    payload: verdict, numbered derivation, sorted warnings and details.
     """
     if target not in ("A", "B", "C", "E"):
         raise EisensteinError(f"theorem_pipeline does not handle target {target!r}")
@@ -559,10 +544,7 @@ def theorem_pipeline(
     ambient = target_ambient(target, pi, rho)
     _check_infchar_hypotheses(target, pi, rho, emb)
 
-    if strict and warnings:
-        raise HypothesisError(
-            "strict mode: open-question choices relied upon: " + ", ".join(sorted(warnings))
-        )
+    refuse_open_choices(warnings, strict)
 
     quotient = constant_term_quotient(ambient, pi, rho)
     led = (ledger or default_ledger(pi, rho)).copy()
@@ -576,28 +558,23 @@ def theorem_pipeline(
     }
 
     if not decision.has_pole:
-        derivation = [
-            {
-                "step": 1,
-                "claim": "declared central zero: the quotient stays regular at the half point",
-                "citation": rules.cite("central-nonvanishing-gate"),
-            },
-            {
-                "step": 2,
-                "claim": "the central zero transports: both sides vanish",
-                "citation": rules.cite("dichotomy"),
-            },
+        steps = [
+            (
+                "declared central zero: the quotient stays regular at the half point",
+                "central-nonvanishing-gate",
+            ),
+            ("the central zero transports: both sides vanish", "dichotomy"),
         ]
-        return PipelineResult(
-            "both sides vanish (order >= 1 on each side)", derivation, warnings, details
+        return _pipeline_report(
+            "both sides vanish (order >= 1 on each side)", steps, warnings, details
         )
 
     psi = residual_parameter(pi, rho, decision)
     details["residual_parameter"] = psi.serialize()
 
     # transport of the records (the trivial record transports to itself)
-    moved_pi, _ = duality_preserved(pi, aut.embeddings)
-    moved_rho = rho if rho.is_trivial else duality_preserved(rho, aut.embeddings)[0]
+    moved_pi = duality_preserved(pi, aut.embeddings)
+    moved_rho = rho if rho.is_trivial else duality_preserved(rho, aut.embeddings)
     details["transported"] = {
         "pi": moved_pi.serialize(),
         "rho": moved_rho.serialize(),
@@ -633,49 +610,31 @@ def theorem_pipeline(
         raise EisensteinError("transported quotient lost its pole")
     details["transported_pole"] = decision_moved.serialize()
 
-    derivation = [
-        {
-            "step": 1,
-            "claim": (
-                "central value nonzero and auxiliary pole present: the series has a "
-                "pole at the half point"
-            ),
-            "citation": rules.cite("central-nonvanishing-gate"),
-        },
-        {
-            "step": 2,
-            "claim": "the residue is square-integrable with the ladder-2 parameter",
-            "citation": rules.cite("residual-parameter"),
-        },
-        {
-            "step": 3,
-            "claim": (
-                "rational structure transports the eigensystem; unramified data "
-                "follow the twisted coefficient action"
-                + (", verified by the base-change chain" if target == "E" else "")
-            ),
-            "citation": rules.cite(
-                "satake-transport" if target == "E" else "rational-structure-transport"
-            ),
-        },
-        {
-            "step": 4,
-            "claim": (
-                "the transported parameter is supported only on the transported "
-                "block at shift 1/2 over the transported core"
-            ),
-            "citation": rules.cite("support-uniqueness"),
-        },
-        {
-            "step": 5,
-            "claim": (
-                "the transported constant-term quotient must carry the pole, so the "
-                "transported central value is nonzero"
-            ),
-            "citation": rules.cite("pole-back-transport"),
-        },
+    steps = [
+        (
+            "central value nonzero and auxiliary pole present: the series has a pole at "
+            "the half point",
+            "central-nonvanishing-gate",
+        ),
+        ("the residue is square-integrable with the ladder-2 parameter", "residual-parameter"),
+        (
+            "rational structure transports the eigensystem; unramified data follow the "
+            "twisted coefficient action"
+            + (", verified by the base-change chain" if target == "E" else ""),
+            "satake-transport" if target == "E" else "rational-structure-transport",
+        ),
+        (
+            "the transported parameter is supported only on the transported block at "
+            "shift 1/2 over the transported core",
+            "support-uniqueness",
+        ),
+        (
+            "the transported constant-term quotient must carry the pole, so the "
+            "transported central value is nonzero",
+            "pole-back-transport",
+        ),
     ]
-    return PipelineResult("nonvanishing invariant: YES", derivation, warnings, details)
+    return _pipeline_report("nonvanishing invariant: YES", steps, warnings, details)
 
 
 def sign_pipeline(
@@ -685,44 +644,29 @@ def sign_pipeline(
     emb: EmbeddingSet | None,
     ratio_flags: dict | None = None,
     strict: bool = False,
-) -> PipelineResult:
+) -> dict:
     """Sign targets: the self-dual archimedean product (D) or the
     conjugate-self-dual transport ratio (F), with the order-parity
-    conclusion."""
+    conclusion; the report payload as `theorem_pipeline` returns it."""
     if target == "D":
         if {pi.duality, rho.duality} != {SELFDUAL_SYMPLECTIC, SELFDUAL_ORTHOGONAL}:
             raise HypothesisError("sign target needs one record of each self-dual type")
         if emb is None or pi.infchar is None or rho.infchar is None:
             raise HypothesisError("sign target needs infinitesimal characters")
         warnings = ["complex-place-count-parity"] if emb.d_C else []
-        if strict and warnings:
-            raise HypothesisError(
-                "strict mode: open-question choices relied upon: " + ", ".join(warnings)
-            )
+        refuse_open_choices(warnings, strict)
         sign, cert = root_number_selfdual(
             emb, pi.infchar, rho.infchar, pi.degree, rho.degree
         )
         parity = parity_of_order(sign)
-        derivation = [
-            {
-                "step": 1,
-                "claim": f"archimedean sign product equals {sign}",
-                "citation": rules.cite("arch-sign-multiset-invariance"),
-            },
-            {
-                "step": 2,
-                "claim": "the sign is fixed under every embedding relabeling",
-                "citation": rules.cite("arch-sign-multiset-invariance"),
-            },
-            {
-                "step": 3,
-                "claim": f"central vanishing order is {parity} on both sides",
-                "citation": rules.cite("order-parity"),
-            },
+        steps = [
+            (f"archimedean sign product equals {sign}", "arch-sign-multiset-invariance"),
+            ("the sign is fixed under every embedding relabeling", "arch-sign-multiset-invariance"),
+            (f"central vanishing order is {parity} on both sides", "order-parity"),
         ]
-        return PipelineResult(
+        return _pipeline_report(
             f"sign {sign}: order parity {parity} invariant",
-            derivation,
+            steps,
             warnings,
             {"sign": sign, "certificate": cert},
         )
@@ -739,22 +683,17 @@ def sign_pipeline(
             eps_i=flags.get("eps_i", 1),
             discriminant_consistency=flags.get("discriminant_consistency", True),
         )
-        derivation = [
-            {
-                "step": 1,
-                "claim": f"transport ratio of the two contributions equals {ratio}",
-                "citation": rules.cite("discriminant-sign-relation"),
-            },
-            {
-                "step": 2,
-                "claim": "order parity is invariant exactly when the ratio is 1",
-                "citation": rules.cite("order-parity"),
-            },
+        steps = [
+            (
+                f"transport ratio of the two contributions equals {ratio}",
+                "discriminant-sign-relation",
+            ),
+            ("order parity is invariant exactly when the ratio is 1", "order-parity"),
         ]
         verdict = (
             "sign invariant: ratio 1"
             if ratio == 1
             else f"raw ratio {ratio} (consistency relation not imposed)"
         )
-        return PipelineResult(verdict, derivation, [], {"ratio": ratio, "d_C": d_C})
+        return _pipeline_report(verdict, steps, [], {"ratio": ratio, "d_C": d_C})
     raise EisensteinError(f"sign_pipeline does not handle target {target!r}")

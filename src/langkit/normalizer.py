@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import rules
-from .eisenstein import LFactorRef
+from .eisenstein import LFactorRef, refuse_open_choices
 from .rationals import HALF, rat, rat_str
 from .record import Record
 from .weyl import SignedPerm, length_additive
@@ -255,34 +255,14 @@ def intertwining_word(t: int, u: int):
 # the verdict
 
 
-class HolomorphyVerdict(Record):
-    _fields = ("statement", "certificate", "word_lengths", "warnings")
-    __hash__ = None
-
-    def __init__(self, statement: str, certificate: list, word_lengths: dict, warnings: list):
-        """``certificate`` is a list of {"part", "claim", "citation", ...}."""
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "word_lengths", word_lengths)
-        object.__setattr__(self, "warnings", warnings)
-
-    def serialize(self) -> dict:
-        return {
-            "statement": self.statement,
-            "certificate": self.certificate,
-            "word_lengths": self.word_lengths,
-            "warnings": sorted(self.warnings),
-        }
-
-
 def holomorphy_verdict(
     pi: QuasiTemperedGL,
     rho: QuasiTemperedSelfdual,
     aux_kind: str = "wedge2",
     strict: bool = False,
-) -> HolomorphyVerdict:
+) -> dict:
     """The normalized operator is holomorphic on Re(s) ≥ 1/2 and not
-    identically zero on Re(s) = 1/2.
+    identically zero on Re(s) = 1/2; returns the report payload.
 
     Certificate parts: the normalization ratio divided by the minus-twist
     pair ratios is holomorphic nonzero on the region; the normalized
@@ -291,26 +271,19 @@ def holomorphy_verdict(
     remaining rank-one operators have positive-real-part arguments.
     """
     warnings = ["word-length-additivity"]
-    if strict:
-        raise NormalizerError(
-            "strict mode: open-question choices relied upon: word-length-additivity"
-        )
-    ratios = factor_normalization(pi, rho, aux_kind)
-    classified = classify_holomorphy(ratios)
-    cert = []
+    refuse_open_choices(warnings, strict)
+    classified = classify_holomorphy(factor_normalization(pi, rho, aux_kind))
     n_candidates = sum(1 for c in classified if c.status == "pole_candidate")
-    cert.append(
-        {
-            "part": "normalization-ratio",
-            "claim": (
-                f"{len(classified) - n_candidates} ratio factors are holomorphic "
-                "nonzero on the region; only the minus-twist pair factors remain"
-            ),
-            "citation": rules.cite("ratio-bound-positive"),
-        }
-    )
+    cert = [
+        rules.cited(
+            f"{len(classified) - n_candidates} ratio factors are holomorphic nonzero on the "
+            "region; only the minus-twist pair factors remain",
+            "ratio-bound-positive",
+            part="normalization-ratio",
+        )
+    ]
     t, u = len(pi.segments), len(rho.paired_parts)
-    w, w1, w2, lengths = intertwining_word(t, u)
+    *_, lengths = intertwining_word(t, u)
     if u:
         windows = []
         for seg in pi.segments:
@@ -322,32 +295,25 @@ def holomorphy_verdict(
                     f"{seg.label} vs {lab}: Re(arg) = {rat_str(value)} in (-1/2, 1)"
                 )
         cert.append(
-            {
-                "part": "gl-blocks",
-                "claim": (
-                    "normalized rank-one operators against the pairs are "
-                    "holomorphic for Re(s) ≥ 1/2 and invertible on Re(s) = 1/2: "
-                    + "; ".join(windows)
-                ),
-                "citation": rules.cite("gl-block-window"),
-            }
+            rules.cited(
+                "normalized rank-one operators against the pairs are holomorphic for "
+                "Re(s) ≥ 1/2 and invertible on Re(s) = 1/2: " + "; ".join(windows),
+                "gl-block-window",
+                part="gl-blocks",
+            )
         )
-    positives = []
-    for seg in pi.segments:
-        positives.append(f"{seg.label}: Re(a+s) ≥ {rat_str(seg.a + HALF)} > 0")
+    positives = [f"{seg.label}: Re(a+s) ≥ {rat_str(seg.a + HALF)} > 0" for seg in pi.segments]
     cert.append(
-        {
-            "part": "non-normalized",
-            "claim": (
-                "remaining rank-one operators have positive argument real part: "
-                + "; ".join(positives)
-            ),
-            "citation": rules.cite("positivity-holomorphy"),
-        }
+        rules.cited(
+            "remaining rank-one operators have positive argument real part: "
+            + "; ".join(positives),
+            "positivity-holomorphy",
+            part="non-normalized",
+        )
     )
-    return HolomorphyVerdict(
-        "holomorphic on Re(s) >= 1/2; not identically zero on Re(s) = 1/2",
-        cert,
-        lengths,
-        warnings,
-    )
+    return {
+        "statement": "holomorphic on Re(s) >= 1/2; not identically zero on Re(s) = 1/2",
+        "certificate": cert,
+        "word_lengths": lengths,
+        "warnings": warnings,
+    }

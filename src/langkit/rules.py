@@ -109,3 +109,9 @@ def cite(rule_id: str) -> str:
     if rule_id not in RULES:
         raise KeyError(f"unknown rule id {rule_id!r}")
     return rule_id
+
+
+def cited(claim: str, rule_id: str, **label) -> dict:
+    """The report form of the derivation step (claim, rule id), with its
+    label, such as step=1 or part="gl-blocks", if it has one."""
+    return {**label, "claim": claim, "citation": cite(rule_id)}

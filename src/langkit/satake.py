@@ -149,20 +149,21 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
 
 
 class SatakeClass(Record):
-    """Multiset of eigenvalues tagged by group family and place."""
+    """Multiset of eigenvalues tagged by group family.  It names no place:
+    eps, the one datum of the action a place could change, is the same
+    sign at every place."""
 
-    _fields = ("eigenvalues", "family", "place")
+    _fields = ("eigenvalues", "family")
 
-    def __init__(self, eigenvalues: tuple, family: GroupDescriptor, place: str = "v"):
+    def __init__(self, eigenvalues: tuple, family: GroupDescriptor):
         object.__setattr__(self, "eigenvalues", tuple(sorted(eigenvalues, key=Eigenvalue.sort_key)))
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "place", place)
 
     def multiset(self):
         return sorted(e.sort_key() for e in self.eigenvalues)
 
     def map_eigenvalues(self, fn) -> "SatakeClass":
-        return SatakeClass(tuple(fn(e) for e in self.eigenvalues), self.family, self.place)
+        return SatakeClass(tuple(fn(e) for e in self.eigenvalues), self.family)
 
     def is_inversion_stable(self) -> bool:
         """Multiset equality with its eigenvalue-wise inverse."""

@@ -11,16 +11,60 @@ deployed install can revalidate itself.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
-from .groups import SO_EVEN, SO_ODD, SP, UNITARY
-from .weyl import ParabolicShape, RootDatum
+from .arch import AutOnEmbeddings, EmbeddingSet, InfChar, eps_arch, root_number_selfdual
+from .dual import conjugation_operator, grade_nilradical, grade_nilradical_by_roots
+from .eisenstein import (
+    LFactorRef,
+    LQuotient,
+    asai_sign,
+    constant_term_quotient,
+    default_ledger,
+    pole_at_half,
+)
+from .groups import (
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    UNITARY,
+    ambient_with_block,
+    borel_modulus_compose,
+    maximal_levi,
+    modulus_borel,
+    modulus_levi,
+    so_even,
+    so_odd,
+    sp,
+    unitary,
+)
+from .normalizer import (
+    DiscreteSegment,
+    QuasiTemperedGL,
+    QuasiTemperedSelfdual,
+    classify_holomorphy,
+    factor_normalization,
+    intertwining_word,
+    verify_wedge_expansion,
+)
+from .rationals import rat
+from .satake import AutModel, bc_chain_check, eps_identities_hold
+from .spectra import (
+    SELFDUAL_ORTHOGONAL,
+    SELFDUAL_SYMPLECTIC,
+    TRIVIAL,
+    ArthurParameter,
+    CuspidalRecord,
+    candidate_family,
+    classify_levi_support,
+    expand,
+    reconstruct,
+)
+from .weyl import ParabolicShape, RootDatum, all_signed_perms, bfs_length
 
 
 def _suite_word_lengths():
-    from .normalizer import intertwining_word
-    from .weyl import all_signed_perms, bfs_length
-
     for t in range(1, 5):
         for u in range(0, 5):
             intertwining_word(t, u)  # raises on any length mismatch
@@ -70,17 +114,6 @@ def _borel_root_sum(group) -> tuple:
 
 
 def _suite_modulus():
-    from .groups import (
-        borel_modulus_compose,
-        maximal_levi,
-        modulus_borel,
-        modulus_levi,
-        so_even,
-        so_odd,
-        sp,
-        unitary,
-    )
-
     groups = [mk(n) for n in range(1, 5) for mk in (sp, so_odd, so_even)]
     groups += [unitary(N) for N in range(2, 10)]
     for g in groups:
@@ -98,9 +131,6 @@ def _suite_modulus():
 
 
 def _suite_grading_and_operator():
-    from .dual import conjugation_operator, grade_nilradical, grade_nilradical_by_roots
-    from .eisenstein import asai_sign
-
     for n in range(1, 7):
         for r in range(0, 7):
             got = {d: dim for d, dim, _ in grade_nilradical(n, r).components}
@@ -118,8 +148,6 @@ def _suite_grading_and_operator():
 
 
 def _suite_transport():
-    from .satake import AutModel, bc_chain_check, eps_identities_hold
-
     for n in range(1, 7):
         for r in range(0, 7):
             for e in (1, -1):
@@ -133,16 +161,6 @@ def _suite_transport():
 
 
 def _suite_round_trip():
-    from .spectra import (
-        SELFDUAL_ORTHOGONAL,
-        SELFDUAL_SYMPLECTIC,
-        TRIVIAL,
-        ArthurParameter,
-        CuspidalRecord,
-        expand,
-        reconstruct,
-    )
-
     recs = [
         CuspidalRecord("a", 2, duality=SELFDUAL_SYMPLECTIC),
         CuspidalRecord("b", 3, duality=SELFDUAL_ORTHOGONAL),
@@ -162,15 +180,6 @@ def _suite_round_trip():
 
 
 def _suite_classification():
-    from .spectra import (
-        SELFDUAL_ORTHOGONAL,
-        SELFDUAL_SYMPLECTIC,
-        ArthurParameter,
-        CuspidalRecord,
-        candidate_family,
-        classify_levi_support,
-    )
-
     pi = CuspidalRecord("pi", 2, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
     rho = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
     target = ArthurParameter(((pi, 2), (rho, 1)))
@@ -187,10 +196,6 @@ def _suite_classification():
 
 
 def _suite_pole_table():
-    from .eisenstein import constant_term_quotient, default_ledger, pole_at_half
-    from .groups import ambient_with_block
-    from .spectra import SELFDUAL_ORTHOGONAL, SELFDUAL_SYMPLECTIC, CuspidalRecord
-
     results = []
     for duality in (SELFDUAL_SYMPLECTIC, SELFDUAL_ORTHOGONAL):
         deg = 2 if duality == SELFDUAL_SYMPLECTIC else 3
@@ -210,8 +215,6 @@ def _suite_pole_table():
                 raise AssertionError(f"pole table {duality} central={central}")
             results.append(has)
     # mismatched square: orthogonal block forced into the alternating square
-    from .eisenstein import LFactorRef, LQuotient
-
     pi = CuspidalRecord("pi", 2, duality=SELFDUAL_ORTHOGONAL, algebraicity="half_algebraic")
     rho = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
     q = LQuotient(
@@ -232,15 +235,6 @@ def _suite_pole_table():
 
 
 def _suite_factorization():
-    from .normalizer import (
-        DiscreteSegment,
-        QuasiTemperedGL,
-        QuasiTemperedSelfdual,
-        classify_holomorphy,
-        factor_normalization,
-        verify_wedge_expansion,
-    )
-
     for t in range(1, 5):
         for u in range(0, 5):
             segs = tuple(
@@ -260,11 +254,6 @@ def _suite_factorization():
 
 
 def _suite_arch_signs():
-    import random
-
-    from .arch import AutOnEmbeddings, EmbeddingSet, InfChar, eps_arch, root_number_selfdual
-    from .rationals import rat
-
     rng = random.Random(20240815)
     for case in range(100):
         d_r = rng.randint(1, 3)

@@ -132,11 +132,9 @@ SHARED_METHOD_NAMES = {
         "ArthurParameter",
         "CuspidalRecord",
         "Eigenvalue",
-        "HolomorphyVerdict",
         "InfChar",
         "LFactorRef",
         "LQuotient",
-        "PipelineResult",
         "PoleDecision",
         "SatakeClass",
         "Verdict",
@@ -179,6 +177,20 @@ def test_shared_method_names_are_pinned():
     for cls, node in _public_methods(_package_modules()):
         owners.setdefault(node.name, set()).add(cls.name)
     assert {name: c for name, c in owners.items() if len(c) > 1} == SHARED_METHOD_NAMES
+
+
+def test_cited_steps_are_built_by_the_rules_function():
+    """No dict display in eisenstein or normalizer writes a "citation" key:
+    every cited step goes through `rules.cited`."""
+    modules = _package_modules()
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name in ("eisenstein", "normalizer")
+        for node in ast.walk(modules[name])
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "citation" for k in node.keys)
+    ]
+    assert offenders == []
 
 
 def test_scenario_types_are_checked_in_one_place():
@@ -761,3 +773,41 @@ def test_every_dropped_field_keeps_the_exit_code_contract(tmp_path, capsys, name
         if code not in (0, 2, 3) or (code and not err.startswith("error: ")):
             violations.append((pointer, code, err))
     assert violations == []
+
+
+SCENARIO_COMMANDS = ("check-scenario", "pole", "classify", "root-number", "normalize", "satake-act")
+# exit code with --strict, per command, over LIBRARY in order
+STRICT_EXIT_CODES = {
+    "check-scenario": (2, 2, 2, 0, 2, 0, 2, 2, 2),
+    "pole": (0, 0, 0, 3, 0, 0, 2, 2, 2),
+    "classify": (0, 0, 0, 0, 0, 0, 2, 2, 2),
+    "root-number": (0, 0, 0, 0, 0, 0, 2, 2, 2),
+    "normalize": (2, 2, 2, 2, 2, 2, 2, 2, 2),
+    "satake-act": (2, 2, 2, 2, 2, 2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_strict_exit_code(capsys, command, name):
+    """--strict meeting an open-question choice is exit 2 on every command,
+    with the one refusal message."""
+    code = cli.main([command, "--scenario", name, "--strict"])
+    err = capsys.readouterr().err
+    assert code == STRICT_EXIT_CODES[command][LIBRARY.index(name)], err
+    if command in ("check-scenario", "normalize") and name.startswith("appendix"):
+        refusal = "strict mode: open-question choices relied upon: word-length-additivity"
+        assert err == f"error: {refusal}\n"
+
+
+REPORTS_GOLDEN = Path(__file__).parent / "golden" / "reports.json"
+REPORTS = json.loads(REPORTS_GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(REPORTS))
+def test_library_report_matches_golden(capsys, key):
+    """Every library (command, scenario) pair that exits 0, in both formats,
+    renders byte-for-byte as recorded."""
+    command, name, fmt = key.split()
+    assert cli.main([command, "--scenario", name, "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == REPORTS[key].encode()

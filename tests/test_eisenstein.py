@@ -255,23 +255,23 @@ class TestResidualParameter:
 class TestPipeline:
     def test_target_b_yes(self):
         res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, central_order=0)
-        assert res.verdict == "nonvanishing invariant: YES"
-        assert [d["step"] for d in res.derivation] == [1, 2, 3, 4, 5]
-        assert all(d["citation"] for d in res.derivation)
+        assert res["verdict"] == "nonvanishing invariant: YES"
+        assert [d["step"] for d in res["derivation"]] == [1, 2, 3, 4, 5]
+        assert all(d["citation"] for d in res["derivation"])
 
     def test_target_b_dichotomy(self):
         res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, central_order=1)
-        assert "vanish" in res.verdict
+        assert "vanish" in res["verdict"]
 
     def test_target_a(self):
         res = theorem_pipeline("A", PI_B, TRIVIAL, EMB, AUT, central_order=0)
-        assert res.verdict == "nonvanishing invariant: YES"
-        assert res.details["ambient"] == "Sp8"
+        assert res["verdict"] == "nonvanishing invariant: YES"
+        assert res["details"]["ambient"] == "Sp8"
 
     def test_target_e(self):
         res = theorem_pipeline("E", PI_E, RHO_E, EMB_E, AUT_E, central_order=0)
-        assert res.verdict == "nonvanishing invariant: YES"
-        assert "satake_chain" in res.details
+        assert res["verdict"] == "nonvanishing invariant: YES"
+        assert "satake_chain" in res["details"]
 
     def test_target_e_wrong_sign(self):
         bad = CuspidalRecord(
@@ -330,7 +330,7 @@ class TestPipeline:
         )
         inv = AutSpec(AutModel(eps=-1), AUT.embeddings.inverse())
         back = theorem_pipeline("B", moved_pi, moved_rho, EMB, inv, 0)
-        assert back.verdict == res.verdict
+        assert back["verdict"] == res["verdict"]
 
     def test_strict_mode_blocks_open_choices(self):
         with pytest.raises(HypothesisError, match="strict"):
@@ -340,8 +340,8 @@ class TestPipeline:
 class TestSignPipelines:
     def test_target_d(self):
         res = sign_pipeline("D", PI_B, RHO_B, EMB)
-        assert res.verdict.startswith("sign ")
-        assert res.details["sign"] in (1, -1)
+        assert res["verdict"].startswith("sign ")
+        assert res["details"]["sign"] in (1, -1)
 
     def test_target_d_needs_opposite_types(self):
         with pytest.raises(HypothesisError):
@@ -349,7 +349,7 @@ class TestSignPipelines:
 
     def test_target_f_consistent(self):
         res = sign_pipeline("F", PI_E, RHO_E, EMB_E)
-        assert res.verdict == "sign invariant: ratio 1"
+        assert res["verdict"] == "sign invariant: ratio 1"
 
     def test_target_f_raw(self):
         # odd r·t with the consistency relation left unset: the raw product
@@ -370,9 +370,9 @@ class TestSignPipelines:
                 "eps_i": 1,
             },
         )
-        assert res.details["ratio"] == -1
+        assert res["details"]["ratio"] == -1
         consistent = sign_pipeline("F", pi1, rho1, EMB_E)
-        assert consistent.details["ratio"] == 1
+        assert consistent["details"]["ratio"] == 1
 
 
 class TestDegreeConsistency:

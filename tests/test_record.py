@@ -23,14 +23,12 @@ from langkit.eisenstein import (
     AutSpec,
     LFactorRef,
     LQuotient,
-    PipelineResult,
     PoleDecision,
 )
 from langkit.groups import GroupDescriptor, LeviDescriptor, maximal_levi, sp, unitary
 from langkit.normalizer import (
     DiscreteSegment,
     FactorClassification,
-    HolomorphyVerdict,
     QuasiTemperedGL,
     QuasiTemperedSelfdual,
     Ratio,
@@ -130,14 +128,10 @@ SAMPLES = {
         lambda: FactorClassification(_ratio(), "pole_candidate", Fraction(1, 4), "r1"),
         lambda: FactorClassification(_ratio(2), "holo_nonzero", Fraction(3, 4), "r2"),
     ),
-    HolomorphyVerdict: (
-        lambda: HolomorphyVerdict("holomorphic", [{"part": "a"}], {"full": 3}, ["w"]),
-        lambda: HolomorphyVerdict("holomorphic", [], {}, []),
-    ),
     Eigenvalue: (lambda: Eigenvalue(1, (("u", 1),), -1), lambda: Eigenvalue(0)),
     SatakeClass: (
         lambda: SatakeClass((Eigenvalue(1), Eigenvalue(-1)), GroupDescriptor("GL", 2)),
-        lambda: SatakeClass((), sp(1), "w"),
+        lambda: SatakeClass((), sp(1)),
     ),
     AutModel: (
         lambda: AutModel((("v", "u"), ("u", "v")), -1),
@@ -165,10 +159,6 @@ SAMPLES = {
     AutSpec: (
         lambda: AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("r1",))),
         lambda: AutSpec(AutModel()),
-    ),
-    PipelineResult: (
-        lambda: PipelineResult("YES", [{"step": 1}], ["w"], {"k": 1}),
-        lambda: PipelineResult("NO", [], [], {}),
     ),
 }
 

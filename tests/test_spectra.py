@@ -269,20 +269,20 @@ class TestTransport:
     )
 
     def test_preserves_fields(self):
-        moved, assertions = duality_preserved(self.REC, None)
-        assert moved.duality == SELFDUAL_SYMPLECTIC
+        moved = duality_preserved(self.REC, None)
+        assert moved.duality == self.REC.duality == SELFDUAL_SYMPLECTIC
         assert moved.weight == self.REC.weight
-        assert moved.algebraicity == "algebraic"
-        assert all(ok for _, ok in assertions)
+        assert moved.algebraicity == self.REC.algebraicity == "algebraic"
+        assert moved.eta == self.REC.eta
 
     def test_permutes_infchar(self):
         perm = AutOnEmbeddings((("r1", "r2"), ("r2", "r1")))
-        moved, _ = duality_preserved(self.REC, perm)
+        moved = duality_preserved(self.REC, perm)
         assert moved.infchar.at("r1") == (5, -5)
 
     def test_identity_aut(self):
         perm = AutOnEmbeddings.identity(("r1", "r2"))
-        moved, _ = duality_preserved(self.REC, perm)
+        moved = duality_preserved(self.REC, perm)
         assert moved.infchar == self.IC
 
     def test_requires_regularity_flags(self):
@@ -293,5 +293,5 @@ class TestTransport:
         rec = CuspidalRecord(
             "u", 2, base="E/F", duality=CONJ_SELFDUAL, eta=-1, algebraicity="algebraic"
         )
-        moved, _ = duality_preserved(rec, None)
+        moved = duality_preserved(rec, None)
         assert moved.eta == -1
