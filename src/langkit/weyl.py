@@ -13,7 +13,11 @@ degree-graded dominant-shifted weights w(λ+ρ)-ρ.  The representatives form
 a lower ideal of the weak order (Kostant 1961; Björner–Brenti,
 *Combinatorics of Coxeter Groups*, §2.4–2.5), so they are found by a level
 search upward from the identity on integer windows: the cost follows the
-|W|/|W_M| outputs, not the order of W.
+|W|/|W_M| outputs, not the order of W.  Each step u → us is tested by
+Deodhar's lemma (Deodhar, Invent. Math. 39, 1977; Björner–Brenti, §2.5):
+when u is minimal in W_M·u and u(α_s) > 0, us is minimal in its coset
+unless u(α_s) is a simple root of the Levi, so one image root and one set
+lookup decide it.
 
 The kernel is integer-only.  Roots are int vectors, built by one helper;
 the Levi's simple roots are selected from the datum's, and the roots of
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
 
@@ -76,13 +80,6 @@ def _then(first: tuple, second: tuple) -> tuple:
     return tuple(second[j - 1] if j > 0 else -second[-j - 1] for j in first)
 
 
-def _inverse_window(window: tuple) -> tuple:
-    inv = [0] * len(window)
-    for i, v in enumerate(window, start=1):
-        inv[abs(v) - 1] = i if v > 0 else -i
-    return tuple(inv)
-
-
 class SignedPerm(Record):
     """A permutation w of {±1, ..., ±t} with w(-i) = -w(i).
 
@@ -93,15 +90,16 @@ class SignedPerm(Record):
     _fields = ("images",)
 
     def __init__(self, images: tuple):
-        object.__setattr__(self, "images", tuple(int(v) for v in images))
+        object.__setattr__(self, "images", tuple(images))
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the window.  Every construction runs it, looked up on the
-        class, so the benchmark tracer can count constructions by patching it."""
+        """Check the window: ints (not bools) whose absolute values are 1..t.
+        Every construction runs it, looked up on the class, so the benchmark
+        tracer can count constructions by patching it."""
         images = self.images
-        seen = sorted(abs(v) for v in images)
-        if seen != list(range(1, len(images) + 1)) or any(v == 0 for v in images):
+        seen = sorted(abs(v) if type(v) is int else 0 for v in images)
+        if seen != list(range(1, len(images) + 1)):
             raise WeylError(f"not a signed permutation window: {images}")
 
     @classmethod
@@ -130,16 +128,6 @@ class SignedPerm(Record):
     def trace(self) -> int:
         """Trace of the signed permutation matrix: the signs at the fixed points."""
         return sum(1 if v > 0 else -1 for i, v in enumerate(self.images, start=1) if abs(v) == i)
-
-    def act_coords(self, coords: Sequence) -> tuple:
-        """Action on a coordinate vector: e_i ↦ e_{w(i)} (e_{-k} = -e_k)."""
-        if len(coords) != self.rank:
-            raise WeylError("rank mismatch in action")
-        out = [0] * self.rank
-        for i, x in enumerate(coords, start=1):
-            v = self(i)
-            out[abs(v) - 1] = x if v > 0 else -x
-        return tuple(out)
 
     def length(self) -> int:
         """Coxeter length for the generators (1 2), ..., (t-1 t), sign flip at t.
@@ -260,8 +248,10 @@ class RootDatum(Record):
     _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        if family not in "ABCD":
+        if family not in ("A", "B", "C", "D"):
             raise WeylError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise WeylError(f"rank must be an int, not {rank!r}")
         if rank < 1:
             raise WeylError("rank must be positive")
         if family == "D" and rank < 2:
@@ -320,7 +310,9 @@ class ParabolicShape(Record):
     _fields = ("gl_block_sizes", "core_rank", "ambient")
 
     def __init__(self, gl_block_sizes: tuple, core_rank: int, ambient: RootDatum):
-        gl_block_sizes = tuple(int(b) for b in gl_block_sizes)
+        gl_block_sizes = tuple(gl_block_sizes)
+        if any(type(b) is not int for b in gl_block_sizes + (core_rank,)):
+            raise WeylError(f"block sizes {gl_block_sizes} and core {core_rank!r} must be ints")
         if any(b < 1 for b in gl_block_sizes):
             raise WeylError("block sizes must be positive")
         if core_rank < 0:
@@ -390,30 +382,32 @@ def _pairs_nonnegative(roots, twice) -> bool:
     return all(sum(c * twice[i] for i, c in root) >= 0 for root in roots)
 
 
-def _sends_positive(window, root) -> bool:
-    """Whether the signed permutation with this window maps the sparse root
-    to a positive root, i.e. one whose lowest-index nonzero coordinate is
-    positive."""
-    _, coeff = min((abs(window[i]), c if window[i] > 0 else -c) for i, c in root)
-    return coeff > 0
+def _image(window, root) -> tuple:
+    """The sparse root w(α) for the signed permutation with this window and
+    the sparse root α, sorted by index: e_i ↦ ±e_{|w(i)|}.  It is positive
+    iff its first coefficient is."""
+    return tuple(sorted([(abs(window[i]) - 1, c if window[i] > 0 else -c) for i, c in root]))
 
 
 def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     """Minimal-length coset representatives for the parabolic, with lengths.
 
-    An element w represents the minimal element of its coset iff w⁻¹ maps
-    every simple root of the Levi to a positive root.  These elements form
-    a lower ideal of the weak order (Björner–Brenti, §2.4–2.5), so they are
-    enumerated level by level from the identity: level k+1 collects the
-    v = s.then(u) with u in level k, s simple, u(α_s) > 0 (the length goes
-    up by one) and v passing the Levi test.  The level number is the
-    length.  Windows stay plain integer tuples; a `SignedPerm` is built
-    only for each returned representative.  Result is sorted by
-    (length, window) and its size equals |W| / |W_M|.
+    The elements minimal in their coset W_M·w form a lower ideal of the
+    weak order (Björner–Brenti, §2.4–2.5), so they are enumerated level by
+    level from the identity: level k+1 collects the v = s.then(u) = us
+    with u in level k and s simple such that u(α_s) > 0, so the length
+    goes up by one.  By Deodhar's lemma (Deodhar, Invent. Math. 39, 1977;
+    Björner–Brenti, §2.5) such a v is minimal in its coset unless u(α_s)
+    is a simple root of the Levi, in which case us = s'u for the Levi
+    reflection s' of that root: one image root and one set lookup decide
+    each step.  The level number is the length.  Windows stay plain
+    integer tuples; a `SignedPerm` is built only for each returned
+    representative.  Result is sorted by (length, window) and its size
+    equals |W| / |W_M|.
     """
     if shape.ambient != datum:
         raise WeylError("shape does not belong to this datum")
-    levi = list(map(_sparse, shape.levi_simple_roots()))
+    levi = frozenset(map(_sparse, shape.levi_simple_roots()))
     gens = list(zip(_simple_windows(datum.family, datum.dim), map(_sparse, datum.simple_roots())))
     top = _POSITIVE_ROOT_COUNTS[datum.family](datum.rank)
     level = [tuple(range(1, datum.dim + 1))]
@@ -426,14 +420,9 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
         nxt = set()
         for u in level:
             for s, alpha in gens:
-                if not _sends_positive(u, alpha):
-                    continue
-                v = _then(s, u)
-                if v in nxt:
-                    continue
-                vinv = _inverse_window(v)
-                if all(_sends_positive(vinv, a) for a in levi):
-                    nxt.add(v)
+                image = _image(u, alpha)
+                if image[0][1] > 0 and image not in levi:
+                    nxt.add(_then(s, u))
         level = nxt
         ell += 1
     expected = datum.order() // shape.levi_order()
@@ -447,9 +436,10 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
 
     λ must be dominant; every returned weight is dominant for the Levi and
     the degree of each entry is the length of its representative.  λ is
-    doubled once and the weights are computed doubled, on integers, with
-    dominance read off the sign of the integer pairing; a `Fraction` is
-    built again only for the returned coordinates.
+    doubled once and the weights are computed doubled, on integers: each
+    representative's window acts on 2(λ+ρ) directly, and dominance is read
+    off the sign of the integer pairing; a `Fraction` is built again only
+    for the returned coordinates.
     """
     if len(lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
@@ -461,7 +451,10 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     levi = list(map(_sparse, shape.levi_simple_roots()))
     out = []
     for w, ell in kostant_reps(datum, shape):
-        shifted = [x - r for x, r in zip(w.act_coords(twice_shift), twice_rho)]
+        acted = [0] * datum.dim
+        for x, v in zip(twice_shift, w.images):
+            acted[abs(v) - 1] = x if v > 0 else -x
+        shifted = [x - r for x, r in zip(acted, twice_rho)]
         if not _pairs_nonnegative(levi, shifted):
             raise WeylError("shifted weight is not Levi-dominant")
         out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted), lam.context)))

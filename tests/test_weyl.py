@@ -15,7 +15,7 @@ from langkit.weyl import (
     Weight,
     WeylError,
     _POSITIVE_ROOT_COUNTS,
-    _inverse_window,
+    _simple_windows,
     all_signed_perms,
     bfs_length,
     kostant_reps,
@@ -31,7 +31,20 @@ from langkit.weyl import (
 
 
 def inverse(w: SignedPerm) -> SignedPerm:
-    return SignedPerm(_inverse_window(w.images))
+    inv = [0] * w.rank
+    for i, v in enumerate(w.images, start=1):
+        inv[abs(v) - 1] = i if v > 0 else -i
+    return SignedPerm(tuple(inv))
+
+
+def act_coords(w: SignedPerm, coords) -> tuple:
+    """Action on a coordinate vector: e_i ↦ e_{w(i)} (e_{-k} = -e_k)."""
+    assert len(coords) == w.rank, "rank mismatch in action"
+    out = [0] * w.rank
+    for i, x in enumerate(coords, start=1):
+        v = w(i)
+        out[abs(v) - 1] = x if v > 0 else -x
+    return tuple(out)
 
 
 def cartan_entry(alpha, beta) -> Fraction:
@@ -71,7 +84,7 @@ def length_of(datum, w) -> int:
     """Number of positive roots of the datum sent to negative roots."""
     count = 0
     for root in datum.positive_roots():
-        img = w.act_coords(root)
+        img = act_coords(w, root)
         first = next(x for x in img if x != 0)
         if first < 0:
             count += 1
@@ -142,6 +155,26 @@ def test_inverse_has_same_length(t, data):
     w = data.draw(st.sampled_from(perms))
     assert w.length() == inverse(w).length()
     assert w.then(inverse(w)).is_identity()
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        pytest.param(SignedPerm, ((2.9, 1),), id="perm-float"),
+        pytest.param(SignedPerm, ((2.0, 1),), id="perm-integral-float"),
+        pytest.param(SignedPerm, ((True, 2),), id="perm-bool"),
+        pytest.param(ParabolicShape, ((2.7,), 2, RootDatum("C", 4)), id="shape-float-block"),
+        pytest.param(ParabolicShape, ((True,), 3, RootDatum("C", 4)), id="shape-bool-block"),
+        pytest.param(ParabolicShape, ((2,), 2.0, RootDatum("C", 4)), id="shape-float-core"),
+        pytest.param(RootDatum, ("C", 4.5), id="datum-float-rank"),
+        pytest.param(RootDatum, ("C", True), id="datum-bool-rank"),
+        pytest.param(RootDatum, ("", 3), id="datum-empty-family"),
+        pytest.param(RootDatum, ("BC", 3), id="datum-two-families"),
+    ],
+)
+def test_constructors_refuse_non_integer_input(cls, args):
+    with pytest.raises(WeylError):
+        cls(*args)
 
 
 class TestRootData:
@@ -357,7 +390,7 @@ def brute_force_reps(datum, shape):
     reps = []
     for w in weyl_elements(datum):
         winv = inverse(w)
-        if all(winv.act_coords(a) in positive for a in levi_simples):
+        if all(act_coords(winv, a) in positive for a in levi_simples):
             reps.append((w.images, length_of(datum, w)))
     return sorted(reps, key=lambda pair: (pair[1], pair[0]))
 
@@ -383,7 +416,7 @@ def all_shapes(family, rank):
 SMALL_SHAPES = [
     shape
     for family, ranks in (
-        ("A", range(1, 5)), ("B", range(2, 5)), ("C", range(2, 5)), ("D", (3, 4))
+        ("A", range(1, 5)), ("B", range(1, 5)), ("C", range(1, 5)), ("D", (2, 3, 4))
     )
     for rank in ranks
     for shape in all_shapes(family, rank)
@@ -399,15 +432,31 @@ SMALL_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "shape",
-    SMALL_SHAPES,
-    ids=lambda s: f"{s.ambient.family}{s.ambient.rank}-{s.gl_block_sizes}-{s.core_rank}",
-)
+def shape_id(shape) -> str:
+    return f"{shape.ambient.family}{shape.ambient.rank}-{shape.gl_block_sizes}-{shape.core_rank}"
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
 def test_level_search_matches_whole_group_filter(shape):
     datum = shape.ambient
     got = [(w.images, ell) for w, ell in kostant_reps(datum, shape)]
     assert got == brute_force_reps(datum, shape)
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+def test_deodhar_dichotomy(shape):
+    """For u minimal in W_M·u and s simple with ℓ(us) = ℓ(u) + 1, counted
+    over the positive roots, us is minimal iff u(α_s) is not a simple root
+    of the Levi: the step the level search takes."""
+    datum = shape.ambient
+    reps = {images for images, _ in brute_force_reps(datum, shape)}
+    levi = set(shape.levi_simple_roots())
+    gens = [SignedPerm(s) for s in _simple_windows(datum.family, datum.dim)]
+    for u in map(SignedPerm, reps):
+        for s, alpha in zip(gens, datum.simple_roots()):
+            us = s.then(u)
+            if length_of(datum, us) == length_of(datum, u) + 1:
+                assert (us.images in reps) == (act_coords(u, alpha) not in levi), (u, s)
 
 
 def weyl_degrees(family, rank):
@@ -454,7 +503,14 @@ def poincare_quotient(family, rank, blocks, core):
 
 @pytest.mark.parametrize(
     "family,rank,blocks,core",
-    [("C", 7, (3,), 4), ("C", 10, (3,), 7), ("D", 10, (3,), 7), ("A", 8, (3, 3, 3), 0)],
+    [
+        ("C", 7, (3,), 4),
+        ("C", 10, (3,), 7),
+        ("D", 10, (3,), 7),
+        ("A", 8, (3, 3, 3), 0),
+        ("C", 10, (5,), 5),
+        ("D", 10, (5,), 5),
+    ],
 )
 def test_length_distribution_beyond_brute_force(family, rank, blocks, core):
     datum = RootDatum(family, rank)
@@ -698,7 +754,7 @@ def test_kostant_weights_match_fraction_arithmetic(datum):
         assert cartan_is_dominant(datum, lam)
         shifted = tuple(x + r for x, r in zip(lam.coords, rho))
         expected = [
-            (ell, Weight(tuple(x - r for x, r in zip(w.act_coords(shifted), rho))))
+            (ell, Weight(tuple(x - r for x, r in zip(act_coords(w, shifted), rho))))
             for w, ell in kostant_reps(datum, shape)
         ]
         assert kostant_weights(lam, datum, shape) == expected
@@ -713,7 +769,7 @@ INTEGER_KERNEL = {
     "_root",
     "_sparse",
     "_pairs_nonnegative",
-    "_sends_positive",
+    "_image",
     "kostant_reps",
 }
 
