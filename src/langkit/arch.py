@@ -27,54 +27,22 @@ class ArchError(ValueError):
 
 
 class EmbeddingSet(Record):
-    """Embedding labels with the conjugation involution; fixed points are
-    the real embeddings, the rest pair up into complex places."""
+    """The real embeddings and the complex places, each place a pair of
+    conjugate embeddings."""
 
-    _fields = ("labels", "involution")
+    _fields = ("real", "complex_pairs")
 
-    def __init__(self, labels: tuple, involution: tuple):
-        """``involution`` is ((label, partner), ...) covering all labels."""
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+    def __init__(self, real: tuple = (), complex_pairs: tuple = ()):
+        """``real`` is (label, ...) and ``complex_pairs`` ((label, label), ...)."""
+        object.__setattr__(self, "real", tuple(real))
+        object.__setattr__(self, "complex_pairs", tuple((a, b) for a, b in complex_pairs))
+        if len(set(self.labels)) != len(self.labels):
             raise ArchError("embedding labels must be distinct")
-        inv = dict(involution)
-        if set(inv) != set(labels):
-            raise ArchError("involution must cover exactly the labels")
-        for a, b in inv.items():
-            if inv.get(b) != a:
-                raise ArchError("involution must be its own inverse")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "involution", tuple(sorted(inv.items())))
-
-    @classmethod
-    def build(cls, real: Iterable[str] = (), complex_pairs: Iterable[tuple] = ()):
-        labels = list(real)
-        inv = {x: x for x in real}
-        for a, b in complex_pairs:
-            labels += [a, b]
-            inv[a], inv[b] = b, a
-        return cls(tuple(labels), tuple(sorted(inv.items())))
-
-    def partner(self, label: str) -> str:
-        return dict(self.involution)[label]
 
     @property
-    def real_labels(self) -> tuple:
-        return tuple(x for x in self.labels if self.partner(x) == x)
-
-    @property
-    def complex_pairs(self) -> tuple:
-        seen, pairs = set(), []
-        for x in self.labels:
-            y = self.partner(x)
-            if y != x and x not in seen:
-                pairs.append((x, y))
-                seen.update((x, y))
-        return tuple(pairs)
-
-    @property
-    def d_R(self) -> int:
-        return len(self.real_labels)
+    def labels(self) -> tuple:
+        """The real labels, then each pair's two labels in turn."""
+        return self.real + sum(self.complex_pairs, ())
 
     @property
     def d_C(self) -> int:
@@ -82,7 +50,7 @@ class EmbeddingSet(Record):
 
     @property
     def degree(self) -> int:
-        return self.d_R + 2 * self.d_C
+        return len(self.real) + 2 * self.d_C
 
 
 class InfChar(Record):
@@ -155,7 +123,7 @@ def purity_weight(p: InfChar, emb: EmbeddingSet, degree: int) -> Fraction:
     if set(p.labels) != set(emb.labels):
         raise ArchError("infinitesimal character does not match the embeddings")
     candidates = set()
-    for label in emb.real_labels:
+    for label in emb.real:
         vals = p.at(label)
         if len(vals) != degree:
             raise ArchError("degree mismatch")
@@ -267,23 +235,11 @@ def algebraicity_required(n: int, r: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fourth roots of unity and archimedean signs
+# archimedean signs
 
 
-class I4(Record):
-    """Exact fourth root of unity i^k."""
-
-    _fields = ("k",)
-
-    def __init__(self, k: int):
-        object.__setattr__(self, "k", k % 4)
-
-    def __str__(self):
-        return ("1", "i", "-1", "-i")[self.k]
-
-
-def eps_arch(kind: str, a, b=None) -> I4:
-    """Local archimedean epsilon value.
+def eps_arch(kind: str, a, b=None) -> int:
+    """Local archimedean epsilon value i^k, returned as its exponent k mod 4.
 
     kind="real_induced": i^{2a+1} for the two-dimensional induced
     parameter with exponent a ∈ (1/2)Z≥0.  kind="complex": i^{|a-b|} for
@@ -294,17 +250,17 @@ def eps_arch(kind: str, a, b=None) -> I4:
         a2 = doubled(rat(a))
         if a2 is None or a2 < 0:
             raise ArchError("need a ∈ (1/2)Z≥0")
-        return I4(a2 + 1)
+        return (a2 + 1) % 4
     if kind == "complex":
         a, b = rat(a), rat(b)
         if (a - b).denominator != 1:
             raise ArchError("character exponents must differ by an integer")
-        return I4(int(abs(a - b)))
+        return int(abs(a - b)) % 4
     if kind == "restriction":
         a2 = doubled(rat(a))
         if a2 is None:
             raise ArchError("need a half-integral")
-        return I4(2 * a2)
+        return 2 * a2 % 4
     raise ArchError(f"unknown kind {kind!r}")
 
 
@@ -330,7 +286,7 @@ def root_number_selfdual(
     if (c * r * t) % 2:
         raise ArchError("hypothesis violated: complex-place count times degrees must be even")
     exponent = c * r * t // 2
-    for label in emb.real_labels:
+    for label in emb.real:
         q2 = q.at(label)
         for a in p.at(label):
             for b in q2:

@@ -152,7 +152,7 @@ def parse_embeddings(raw: dict | None, path: str = "/embeddings") -> EmbeddingSe
         if len(pair) != 2:
             raise ScenarioError(f"{path}/complex_pairs/{i}: has length {len(pair)}, not 2")
     try:
-        return EmbeddingSet.build(real=real, complex_pairs=pairs)
+        return EmbeddingSet(real, pairs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -551,6 +551,16 @@ def _comma_list(convert):
     return parse
 
 
+def _weight(text: str) -> tuple:
+    """An argparse type: comma-separated half-integers, each an integer or a
+    "p/q" string as in a scenario; an error names the entry by its index."""
+    entries = text.split(",") if text else ()
+    try:
+        return tuple(Fraction(_check(x, HALF_INTEGER, f"/{i}"), 2) for i, x in enumerate(entries))
+    except ScenarioError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="langkit",
@@ -577,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--core", type=int, default=0)
     p.add_argument(
-        "--weight", type=_comma_list(rat), default="", help="comma-separated dominant weight"
+        "--weight", type=_weight, default="", help="comma-separated dominant weight"
     )
     # a weight such as -1,-2 or -1/2 is a value: kostant has no option that
     # starts with "-" and a digit

@@ -183,9 +183,6 @@ class AnalyticLedger(Record):
             )
         return self.entries[key]
 
-    def copy(self) -> "AnalyticLedger":
-        return AnalyticLedger(dict(self.entries), dict(self.provenance))
-
     def serialize(self) -> list:
         out = []
         for (kind, point), order in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
@@ -226,14 +223,14 @@ class PoleDecision(Record):
 
 
 def _aux_kind(ambient: GroupDescriptor, pi: CuspidalRecord, rho: CuspidalRecord) -> tuple:
+    """The square factor of the block, for an ambient family that
+    `constant_term_quotient` accepts."""
     fam = ambient.family
     if fam in (SP, SO_EVEN):
         return ("wedge2", pi.label)
     if fam == SO_ODD:
         return ("sym2", pi.label)
-    if fam == UNITARY:
-        return ("asai", asai_sign(rho.degree), pi.label)
-    raise EisensteinError(f"no auxiliary factor for family {fam}")
+    return ("asai", asai_sign(rho.degree), pi.label)
 
 
 def constant_term_quotient(
@@ -256,8 +253,6 @@ def constant_term_quotient(
         if rho.is_trivial and fam == SP and core_rank == 0:
             pair = ("std", pi.label)
         elif rho.degree == expected_core_degree and core_rank >= 1:
-            pair = ("rankin", pi.label, rho.label)
-        elif rho.is_trivial and rho.degree == expected_core_degree:
             pair = ("rankin", pi.label, rho.label)
         else:
             raise EisensteinError(
@@ -547,7 +542,7 @@ def theorem_pipeline(
     refuse_open_choices(warnings, strict)
 
     quotient = constant_term_quotient(ambient, pi, rho)
-    led = (ledger or default_ledger(pi, rho)).copy()
+    led = ledger or default_ledger(pi, rho)
     decision = pole_at_half(quotient, led, central_order)
 
     details = {

@@ -1,8 +1,9 @@
-"""Descriptors for the ambient groups and their maximal Levis.
+"""Descriptors for the ambient groups, and the moduli of their parabolics.
 
 Covers the split symplectic and orthogonal families, general linear groups
 (possibly restricted from a quadratic extension), and quasi-split unitary
-groups.  The operations compute modular characters as exact exponents.
+groups.  A standard maximal Levi GL_r × core is named by its ambient group
+and r.  The operations compute modular characters as exact exponents.
 
 Unitary-group modulus exponents are exponents of the extension-field
 absolute value |·|_E; for the split families the Borel exponents are the
@@ -35,13 +36,12 @@ class GroupDescriptor(Record):
 
     ``size`` is N for the linear and unitary families, n for Sp/SO (so the
     matrix size is 2n resp. 2n±1).  ``alpha`` tags the even orthogonal
-    discriminant; ``extension`` tags E/F where one is involved.  Both tags
-    are opaque labels, only compared for equality.
+    discriminant, an opaque label only compared for equality.
     """
 
-    _fields = ("family", "size", "alpha", "extension")
+    _fields = ("family", "size", "alpha")
 
-    def __init__(self, family: str, size: int, alpha: str = "", extension: str = ""):
+    def __init__(self, family: str, size: int, alpha: str = ""):
         if family not in _FAMILIES:
             raise GroupError(f"unknown family {family!r}")
         if family in (GL, RES_GL):
@@ -49,12 +49,9 @@ class GroupDescriptor(Record):
                 raise GroupError("linear groups need size ≥ 1")
         elif size < 0:
             raise GroupError("size must be ≥ 0")
-        if family in (RES_GL, UNITARY) and not extension:
-            extension = "E/F"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "extension", extension)
 
     def label(self) -> str:
         if self.family == SP:
@@ -86,77 +83,31 @@ def unitary(N: int) -> GroupDescriptor:
     return GroupDescriptor(UNITARY, N)
 
 
-class LeviDescriptor(Record):
-    """GL blocks (with base-field tags) times a core of the ambient type."""
-
-    _fields = ("gl_blocks", "core", "ambient")
-
-    def __init__(self, gl_blocks: tuple, core: GroupDescriptor, ambient: GroupDescriptor):
-        """``gl_blocks`` is a tuple of (size, field tag)."""
-        blocks = tuple((int(b), str(f)) for b, f in gl_blocks)
-        if any(b < 1 for b, _ in blocks):
-            raise GroupError("block sizes must be positive")
-        total = sum(b for b, _ in blocks)
-        if ambient.family == UNITARY:
-            if ambient.size != 2 * total + core.size:
-                raise GroupError("blocks do not fit the unitary ambient group")
-        elif ambient.family in (SP, SO_ODD, SO_EVEN):
-            if ambient.size != total + core.size:
-                raise GroupError("blocks do not fit the ambient rank")
-        else:
-            if ambient.size != total + (core.size if core.family in (GL, RES_GL) else 0):
-                raise GroupError("blocks do not fit the ambient group")
-        object.__setattr__(self, "gl_blocks", blocks)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "ambient", ambient)
-
-    @property
-    def is_maximal(self) -> bool:
-        return len(self.gl_blocks) == 1
+# how many coordinates of the ambient rank (for U(N), of N) a GL_r block takes, per r
+_BLOCK_STEP = {SP: 1, SO_ODD: 1, SO_EVEN: 1, UNITARY: 2}
 
 
-def maximal_levi(ambient: GroupDescriptor, r: int) -> LeviDescriptor:
-    """The standard maximal Levi with one GL block of size r."""
-    if ambient.family == UNITARY:
-        core = unitary(ambient.size - 2 * r)
-        field = ambient.extension
-    elif ambient.family == SP:
-        core = sp(ambient.size - r)
-        field = "F"
-    elif ambient.family == SO_ODD:
-        core = so_odd(ambient.size - r)
-        field = "F"
-    elif ambient.family == SO_EVEN:
-        core = so_even(ambient.size - r, ambient.alpha)
-        field = "F"
-    else:
-        raise GroupError("maximal_levi needs a classical or unitary ambient group")
-    return LeviDescriptor(((r, field),), core, ambient)
+def _levi_core(group: GroupDescriptor, r: int) -> GroupDescriptor:
+    """The core of the standard maximal Levi GL_r × core of a classical or
+    unitary group; raises when the group has no such Levi."""
+    step = _BLOCK_STEP.get(group.family)
+    if step is None or not 1 <= r <= group.size // step:
+        raise GroupError(f"{group.label()} has no maximal Levi with a block of size {r}")
+    return GroupDescriptor(group.family, group.size - step * r, group.alpha)
 
 
-def modulus_levi(levi: LeviDescriptor) -> Fraction:
-    """Exponent x with δ_P = |det|^x on the GL block of a maximal Levi.
+def modulus_levi(group: GroupDescriptor, r: int) -> Fraction:
+    """Exponent x with δ_P = |det|^x on the GL_r block of the standard
+    maximal parabolic of ``group``.
 
-    Unitary case: x = n + r with block size n and core U_r (exponent of
-    |·|_E).  Split families: the positive-root sum over the unipotent
-    radical, restricted to the block determinant.
+    Unitary case: x = r + m with core U_m (exponent of |·|_E).  Split
+    families: the positive-root sum over the unipotent radical, restricted
+    to the block determinant.
     """
-    if not levi.is_maximal:
-        raise GroupError("modulus_levi needs a maximal Levi (one GL block)")
-    r_block = levi.gl_blocks[0][0]
-    amb = levi.ambient
-    if amb.family == UNITARY:
-        return Fraction(r_block + levi.core.size)
-    if amb.family == SP:
-        n = amb.size
-        return Fraction(2 * n - r_block + 1)
-    if amb.family == SO_ODD:
-        n = amb.size
-        return Fraction(2 * n - r_block)
-    if amb.family == SO_EVEN:
-        n = amb.size
-        return Fraction(2 * n - r_block - 1)
-    raise GroupError(f"unsupported ambient family {amb.family}")
+    core = _levi_core(group, r)
+    if group.family == UNITARY:
+        return Fraction(r + core.size)
+    return Fraction(2 * group.size - r + {SP: 1, SO_ODD: 0, SO_EVEN: -1}[group.family])
 
 
 def modulus_borel(group: GroupDescriptor) -> tuple:
@@ -187,12 +138,12 @@ def modulus_borel(group: GroupDescriptor) -> tuple:
 def borel_modulus_compose(group: GroupDescriptor, r: int) -> bool:
     """δ_B = δ_P · δ_{B∩M}^M on the torus, for the maximal Levi of block r."""
     full = modulus_borel(group)
-    levi = maximal_levi(group, r)
-    x = modulus_levi(levi)
+    core = _levi_core(group, r)
+    x = modulus_levi(group, r)
     # on the torus the GL_r block contributes δ_P exponent x on each of the
     # first r coordinates, and δ^M_{B∩M} the GL_r and core Borel exponents
     gl_part = modulus_borel(GroupDescriptor(RES_GL if group.family == UNITARY else GL, r))
-    core_part = modulus_borel(levi.core) if levi.core.size else ()
+    core_part = modulus_borel(core) if core.size else ()
     composed = tuple(x + g for g in gl_part) + tuple(core_part)
     return composed == full
 

@@ -48,21 +48,16 @@ class WeylError(ValueError):
 
 
 class Weight(Record):
-    """A coordinate vector of exact half-integers with a rank tag.
+    """A coordinate vector of exact half-integers."""
 
-    ``context`` is a free-form tag ("C3", "ambient", ...) used only for
-    error messages and serialization.
-    """
+    _fields = ("coords",)
 
-    _fields = ("coords", "context")
-
-    def __init__(self, coords: tuple, context: str = ""):
+    def __init__(self, coords: tuple):
         coords = tuple(rat(c) for c in coords)
         for c in coords:
             if doubled(c) is None:
                 raise WeylError(f"weight coordinate {c} is not half-integral")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "context", context)
 
     def __len__(self):
         return len(self.coords)
@@ -457,5 +452,5 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
         shifted = [x - r for x, r in zip(acted, twice_rho)]
         if not _pairs_nonnegative(levi, shifted):
             raise WeylError("shifted weight is not Levi-dominant")
-        out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted), lam.context)))
+        out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted))))
     return out

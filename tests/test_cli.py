@@ -126,6 +126,7 @@ TEST_ONLY_METHODS = {"SatakeClass.is_inversion_stable", "AutModel.compose"}
 SHARED_METHOD_NAMES = {
     "identity": {"AutOnEmbeddings", "SignedPerm"},
     "inverse": {"AutOnEmbeddings", "Eigenvalue"},
+    "labels": {"EmbeddingSet", "InfChar"},
     "order": {"AnalyticLedger", "RootDatum"},
     "serialize": {
         "AnalyticLedger",
@@ -168,6 +169,76 @@ def test_every_public_method_is_used_by_the_package():
         if everywhere[node.name] == attrs(node)[node.name]
     }
     assert unused == TEST_ONLY_METHODS
+
+
+# record fields that no code reads by name: they enter only the record's
+# equality, hash and repr
+UNREAD_FIELDS = {
+    "FactorClassification.bound",
+    "FactorClassification.rule",
+    "DiscreteSegment.m",
+    "DiscreteSegment.h",
+}
+
+# field names that several record classes list: a read of the name counts for
+# every one of them, so the guard below cannot see an unread one.  Each was
+# checked for a read in the package.
+SHARED_FIELD_NAMES = {
+    "alpha": {"GroupDescriptor", "LFactorRef", "Ratio"},
+    "beta": {"LFactorRef", "Ratio"},
+    "family": {"GroupDescriptor", "Ratio", "RootDatum", "SatakeClass"},
+    "kind": {"LFactorRef", "Ratio"},
+    "label": {"CuspidalRecord", "DiscreteSegment"},
+}
+
+
+def _record_fields(modules) -> list:
+    """(class, its __init__, field name) for every `_fields` entry."""
+    rows = []
+    for tree in modules.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = next(
+                (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"),
+                None,
+            )
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "_fields" for t in node.targets
+                ):
+                    rows += [(cls, init, name) for name in ast.literal_eval(node.value)]
+    return rows
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_record_field_is_read_by_the_package():
+    """A field counts as read when its name is read as an attribute
+    somewhere in the package outside its class's ``__init__``."""
+    modules = _package_modules()
+    everywhere = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    unread = {
+        f"{cls.name}.{name}"
+        for cls, init, name in _record_fields(modules)
+        if everywhere[name] == (_attribute_reads(init)[name] if init else 0)
+    }
+    assert unread == UNREAD_FIELDS
+
+
+def test_shared_field_names_are_pinned():
+    """A new collision hides an unread field from the guard above, so it
+    fails here until its classes are checked and added."""
+    owners: dict = {}
+    for cls, _, name in _record_fields(_package_modules()):
+        owners.setdefault(name, set()).add(cls.name)
+    assert {name: c for name, c in owners.items() if len(c) > 1} == SHARED_FIELD_NAMES
 
 
 def test_shared_method_names_are_pinned():
@@ -697,6 +768,45 @@ def test_kostant_matches_golden(fmt, suffix):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden.read_bytes()
+
+
+KOSTANT_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "kostant.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("argv", sorted(KOSTANT_GOLDEN))
+def test_kostant_half_integral_weights_match_golden(capsys, argv):
+    """B3, D4 and A3 shapes with half-integral weights, keyed by argv."""
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == KOSTANT_GOLDEN[argv]
+
+
+@pytest.mark.parametrize(
+    "weight,message",
+    [
+        ("1.5", '/0: must be an integer or a "p/q" string, not "1.5"'),
+        ("3e0", '/0: must be an integer or a "p/q" string, not "3e0"'),
+        ("1_0", '/0: must be an integer or a "p/q" string, not "1_0"'),
+        ("1.0,0,0,0", '/0: must be an integer or a "p/q" string, not "1.0"'),
+        ("1/3", '/0: must be a half-integer, not "1/3"'),
+        ("3,2,1/3,0", '/2: must be a half-integer, not "1/3"'),
+        ("-1/4,-2", '/0: must be a half-integer, not "-1/4"'),
+        ("1/0", '/0: must be an integer or a "p/q" string, not "1/0"'),
+        ("3,,1,0", '/1: must be an integer or a "p/q" string, not ""'),
+        ("x", '/0: must be an integer or a "p/q" string, not "x"'),
+    ],
+)
+def test_bad_weight_is_a_usage_error(weight, message):
+    """A weight entry outside the scenario grammar for half-integers is an
+    argparse error naming --weight and the entry."""
+    proc = run_cli("kostant", "--family", "C", "--rank", "4", "--blocks", "2", "--core", "2",
+                   "--weight", weight)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: langkit kostant")
+    assert proc.stderr.endswith(f"error: argument --weight: {message}\n")
+    assert "Traceback" not in proc.stderr
 
 
 RETYPES = (None, True, 1.5, "x", [], {})

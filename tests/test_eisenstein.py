@@ -45,7 +45,7 @@ def std_degree(group) -> int:
     return group.size
 
 
-EMB = EmbeddingSet.build(real=("r1",))
+EMB = EmbeddingSet(real=("r1",))
 AUT = AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("r1",)))
 
 PI_B = CuspidalRecord(
@@ -63,7 +63,7 @@ RHO_B = CuspidalRecord(
     infchar=InfChar((("r1", (12, 0, -12)),)),
 )
 
-EMB_E = EmbeddingSet.build(complex_pairs=(("c1", "c1b"),))
+EMB_E = EmbeddingSet(complex_pairs=(("c1", "c1b"),))
 AUT_E = AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("c1", "c1b")))
 PI_E = CuspidalRecord(
     "piu",

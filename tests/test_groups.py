@@ -4,9 +4,9 @@ import pytest
 
 from langkit import groups, selftest
 from langkit.groups import (
+    GroupDescriptor,
     GroupError,
     borel_modulus_compose,
-    maximal_levi,
     modulus_borel,
     modulus_levi,
     so_even,
@@ -20,32 +20,35 @@ from langkit.selftest import _borel_root_sum, _levi_root_sum
 class TestModulusLevi:
     def test_unitary_small(self):
         # block 1 over core U_1 inside U_3
-        assert modulus_levi(maximal_levi(unitary(3), 1)) == 2
+        assert modulus_levi(unitary(3), 1) == 2
         # block 2 over core U_1 inside U_5
-        assert modulus_levi(maximal_levi(unitary(5), 2)) == 3
+        assert modulus_levi(unitary(5), 2) == 3
 
     def test_siegel_symplectic(self):
-        assert modulus_levi(maximal_levi(sp(2), 2)) == 3
+        assert modulus_levi(sp(2), 2) == 3
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_split_families_against_root_sum(self, n):
         for r in range(1, n + 1):
             for make in (sp, so_odd, so_even):
-                levi = maximal_levi(make(n), r)
-                assert modulus_levi(levi) == _levi_root_sum(make(n), r)
+                assert modulus_levi(make(n), r) == _levi_root_sum(make(n), r)
 
     @pytest.mark.parametrize("N", range(2, 10))
     def test_unitary_against_root_sum(self, N):
         for r in range(1, N // 2 + 1):
-            levi = maximal_levi(unitary(N), r)
-            assert modulus_levi(levi) == _levi_root_sum(unitary(N), r)
+            assert modulus_levi(unitary(N), r) == _levi_root_sum(unitary(N), r)
 
-    def test_needs_maximal(self):
-        from langkit.groups import LeviDescriptor
-
-        levi = LeviDescriptor(((1, "F"), (1, "F")), sp(1), sp(3))
-        with pytest.raises(GroupError):
-            modulus_levi(levi)
+    @pytest.mark.parametrize(
+        "family,size,r",
+        [("Sp", 3, 0), ("Sp", 3, 4), ("SOodd", 2, -1), ("SOeven", 2, 3), ("U", 5, 3),
+         ("U", 1, 1), ("GL", 3, 1)],
+    )
+    def test_block_out_of_range(self, family, size, r):
+        group = GroupDescriptor(family, size)
+        with pytest.raises(GroupError, match="has no maximal Levi"):
+            modulus_levi(group, r)
+        with pytest.raises(GroupError, match="has no maximal Levi"):
+            borel_modulus_compose(group, r)
 
 
 class TestModulusBorel:
@@ -90,9 +93,9 @@ def test_modulus_suite_catches_an_off_by_one(monkeypatch, name, family):
     `selftest`, and only the modulus suite."""
     closed = getattr(groups, name)
 
-    def wrong(arg):  # a maximal Levi or a group
-        value = closed(arg)
-        if getattr(arg, "ambient", arg).family != family:
+    def wrong(group, *block):  # modulus_levi also takes the block size
+        value = closed(group, *block)
+        if group.family != family:
             return value
         return value - 1 if name == "modulus_levi" else value[:-1] + (value[-1] + 1,)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from langkit.arch import I4, AutOnEmbeddings, EmbeddingSet, InfChar
+from langkit.arch import AutOnEmbeddings, EmbeddingSet, InfChar
 from langkit.dual import GradedNilradical, grade_nilradical
 from langkit.eisenstein import (
     AnalyticLedger,
@@ -25,7 +25,7 @@ from langkit.eisenstein import (
     LQuotient,
     PoleDecision,
 )
-from langkit.groups import GroupDescriptor, LeviDescriptor, maximal_levi, sp, unitary
+from langkit.groups import GroupDescriptor, sp
 from langkit.normalizer import (
     DiscreteSegment,
     FactorClassification,
@@ -69,8 +69,8 @@ def _ledger():
 # class -> builders of sample instances that differ from one another
 SAMPLES = {
     EmbeddingSet: (
-        lambda: EmbeddingSet.build(real=("r1",), complex_pairs=(("c1", "c1b"),)),
-        lambda: EmbeddingSet.build(real=("r1", "r2")),
+        lambda: EmbeddingSet(real=("r1",), complex_pairs=(("c1", "c1b"),)),
+        lambda: EmbeddingSet(real=("r1", "r2")),
     ),
     InfChar: (
         lambda: InfChar((("r1", (-3, 3)),)),
@@ -80,8 +80,7 @@ SAMPLES = {
         lambda: AutOnEmbeddings((("b", "a"), ("a", "b"))),
         lambda: AutOnEmbeddings.identity(("a", "b")),
     ),
-    I4: (lambda: I4(1), lambda: I4(6)),
-    Weight: (lambda: Weight((1, "1/2")), lambda: Weight((0, 0), "C2")),
+    Weight: (lambda: Weight((1, "1/2")), lambda: Weight((0, 0))),
     SignedPerm: (lambda: SignedPerm((2, -1)), lambda: SignedPerm.identity(3)),
     RootDatum: (lambda: RootDatum("C", 3), lambda: RootDatum("A", 2)),
     ParabolicShape: (
@@ -141,7 +140,6 @@ SAMPLES = {
         lambda: GroupDescriptor("SOeven", 2, "d"),
         lambda: GroupDescriptor("U", 3),
     ),
-    LeviDescriptor: (lambda: maximal_levi(sp(3), 1), lambda: maximal_levi(unitary(5), 2)),
     GradedNilradical: (lambda: grade_nilradical(2, 1), lambda: grade_nilradical(1, 0)),
     LFactorRef: (
         lambda: LFactorRef(("std", "pi"), 1, "1/2"),

@@ -620,7 +620,7 @@ def fraction_rho(self) -> Weight:
     half = Fraction(1, 2)
     roots = fraction_positive_roots(self)
     coords = [half * sum(r[i] for r in roots) for i in range(self.dim)]
-    return Weight(tuple(coords), context=f"{self.family}{self.rank}")
+    return Weight(tuple(coords))
 
 
 def fraction_levi_simple_roots(self) -> list:
