@@ -9,6 +9,7 @@ Exit code is 0 only when no error occurred and no hypothesis was violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -291,21 +292,26 @@ def _ratio_flags(scn: dict) -> dict:
 # commands
 
 
-def _report(command: str, scn_name: str, payload: dict) -> dict:
-    used = set()
+def _rule_ids(node, used: set) -> set:
+    """Add the rule ids under ``node`` to ``used``: the values of its
+    "citation" and "rule" keys, at any depth."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k in ("citation", "rule") and isinstance(v, str):
+                used.add(v)
+            else:
+                _rule_ids(v, used)
+    elif isinstance(node, list):
+        for v in node:
+            _rule_ids(v, used)
+    return used
 
-    def collect(node):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                if k in ("citation", "rule") and isinstance(v, str):
-                    used.add(v)
-                else:
-                    collect(v)
-        elif isinstance(node, list):
-            for v in node:
-                collect(v)
 
-    collect(payload)
+def _report(command: str, scn_name: str, payload: dict, used=()) -> dict:
+    """The report: the header, the statements of the rule ids in ``used``
+    that the registry knows, then the payload.  Only the scenario commands
+    cite rules, so only their payloads are searched for ids (`run`); the
+    `kostant` and `selftest` payloads hold none."""
     report = {
         "schema": SCHEMA,
         "command": command,
@@ -436,21 +442,31 @@ LEDGER_COMMANDS = ("check-scenario", "pole")
 
 
 def cmd_kostant(args) -> dict:
-    from .weyl import ParabolicShape, RootDatum, Weight, kostant_reps, kostant_weights
+    """The representatives and, with --weight, the shifted weights, both
+    from one level search."""
+    from .weyl import (
+        ParabolicShape,
+        RootDatum,
+        Weight,
+        _kostant_windows,
+        _shifted_weights,
+        _twice_lambda,
+    )
 
     datum = RootDatum(args.family, args.rank)
     shape = ParabolicShape(args.blocks, args.core, datum)
-    reps = kostant_reps(datum, shape)
+    windows = _kostant_windows(datum, shape)
     payload = {
-        "verdict": f"{len(reps)} coset representatives",
+        "verdict": f"{len(windows)} coset representatives",
         "datum": f"{args.family}{args.rank}",
-        "representatives": [{"window": list(w.images), "length": l} for w, l in reps],
+        "representatives": [{"window": list(w), "length": l} for w, l in windows],
     }
     if args.weight:
-        lam = Weight(args.weight)
+        twice_lam = _twice_lambda(Weight(args.weight), datum)
+        text = functools.lru_cache(maxsize=None)(rat_str)  # one string per distinct value
         payload["weights"] = [
-            {"degree": d, "weight": [rat_str(c) for c in wt.coords]}
-            for d, wt in kostant_weights(lam, datum, shape)
+            {"degree": d, "weight": list(map(text, wt.coords))}
+            for d, wt in _shifted_weights(twice_lam, datum, shape, windows)
         ]
     return _report("kostant", "", payload)
 
@@ -536,7 +552,8 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
         entries = _field(load_scenario(path, root), "ledger_overrides", [dict], root, [])
         override = (f"{root}/ledger_overrides", entries)
     name = _field(scn, "name", str, "", "")
-    return _report(command, name, SCENARIO_COMMANDS[command][1](scn, strict, override))
+    payload = SCENARIO_COMMANDS[command][1](scn, strict, override)
+    return _report(command, name, payload, _rule_ids(payload, set()))
 
 
 def _comma_list(convert):

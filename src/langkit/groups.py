@@ -36,7 +36,8 @@ class GroupDescriptor(Record):
 
     ``size`` is N for the linear and unitary families, n for Sp/SO (so the
     matrix size is 2n resp. 2n±1).  ``alpha`` tags the even orthogonal
-    discriminant, an opaque label only compared for equality.
+    discriminant, an opaque label only compared for equality; an empty tag
+    on SO(2n) is the split tag "1", so each group has one descriptor.
     """
 
     _fields = ("family", "size", "alpha")
@@ -44,6 +45,10 @@ class GroupDescriptor(Record):
     def __init__(self, family: str, size: int, alpha: str = ""):
         if family not in _FAMILIES:
             raise GroupError(f"unknown family {family!r}")
+        if type(size) is not int:
+            raise GroupError(f"size must be an int, not {size!r}")
+        if family == SO_EVEN:
+            alpha = alpha or "1"
         if family in (GL, RES_GL):
             if size < 1:
                 raise GroupError("linear groups need size ≥ 1")
@@ -59,7 +64,7 @@ class GroupDescriptor(Record):
         if self.family == SO_ODD:
             return f"SO{2 * self.size + 1}"
         if self.family == SO_EVEN:
-            return f"SO{2 * self.size}^{self.alpha or '1'}"
+            return f"SO{2 * self.size}^{self.alpha}"
         if self.family == UNITARY:
             return f"U{self.size}"
         if self.family == RES_GL:

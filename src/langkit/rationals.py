@@ -9,9 +9,12 @@ Fraction is built again only at the edges, in `rat_str` output, report
 strings and where the ledger or pole layer reads a value.  In `weyl` the
 roots, 2ρ and the shifted weights are ints from the moment a `Weight` is
 passed in until `kostant_weights` returns, and `Weight.coords` stay
-Fractions at the interface.  Scenario files store rationals as strings
-like "3/2", "-1/2" or "2"; these helpers round-trip that format
-losslessly.
+Fractions at the interface: `Weight(coords)` passes each coordinate
+through `rat` and `doubled`, while `kostant_weights` builds x/2 once per
+distinct doubled value x in a call, through a table local to that call,
+and skips the check on values it made half-integral.  Scenario files
+store rationals as strings like "3/2", "-1/2" or "2"; these helpers
+round-trip that format losslessly.
 """
 
 from __future__ import annotations

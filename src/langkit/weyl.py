@@ -16,15 +16,24 @@ search upward from the identity on integer windows: the cost follows the
 |W|/|W_M| outputs, not the order of W.  Each step u → us is tested by
 Deodhar's lemma (Deodhar, Invent. Math. 39, 1977; Björner–Brenti, §2.5):
 when u is minimal in W_M·u and u(α_s) > 0, us is minimal in its coset
-unless u(α_s) is a simple root of the Levi, so one image root and one set
-lookup decide it.
+unless u(α_s) is a simple root of the Levi.  A simple root lies on one or
+two adjacent coordinates, so the step reads two window entries, makes one
+comparison and one set lookup, and rewrites one or two entries; and each
+representative is built once, from the parent reached through its first
+descent.
 
 The kernel is integer-only.  Roots are int vectors, built by one helper;
 the Levi's simple roots are selected from the datum's, and the roots of
 the unipotent radical by an integer pairing; 2ρ is the int sum of the
-positive roots; and `kostant_weights` doubles λ once, computes the shifted
-weights 2(w(λ+ρ)-ρ) on ints and reads dominance off the sign of an integer
-pairing.  `Weight.coords` stay `Fraction`s at the interface.
+positive roots.  One private search, `_kostant_windows`, serves
+`kostant_reps`, which wraps its windows in `SignedPerm`s, and
+`kostant_weights` (and the `kostant` command), which act with the raw
+windows: λ is doubled once, the shifted weights 2(w(λ+ρ)-ρ) are computed
+on ints, and dominance is read off the sign of an integer pairing.
+`Weight.coords` stay `Fraction`s at the interface: `Weight(coords)`
+validates its input, while `kostant_weights` builds one `Fraction` per
+distinct coordinate value in a call, and its `Weight`s skip that check
+since their values are half-integral by construction.
 """
 
 from __future__ import annotations
@@ -294,7 +303,7 @@ class RootDatum(Record):
 
     def is_dominant(self, weight: Weight) -> bool:
         twice = [doubled(c) for c in weight.coords]
-        return _pairs_nonnegative(map(_sparse, self.simple_roots()), twice)
+        return _pairs_nonnegative(map(_terms, self.simple_roots()), twice)
 
 
 class ParabolicShape(Record):
@@ -365,23 +374,98 @@ class ParabolicShape(Record):
         return order
 
 
-def _sparse(root) -> tuple:
-    """A root as the (0-based index, integer coefficient) pairs of its
-    nonzero coordinates."""
-    return tuple((i, c) for i, c in enumerate(root) if c)
+def _terms(root) -> tuple:
+    """A root on one or two coordinates as (a, i, b, j), so that its pairing
+    with a vector x is a·x[i] + b·x[j] (b = 0 on one coordinate)."""
+    (i, a), *rest = ((i, c) for i, c in enumerate(root) if c)
+    j, b = rest[0] if rest else (i, 0)
+    return a, i, b, j
 
 
-def _pairs_nonnegative(roots, twice) -> bool:
+def _pairs_nonnegative(terms, twice) -> bool:
     """Whether the doubled weight ``twice`` pairs non-negatively with each
-    sparse root α, which is the sign of ⟨weight, α̌⟩ since (α, α) > 0."""
-    return all(sum(c * twice[i] for i, c in root) >= 0 for root in roots)
+    root given by its `_terms`, which is the sign of ⟨weight, α̌⟩ since
+    (α, α) > 0."""
+    return all(a * twice[i] + b * twice[j] >= 0 for a, i, b, j in terms)
 
 
-def _image(window, root) -> tuple:
-    """The sparse root w(α) for the signed permutation with this window and
-    the sparse root α, sorted by index: e_i ↦ ±e_{|w(i)|}.  It is positive
-    iff its first coefficient is."""
-    return tuple(sorted([(abs(window[i]) - 1, c if window[i] > 0 else -c) for i, c in root]))
+def _signed_key(root):
+    """A root as signed 1-based coordinate indices: ±(i+1) for each nonzero
+    coordinate i, with the sign of its coefficient.  A root on two
+    coordinates (coefficients ±1) is the pair in index order, a root on one
+    coordinate the bare int.  For a window w, w(α) is keyed by the same
+    rule from the window's entries, and it is positive iff its first entry
+    is, the one of smaller absolute value."""
+    key = tuple(i + 1 if c > 0 else -i - 1 for i, c in enumerate(root) if c)
+    return key if len(key) == 2 else key[0]
+
+
+def _positive(p: int, q: int) -> bool:
+    """Whether the root keyed (p, q) in either order is positive."""
+    return p > 0 if abs(p) < abs(q) else q > 0
+
+
+def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> list:
+    """The level search behind `kostant_reps`: [(window, length)] with
+    int-tuple windows, sorted by (length, window).
+
+    The simple roots, in the order of `RootDatum.simple_roots`, are
+    α_i = e_i - e_{i+1} (0-based, i < n-1), then the last root: e_{n-1} for
+    B, 2e_{n-1} for C, e_{n-2} + e_{n-1} for D.  For a window u, u(α_i) is
+    keyed (`_signed_key`) by a = u[i] and -b = -u[i+1], and us swaps those
+    two entries; the last root's image is keyed by u[n-1] (B, C) or by
+    u[n-2] and u[n-1] (D), and us negates the one entry or swaps and
+    negates the two.  So each step reads two entries and makes one
+    comparison and one Levi lookup.
+
+    Each v is built once, from the u = vs where s is v's first descent in
+    that order: us is kept only when (us)(α_j) > 0 for each simple root
+    α_j before α_s.  For α_j orthogonal to α_s that is u(α_j) > 0, so the
+    scan over s stops two places after u's first descent; for the one α_j
+    joined to α_s in the Dynkin diagram it is read off two entries of u.
+    """
+    if shape.ambient != datum:
+        raise WeylError("shape does not belong to this datum")
+    n, family = datum.dim, datum.family
+    levi = frozenset(map(_signed_key, shape.levi_simple_roots()))
+    top = _POSITIVE_ROOT_COUNTS[family](datum.rank)
+    level = [tuple(range(1, n + 1))]
+    found = []
+    ell = 0
+    while level:
+        if ell > top:
+            raise WeylError(f"level {ell} exceeds the {top} positive roots")
+        found.extend((u, ell) for u in sorted(level))
+        nxt = []
+        add = nxt.append
+        for u in level:
+            first = n  # u's first descent among the α_i seen so far
+            for i in range(n - 1):
+                if first < i - 1:
+                    break
+                a, b = u[i], u[i + 1]
+                key = (a, -b) if abs(a) < abs(b) else (-b, a)
+                if key[0] < 0:
+                    first = min(first, i)
+                elif key not in levi and (i == 0 or _positive(u[i - 1], -b)):
+                    add(u[:i] + (b, a) + u[i + 2:])
+            if family == "D" and first >= n - 3:
+                # α_{n-2} is orthogonal to the last root, α_{n-3} joined to it
+                a, b = u[-2], u[-1]
+                key = (a, b) if abs(a) < abs(b) else (b, a)
+                if (key[0] > 0 and key not in levi and _positive(a, -b)
+                        and (n == 2 or _positive(u[-3], b))):
+                    add(u[:-2] + (-b, -a))
+            elif family in "BC" and first >= n - 2:
+                c = u[-1]
+                if c > 0 and c not in levi and (n == 1 or _positive(u[-2], c)):
+                    add(u[:-1] + (-c,))
+        level = nxt
+        ell += 1
+    expected = datum.order() // shape.levi_order()
+    if len(found) != expected:
+        raise WeylError(f"found {len(found)} representatives, expected {expected}")
+    return found
 
 
 def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
@@ -394,36 +478,61 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     goes up by one.  By Deodhar's lemma (Deodhar, Invent. Math. 39, 1977;
     Björner–Brenti, §2.5) such a v is minimal in its coset unless u(α_s)
     is a simple root of the Levi, in which case us = s'u for the Levi
-    reflection s' of that root: one image root and one set lookup decide
-    each step.  The level number is the length.  Windows stay plain
-    integer tuples; a `SignedPerm` is built only for each returned
-    representative.  Result is sorted by (length, window) and its size
-    equals |W| / |W_M|.
+    reflection s' of that root: two window entries and one set lookup
+    decide each step, and each v is reached from one parent only
+    (`_kostant_windows`).  The level number is the length.  A `SignedPerm`
+    is built only for each returned representative.  Result is sorted by
+    (length, window) and its size equals |W| / |W_M|.
     """
-    if shape.ambient != datum:
-        raise WeylError("shape does not belong to this datum")
-    levi = frozenset(map(_sparse, shape.levi_simple_roots()))
-    gens = list(zip(_simple_windows(datum.family, datum.dim), map(_sparse, datum.simple_roots())))
-    top = _POSITIVE_ROOT_COUNTS[datum.family](datum.rank)
-    level = [tuple(range(1, datum.dim + 1))]
-    found = []
-    ell = 0
-    while level:
-        if ell > top:
-            raise WeylError(f"level {ell} exceeds the {top} positive roots")
-        found.extend((w, ell) for w in sorted(level))
-        nxt = set()
-        for u in level:
-            for s, alpha in gens:
-                image = _image(u, alpha)
-                if image[0][1] > 0 and image not in levi:
-                    nxt.add(_then(s, u))
-        level = nxt
-        ell += 1
-    expected = datum.order() // shape.levi_order()
-    if len(found) != expected:
-        raise WeylError(f"found {len(found)} representatives, expected {expected}")
-    return [(SignedPerm(w), ell) for w, ell in found]
+    return [(SignedPerm(w), ell) for w, ell in _kostant_windows(datum, shape)]
+
+
+def _weight_of(coords: tuple) -> Weight:
+    """A `Weight` on coordinates already known to be half-integral
+    `Fraction`s, built without `Weight.__init__`'s re-validation."""
+    weight = Weight.__new__(Weight)
+    object.__setattr__(weight, "coords", coords)
+    return weight
+
+
+class _Halves(dict):
+    """x ↦ Fraction(x, 2) for doubled coordinates x, each built on its first
+    lookup; one instance lives for one call."""
+
+    def __missing__(self, x):
+        half = self[x] = Fraction(x, 2)
+        return half
+
+
+def _twice_lambda(lam: Weight, datum: RootDatum) -> list:
+    """2λ on ints, once λ is checked to be a dominant weight of the datum."""
+    if len(lam) != datum.dim:
+        raise WeylError("weight rank does not match the datum")
+    if not datum.is_dominant(lam):
+        raise WeylError(f"weight {lam} is not dominant")
+    return [doubled(c) for c in lam.coords]
+
+
+def _shifted_weights(twice_lam: list, datum: RootDatum, shape: ParabolicShape, windows) -> list:
+    """The step behind `kostant_weights`: [(length, w(λ+ρ)-ρ)] over the
+    (window, length) pairs of `_kostant_windows`, for 2λ = ``twice_lam``."""
+    twice_rho = datum.twice_rho()
+    twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
+    levi = list(map(_terms, shape.levi_simple_roots()))
+    halves = _Halves()
+    out = []
+    for w, ell in windows:
+        acted = [0] * len(w)
+        for x, v in zip(twice_shift, w):
+            if v > 0:
+                acted[v - 1] = x
+            else:
+                acted[-v - 1] = -x
+        shifted = [x - r for x, r in zip(acted, twice_rho)]
+        if not _pairs_nonnegative(levi, shifted):
+            raise WeylError("shifted weight is not Levi-dominant")
+        out.append((ell, _weight_of(tuple(map(halves.__getitem__, shifted)))))
+    return out
 
 
 def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> list:
@@ -432,25 +541,11 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     λ must be dominant; every returned weight is dominant for the Levi and
     the degree of each entry is the length of its representative.  λ is
     doubled once and the weights are computed doubled, on integers: each
-    representative's window acts on 2(λ+ρ) directly, and dominance is read
-    off the sign of the integer pairing; a `Fraction` is built again only
-    for the returned coordinates.
+    representative's window, as `_kostant_windows` returns it, acts on
+    2(λ+ρ) directly, and dominance is read off the sign of the integer
+    pairing.  The returned coordinates are half-integral by construction,
+    so each distinct one becomes a `Fraction` once per call and the
+    `Weight`s skip re-validation.
     """
-    if len(lam) != datum.dim:
-        raise WeylError("weight rank does not match the datum")
-    if not datum.is_dominant(lam):
-        raise WeylError(f"weight {lam} is not dominant")
-    twice_lam = [doubled(c) for c in lam.coords]
-    twice_rho = datum.twice_rho()
-    twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
-    levi = list(map(_sparse, shape.levi_simple_roots()))
-    out = []
-    for w, ell in kostant_reps(datum, shape):
-        acted = [0] * datum.dim
-        for x, v in zip(twice_shift, w.images):
-            acted[abs(v) - 1] = x if v > 0 else -x
-        shifted = [x - r for x, r in zip(acted, twice_rho)]
-        if not _pairs_nonnegative(levi, shifted):
-            raise WeylError("shifted weight is not Levi-dominant")
-        out.append((ell, Weight(tuple(Fraction(x, 2) for x in shifted))))
-    return out
+    twice_lam = _twice_lambda(lam, datum)
+    return _shifted_weights(twice_lam, datum, shape, _kostant_windows(datum, shape))

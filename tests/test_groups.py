@@ -105,3 +105,20 @@ def test_modulus_suite_catches_an_off_by_one(monkeypatch, name, family):
     failed = [line for line in lines if line.startswith("FAIL")]
     assert not ok and len(failed) == 1
     assert failed[0].startswith("FAIL _suite_modulus: ") and "mismatch" in failed[0]
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, False, "2", None, Fraction(2)])
+@pytest.mark.parametrize("family", [groups.GL, groups.SP, groups.SO_EVEN, groups.UNITARY])
+def test_size_must_be_an_int(family, size):
+    with pytest.raises(GroupError, match="size must be an int"):
+        GroupDescriptor(family, size)
+
+
+def test_even_orthogonal_has_one_descriptor():
+    for n in range(4):
+        group = GroupDescriptor(groups.SO_EVEN, n)
+        assert group == so_even(n) and hash(group) == hash(so_even(n))
+        assert group.alpha == "1" and group.label() == f"SO{2 * n}^1"
+    assert GroupDescriptor(groups.SO_EVEN, 2, "d") == so_even(2, "d") != so_even(2)
+    # the core of a maximal Levi keeps the tag
+    assert groups._levi_core(GroupDescriptor(groups.SO_EVEN, 3), 1) == so_even(2)

@@ -16,6 +16,7 @@ from langkit.weyl import (
     WeylError,
     _POSITIVE_ROOT_COUNTS,
     _simple_windows,
+    _then,
     all_signed_perms,
     bfs_length,
     kostant_reps,
@@ -459,6 +460,56 @@ def test_deodhar_dichotomy(shape):
                 assert (us.images in reps) == (act_coords(u, alpha) not in levi), (u, s)
 
 
+def _sparse(root) -> tuple:
+    return tuple((i, c) for i, c in enumerate(root) if c)
+
+
+def _image(window, root) -> tuple:
+    """The sparse root w(α), sorted by index: e_i ↦ ±e_{|w(i)|}."""
+    return tuple(sorted([(abs(window[i]) - 1, c if window[i] > 0 else -c) for i, c in root]))
+
+
+def generic_level_search(datum, shape):
+    """The level search with the generic Deodhar step the inlined one
+    replaced, kept as an oracle: the sorted image root u(α_s) over every
+    simple root, `_then` over the whole window, and a set that drops the
+    windows reached from several parents."""
+    levi = frozenset(map(_sparse, shape.levi_simple_roots()))
+    gens = list(zip(_simple_windows(datum.family, datum.dim), map(_sparse, datum.simple_roots())))
+    level, found, ell = [tuple(range(1, datum.dim + 1))], [], 0
+    while level:
+        found.extend((w, ell) for w in sorted(level))
+        nxt = set()
+        for u in level:
+            for s, alpha in gens:
+                image = _image(u, alpha)
+                if image[0][1] > 0 and image not in levi:
+                    nxt.add(_then(s, u))
+        level, ell = nxt, ell + 1
+    return found
+
+
+ORACLE_SHAPES = [
+    shape
+    for family, ranks in (
+        ("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)), ("D", range(2, 7))
+    )
+    for rank in ranks
+    for shape in all_shapes(family, rank)
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank", sorted({(s.ambient.family, s.ambient.rank) for s in ORACLE_SHAPES})
+)
+def test_inlined_step_matches_the_generic_step(family, rank):
+    """Every shape of A1–A6, B1–B6, C1–C6 and D2–D6."""
+    for shape in ORACLE_SHAPES:
+        if (shape.ambient.family, shape.ambient.rank) == (family, rank):
+            got = [(w.images, ell) for w, ell in kostant_reps(shape.ambient, shape)]
+            assert got == generic_level_search(shape.ambient, shape), shape
+
+
 def weyl_degrees(family, rank):
     """Degrees of the basic invariants of the Weyl group of the given type."""
     if family == "A":
@@ -760,6 +811,36 @@ def test_kostant_weights_match_fraction_arithmetic(datum):
         assert kostant_weights(lam, datum, shape) == expected
 
 
+KOSTANT_CASES = [
+    ("C", 4, (2,), 2),
+    ("C", 5, (2,), 3),
+    ("C", 6, (3,), 3),
+    ("B", 5, (2,), 3),
+    ("D", 5, (2,), 3),
+    ("A", 6, (3, 4), 0),
+    ("C", 10, (5,), 5),
+]
+
+
+@pytest.mark.parametrize("family,rank,blocks,core", KOSTANT_CASES)
+def test_kostant_weights_are_plain_weights(family, rank, blocks, core):
+    """The weights skip `Weight.__init__` but are indistinguishable from
+    `Weight(coords)`, and equal coordinates share one Fraction."""
+    datum = RootDatum(family, rank)
+    shape = ParabolicShape(blocks, core, datum)
+    half_odd = tuple(Fraction(2 * k + 1, 2) for k in reversed(range(datum.dim)))
+    for lam in ((0,) * datum.dim, half_odd):
+        out = kostant_weights(Weight(lam), datum, shape)
+        assert len(out) == datum.order() // shape.levi_order()
+        for _, w in out:
+            ref = Weight(w.coords)
+            assert type(w) is Weight and set(vars(w)) == {"coords"}
+            assert w == ref and hash(w) == hash(ref) and repr(w) == repr(ref)
+            assert all(type(c) is Fraction for c in w.coords)
+        coords = [c for _, w in out for c in w.coords]
+        assert len({id(c) for c in coords}) == len(set(coords))
+
+
 INTEGER_KERNEL = {
     "RootDatum.positive_roots",
     "RootDatum.simple_roots",
@@ -767,9 +848,12 @@ INTEGER_KERNEL = {
     "ParabolicShape.levi_simple_roots",
     "SignedPerm.length",
     "_root",
-    "_sparse",
+    "_terms",
     "_pairs_nonnegative",
-    "_image",
+    "_signed_key",
+    "_positive",
+    "_kostant_windows",
+    "_twice_lambda",
     "kostant_reps",
 }
 
