@@ -487,14 +487,6 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     return [(SignedPerm(w), ell) for w, ell in _kostant_windows(datum, shape)]
 
 
-def _weight_of(coords: tuple) -> Weight:
-    """A `Weight` on coordinates already known to be half-integral
-    `Fraction`s, built without `Weight.__init__`'s re-validation."""
-    weight = Weight.__new__(Weight)
-    object.__setattr__(weight, "coords", coords)
-    return weight
-
-
 class _Halves(dict):
     """x ↦ Fraction(x, 2) for doubled coordinates x, each built on its first
     lookup; one instance lives for one call."""
@@ -531,7 +523,9 @@ def _shifted_weights(twice_lam: list, datum: RootDatum, shape: ParabolicShape, w
         shifted = [x - r for x, r in zip(acted, twice_rho)]
         if not _pairs_nonnegative(levi, shifted):
             raise WeylError("shifted weight is not Levi-dominant")
-        out.append((ell, _weight_of(tuple(map(halves.__getitem__, shifted)))))
+        weight = Weight.__new__(Weight)  # half-integral by construction: no re-validation
+        object.__setattr__(weight, "coords", tuple(map(halves.__getitem__, shifted)))
+        out.append((ell, weight))
     return out
 
 
