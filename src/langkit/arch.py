@@ -108,9 +108,6 @@ class AutOnEmbeddings(Record):
     def identity(cls, labels: Iterable[str]):
         return cls(tuple((x, x) for x in labels))
 
-    def inverse(self) -> "AutOnEmbeddings":
-        return AutOnEmbeddings(tuple((b, a) for a, b in self.mapping))
-
 
 # ---------------------------------------------------------------------------
 # purity

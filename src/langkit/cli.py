@@ -236,16 +236,13 @@ def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/
 
 def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
     block = _field(raw, "pi", dict, path)
-    at = f"{path}/pi/segments"
-    segments = tuple(
-        DiscreteSegment(
-            _field(seg, "label", str, f"{at}/{i}", f"p{i + 1}"),
-            _field(seg, "m", POSITIVE, f"{at}/{i}", 1),
-            _field(seg, "h", POSITIVE, f"{at}/{i}", 1),
-            _field(seg, "a", Fraction, f"{at}/{i}", 0),
-        )
-        for i, seg in enumerate(_field(block, "segments", [dict], f"{path}/pi"))
-    )
+    segments = []
+    for i, seg in enumerate(_field(block, "segments", [dict], f"{path}/pi")):
+        at = f"{path}/pi/segments/{i}"
+        label = _field(seg, "label", str, at, f"p{i + 1}")
+        _field(seg, "m", POSITIVE, at, 1)  # size and ladder height: checked, read by no report
+        _field(seg, "h", POSITIVE, at, 1)
+        segments.append(DiscreteSegment(label, _field(seg, "a", Fraction, at, 0)))
     core = _field(raw, "rho", dict, path)
     selfdual = _field(core, "selfdual", [str], f"{path}/rho")
     pairs = tuple(
@@ -265,20 +262,33 @@ def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
 
 
 def resolve_records(scn: dict, emb: EmbeddingSet | None = None):
+    """(pi, rho): the records that ``roles`` names, else the first two, else
+    the one record over the trivial core.  The ledger is keyed by label, so
+    pi and rho are one record or carry different labels."""
     records = _field(scn, "records", [dict], "", [])
     parsed = [parse_record(r, f"/records/{i}", emb) for i, r in enumerate(records)]
-    by_label = {r.label: r for r in parsed}
     roles = _field(scn, "roles", dict, "", {})
     if roles:
-        try:
-            return tuple(by_label[_field(roles, key, str, "/roles")] for key in ("pi", "rho"))
-        except KeyError as exc:
-            raise ScenarioError(f"/roles: unresolved label {exc}") from exc
-    if len(parsed) >= 2:
-        return parsed[0], parsed[1]
-    if parsed:
-        return parsed[0], TRIVIAL
-    raise ScenarioError("/records: need at least one record")
+        labels = [r.label for r in parsed]
+        pair = []
+        for key in ("pi", "rho"):
+            label = _field(roles, key, str, "/roles")
+            if label not in labels:
+                raise ScenarioError(f"/roles: unresolved label {label!r}")
+            if labels.count(label) > 1:
+                raise ScenarioError(f"/roles/{key}: label {label!r} names several records")
+            pair.append(parsed[labels.index(label)])
+        if pair[0] is pair[1]:
+            raise ScenarioError("/roles/rho: names the same record as /roles/pi")
+        return tuple(pair)
+    if not parsed:
+        raise ScenarioError("/records: need at least one record")
+    pi, rho = (parsed + [TRIVIAL])[:2]
+    if pi != rho and pi.label == rho.label:
+        if rho is TRIVIAL:
+            raise ScenarioError(f"/records/0/label: {pi.label!r} is the trivial core's label")
+        raise ScenarioError(f"/records/1/label: {rho.label!r} is also the label of /records/0")
+    return pi, rho
 
 
 def _ratio_flags(scn: dict) -> dict:

@@ -32,23 +32,21 @@ class GroupError(ValueError):
 
 
 class GroupDescriptor(Record):
-    """One of GL(N), Res_{E/F}GL(N), Sp(2n), SO(2n+1), SO(2n)^α, U(N).
+    """One of GL(N), Res_{E/F}GL(N), Sp(2n), SO(2n+1), SO(2n), U(N).
 
     ``size`` is N for the linear and unitary families, n for Sp/SO (so the
-    matrix size is 2n resp. 2n±1).  ``alpha`` tags the even orthogonal
-    discriminant, an opaque label only compared for equality; an empty tag
-    on SO(2n) is the split tag "1", so each group has one descriptor.
+    matrix size is 2n resp. 2n±1).  SO(2n) is the split form, the one the
+    Eisenstein constructions induce from, labelled SO{2n}^1 after its
+    trivial discriminant.
     """
 
-    _fields = ("family", "size", "alpha")
+    _fields = ("family", "size")
 
-    def __init__(self, family: str, size: int, alpha: str = ""):
+    def __init__(self, family: str, size: int):
         if family not in _FAMILIES:
             raise GroupError(f"unknown family {family!r}")
         if type(size) is not int:
             raise GroupError(f"size must be an int, not {size!r}")
-        if family == SO_EVEN:
-            alpha = alpha or "1"
         if family in (GL, RES_GL):
             if size < 1:
                 raise GroupError("linear groups need size ≥ 1")
@@ -56,7 +54,6 @@ class GroupDescriptor(Record):
             raise GroupError("size must be ≥ 0")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "alpha", alpha)
 
     def label(self) -> str:
         if self.family == SP:
@@ -64,7 +61,7 @@ class GroupDescriptor(Record):
         if self.family == SO_ODD:
             return f"SO{2 * self.size + 1}"
         if self.family == SO_EVEN:
-            return f"SO{2 * self.size}^{self.alpha}"
+            return f"SO{2 * self.size}^1"
         if self.family == UNITARY:
             return f"U{self.size}"
         if self.family == RES_GL:
@@ -80,8 +77,8 @@ def so_odd(n: int) -> GroupDescriptor:
     return GroupDescriptor(SO_ODD, n)
 
 
-def so_even(n: int, alpha: str = "1") -> GroupDescriptor:
-    return GroupDescriptor(SO_EVEN, n, alpha=alpha)
+def so_even(n: int) -> GroupDescriptor:
+    return GroupDescriptor(SO_EVEN, n)
 
 
 def unitary(N: int) -> GroupDescriptor:
@@ -98,7 +95,7 @@ def _levi_core(group: GroupDescriptor, r: int) -> GroupDescriptor:
     step = _BLOCK_STEP.get(group.family)
     if step is None or not 1 <= r <= group.size // step:
         raise GroupError(f"{group.label()} has no maximal Levi with a block of size {r}")
-    return GroupDescriptor(group.family, group.size - step * r, group.alpha)
+    return GroupDescriptor(group.family, group.size - step * r)
 
 
 def modulus_levi(group: GroupDescriptor, r: int) -> Fraction:
@@ -156,8 +153,8 @@ def borel_modulus_compose(group: GroupDescriptor, r: int) -> bool:
 def ambient_with_block(rho_duality: str, r: int, t: int) -> GroupDescriptor:
     """Ambient group containing GL_r × (core of the degree-t parameter), by
     the duality type of that parameter: symplectic ⇒ odd orthogonal;
-    orthogonal of odd degree ⇒ symplectic; orthogonal of even degree ⇒ even
-    orthogonal with discriminant tag "1"."""
+    orthogonal of odd degree ⇒ symplectic; orthogonal of even degree ⇒
+    split even orthogonal."""
     n = r + t // 2
     if rho_duality == "symplectic":
         if t % 2 != 0:

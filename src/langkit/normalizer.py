@@ -30,22 +30,17 @@ class NormalizerError(ValueError):
 
 
 class DiscreteSegment(Record):
-    """Discrete block datum: cuspidal size m, ladder height h, twist a.
+    """Discrete block datum: a label and its twist a.
 
-    The cuspidal support itself stays opaque; every bound below uses only
-    the twist exponent.
+    The block itself (cuspidal support, size m, ladder height h) stays
+    opaque; every bound below uses only the twist exponent.
     """
 
-    _fields = ("label", "m", "h", "a")
+    _fields = ("label", "a")
 
-    def __init__(self, label: str, m: int, h: int, a: Fraction = Fraction(0)):
-        a = rat(a)
-        if m < 1 or h < 1:
-            raise NormalizerError("segment sizes are positive")
+    def __init__(self, label: str, a: Fraction = Fraction(0)):
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", rat(a))
 
 
 class QuasiTemperedGL(Record):
@@ -172,15 +167,12 @@ def verify_wedge_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> boo
 
 
 class FactorClassification(Record):
-    _fields = ("ratio", "status", "bound", "rule")
+    _fields = ("ratio", "status")
 
-    def __init__(self, ratio: Ratio, status: str, bound: Fraction, rule: str):
-        """``status`` is holo_nonzero or pole_candidate; ``bound`` is a
-        strict lower bound for Re(argument) on the region."""
+    def __init__(self, ratio: Ratio, status: str):
+        """``status`` is holo_nonzero or pole_candidate."""
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "status", status)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "rule", rule)
 
 
 def classify_holomorphy(ratios) -> list:
@@ -194,14 +186,13 @@ def classify_holomorphy(ratios) -> list:
     """
     out = []
     for ratio in ratios:
-        bound = ratio.alpha * HALF + ratio.beta
         if ratio.family == "ii-":
-            status, rule = "pole_candidate", rules.cite("ratio-pole-candidate")
+            status = "pole_candidate"
+        elif ratio.alpha * HALF + ratio.beta <= 0:
+            raise NormalizerError(f"unbounded argument: {ratio.serialize()}")
         else:
-            if bound <= 0:
-                raise NormalizerError(f"unbounded argument: {ratio.serialize()}")
-            status, rule = "holo_nonzero", rules.cite("ratio-bound-positive")
-        out.append(FactorClassification(ratio, status, bound, rule))
+            status = "holo_nonzero"
+        out.append(FactorClassification(ratio, status))
     return out
 
 

@@ -68,10 +68,6 @@ RULES = {
         "a factor whose argument has positive real part on the region, with "
         "tempered inducing data, is holomorphic and nonzero there"
     ),
-    "ratio-pole-candidate": (
-        "the minus-twist pair factors are the only ones whose argument can reach "
-        "nonpositive real part on the region"
-    ),
     "gl-block-window": (
         "normalized rank-one operators between discrete-series blocks are "
         "holomorphic for argument real part > -1 and invertible for |real part| "

@@ -51,7 +51,7 @@ class Eigenvalue(Record):
     """sign · q^{q2/2} · unit, in normal form.
 
     The half-integral q-exponent is held doubled as the int ``q2``, so the
-    products, inverses and transports below never build a `Fraction`; one
+    products and transports below never build a `Fraction`; one
     appears only in `serialize` and in the read-only view `q_exp`.  The
     ``unit`` must already be in normal form: it is normalized only where it
     is parsed (`ev`, `parse_eigenvalue`) or merged (`__mul__`, `apply_unit`).
@@ -82,9 +82,6 @@ class Eigenvalue(Record):
     def __mul__(self, other: "Eigenvalue") -> "Eigenvalue":
         unit = _normalize_unit(self.unit + other.unit)
         return Eigenvalue(self.q2 + other.q2, unit, self.sign * other.sign)
-
-    def inverse(self) -> "Eigenvalue":
-        return Eigenvalue(-self.q2, tuple((s, -e) for s, e in self.unit), self.sign)
 
     def scaled(self, sign: int = 1, shift2: int = 0) -> "Eigenvalue":
         """Multiply by sign·q^{shift2/2}."""
@@ -159,16 +156,8 @@ class SatakeClass(Record):
         object.__setattr__(self, "eigenvalues", tuple(sorted(eigenvalues, key=Eigenvalue.sort_key)))
         object.__setattr__(self, "family", family)
 
-    def multiset(self):
-        return sorted(e.sort_key() for e in self.eigenvalues)
-
     def map_eigenvalues(self, fn) -> "SatakeClass":
         return SatakeClass(tuple(fn(e) for e in self.eigenvalues), self.family)
-
-    def is_inversion_stable(self) -> bool:
-        """Multiset equality with its eigenvalue-wise inverse."""
-        inv = sorted(e.inverse().sort_key() for e in self.eigenvalues)
-        return inv == self.multiset()
 
     def serialize(self) -> list:
         return [e.serialize() for e in self.eigenvalues]
@@ -211,15 +200,6 @@ class AutModel(Record):
         units permuted."""
         twist = -1 if (self.eps == -1 and e.q2 % 2 == 1) else 1
         return Eigenvalue(e.q2, self.apply_unit(e.unit), e.sign * twist)
-
-    def compose(self, other: "AutModel") -> "AutModel":
-        """self ∘ other: unit maps compose, eps values multiply."""
-        table = dict(other.unit_map)
-        composed = {}
-        syms = set(table) | set(dict(self.unit_map))
-        for s in syms:
-            composed[s] = self.map_symbol(other.map_symbol(s))
-        return AutModel(tuple(sorted(composed.items())), self.eps * other.eps)
 
 
 IDENTITY_AUT = AutModel()

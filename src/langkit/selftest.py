@@ -236,9 +236,7 @@ def _suite_pole_table():
 def _suite_factorization():
     for t in range(1, 5):
         for u in range(0, 5):
-            segs = tuple(
-                DiscreteSegment(f"p{i}", 1, 1, Fraction(1, 4 * (i + 2))) for i in range(t)
-            )
+            segs = tuple(DiscreteSegment(f"p{i}", Fraction(1, 4 * (i + 2))) for i in range(t))
             pi = QuasiTemperedGL(segs)
             if not verify_wedge_expansion(pi):
                 raise AssertionError(f"square expansion fails t={t}")

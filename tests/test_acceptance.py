@@ -226,7 +226,7 @@ def test_criterion_09_normalization_factorization():
     for t in range(1, 5):
         for u in range(0, 5):
             pi = QuasiTemperedGL(
-                tuple(DiscreteSegment(f"p{i}", 1, 1, Fraction(1, 4 * (i + 2))) for i in range(t))
+                tuple(DiscreteSegment(f"p{i}", Fraction(1, 4 * (i + 2))) for i in range(t))
             )
             assert verify_wedge_expansion(pi)
             rho = QuasiTemperedSelfdual(

@@ -133,17 +133,14 @@ def test_every_public_name_is_used_by_the_package():
     assert EXTERNAL_ENTRY_POINTS.isdisjoint(referenced)  # the pin goes once a caller comes
 
 
-# public methods that only tests call until the transport group action
-# (ROADMAP item 3) gives them a caller
-TEST_ONLY_METHODS = {"SatakeClass.is_inversion_stable", "AutModel.compose"}
+# public methods that only tests call: none, a method ships with a caller
+TEST_ONLY_METHODS = set()
 
 # public method names that several classes define: a read of the name counts
 # for every one of them, so the guard below cannot see a dead one.  Each was
-# checked for a caller in the package; `AutOnEmbeddings.inverse`, and
-# `Eigenvalue.inverse` through `is_inversion_stable`, have none until item 3.
+# checked for a caller in the package.
 SHARED_METHOD_NAMES = {
     "identity": {"AutOnEmbeddings", "SignedPerm"},
-    "inverse": {"AutOnEmbeddings", "Eigenvalue"},
     "labels": {"EmbeddingSet", "InfChar"},
     "order": {"AnalyticLedger", "RootDatum"},
     "serialize": {
@@ -189,20 +186,15 @@ def test_every_public_method_is_used_by_the_package():
     assert unused == TEST_ONLY_METHODS
 
 
-# record fields that no code reads by name: they enter only the record's
-# equality, hash and repr
-UNREAD_FIELDS = {
-    "FactorClassification.bound",
-    "FactorClassification.rule",
-    "DiscreteSegment.m",
-    "DiscreteSegment.h",
-}
+# record fields that no code reads by name, which would enter only the
+# record's equality, hash and repr: none, a field ships with a reader
+UNREAD_FIELDS = set()
 
 # field names that several record classes list: a read of the name counts for
 # every one of them, so the guard below cannot see an unread one.  Each was
 # checked for a read in the package.
 SHARED_FIELD_NAMES = {
-    "alpha": {"GroupDescriptor", "LFactorRef", "Ratio"},
+    "alpha": {"LFactorRef", "Ratio"},
     "beta": {"LFactorRef", "Ratio"},
     "family": {"GroupDescriptor", "Ratio", "RootDatum", "SatakeClass"},
     "kind": {"LFactorRef", "Ratio"},
@@ -616,6 +608,8 @@ TARGET_ERROR = (
     '/theorem_target: must be one of "A", "B", "C", "D", "E", "F", "appendix", "custom", not "Z"'
 )
 SEGMENT = {"pi": {"segments": []}, "rho": {"selfdual": ["r0"]}}
+PI_B, RHO_B = json.loads((cli.scenario_dir() / "thmB.json").read_text())["records"]
+SHARED_PI = [PI_B, {**RHO_B, "label": "pi"}]  # thmB's rho relabelled pi
 SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
 FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
 
@@ -720,6 +714,34 @@ FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
          "/ledger_overrides/0/factor/2: must be a string"),
         ("satake-act", {"satake_class": SATAKE, "aut_spec": {"unit_map": {"u1": "u2"}}},
          "/aut_spec: unit_map must be a bijection on symbols"),
+        # segment sizes: range-checked at the boundary though no report reads them
+        *(
+            ("normalize", {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{}, {key: bad}]}}},
+             f"/quasi_tempered/pi/segments/1/{key}: {message}")
+            for key in ("m", "h")
+            for bad, message in (
+                (0, "must be a positive integer, got 0"),
+                (-1, "must be a positive integer, got -1"),
+                (True, "must be an integer, not true"),
+                ("2", 'must be an integer, not "2"'),
+            )
+        ),
+        # the ledger is keyed by label: pi and rho are one record or have two labels
+        *(
+            (command, {"records": SHARED_PI, "roles": {}},
+             "/records/1/label: 'pi' is also the label of /records/0")
+            for command in ("pole", "check-scenario", "classify", "root-number")
+        ),
+        ("pole", {"records": [{**PI_B, "label": "1"}], "roles": {}},
+         "/records/0/label: '1' is the trivial core's label"),
+        ("pole", {"records": SHARED_PI, "roles": {"pi": "pi", "rho": "pi"}},
+         "/roles/pi: label 'pi' names several records"),
+        ("check-scenario", {"records": [*SHARED_PI, RHO_B]},
+         "/roles/pi: label 'pi' names several records"),
+        ("pole", {"roles": {"pi": "rho", "rho": "rho"}},
+         "/roles/rho: names the same record as /roles/pi"),
+        ("root-number", {"roles": {"pi": "pi", "rho": "pi"}},
+         "/roles/rho: names the same record as /roles/pi"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -730,6 +752,33 @@ def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message)
     proc = run_cli(command, "--scenario", str(p))
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_the_trivial_core_may_be_given_explicitly(tmp_path):
+    """thmA lists the core "1" as a record; read without roles, it is the
+    second record, not a collision with the implied core."""
+    scn = json.loads((cli.scenario_dir() / "thmA.json").read_text())
+    scn.pop("roles")
+    p = tmp_path / "thmA.json"
+    p.write_text(json.dumps(scn))
+    proc = run_cli("pole", "--scenario", str(p))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("pole", "--scenario", "thmA").stdout
+
+
+@pytest.mark.parametrize("name", [n for n in LIBRARY if n.startswith("appendix_")])
+def test_segment_sizes_are_checked_but_unread(tmp_path, name):
+    """Every segment's m and h moved to other positive ints: the normalize
+    and check-scenario reports stay byte-identical in both formats."""
+    scn = json.loads((cli.scenario_dir() / f"{name}.json").read_text())
+    for seg in scn["quasi_tempered"]["pi"]["segments"]:
+        seg["m"], seg["h"] = seg["m"] + 6, seg["h"] + 8
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(scn))
+    for command in ("normalize", "check-scenario"):
+        want, got = cli.run(command, name), cli.run(command, str(p))
+        assert cli.render_json(got) == cli.render_json(want)
+        assert cli.render_text(got) == cli.render_text(want)
 
 
 def test_override_accepts_every_factor_kind(tmp_path):

@@ -328,7 +328,7 @@ class TestPipeline:
         moved_rho = CuspidalRecord(
             "a(rho)", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic", infchar=RHO_B.infchar
         )
-        inv = AutSpec(AutModel(eps=-1), AUT.embeddings.inverse())
+        inv = AutSpec(AutModel(eps=-1), AutOnEmbeddings((("r1", "r1"),)))  # AUT's inverse
         back = theorem_pipeline("B", moved_pi, moved_rho, EMB, inv, 0)
         assert back["verdict"] == res["verdict"]
 

@@ -118,7 +118,7 @@ def test_even_orthogonal_has_one_descriptor():
     for n in range(4):
         group = GroupDescriptor(groups.SO_EVEN, n)
         assert group == so_even(n) and hash(group) == hash(so_even(n))
-        assert group.alpha == "1" and group.label() == f"SO{2 * n}^1"
-    assert GroupDescriptor(groups.SO_EVEN, 2, "d") == so_even(2, "d") != so_even(2)
-    # the core of a maximal Levi keeps the tag
+        assert group.label() == f"SO{2 * n}^1"
+    assert GroupDescriptor._fields == ("family", "size")
+    # the core of a maximal Levi is the split form again
     assert groups._levi_core(GroupDescriptor(groups.SO_EVEN, 3), 1) == so_even(2)

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from langkit.eisenstein import HypothesisError
+from langkit.rationals import HALF
 from langkit.normalizer import (
     AUX_KINDS,
     DiscreteSegment,
     NormalizerError,
     QuasiTemperedGL,
     QuasiTemperedSelfdual,
+    Ratio,
     classify_holomorphy,
     factor_normalization,
     holomorphy_verdict,
@@ -20,7 +22,7 @@ from langkit.normalizer import (
 
 def make_pi(*exps):
     return QuasiTemperedGL(
-        tuple(DiscreteSegment(f"p{i + 1}", 1, 1, e) for i, e in enumerate(exps))
+        tuple(DiscreteSegment(f"p{i + 1}", e) for i, e in enumerate(exps))
     )
 
 
@@ -31,7 +33,7 @@ RHO1 = QuasiTemperedSelfdual(("r0",), (("r1", "1/4"),))
 class TestDecompositions:
     def test_exponent_bounds(self):
         with pytest.raises(NormalizerError, match="not quasi-tempered"):
-            QuasiTemperedGL((DiscreteSegment("p", 1, 1, "1/2"),))
+            QuasiTemperedGL((DiscreteSegment("p", "1/2"),))
         with pytest.raises(NormalizerError, match="not quasi-tempered"):
             QuasiTemperedSelfdual(("r0",), (("r1", "1/2"),))
         with pytest.raises(NormalizerError, match="not quasi-tempered"):
@@ -43,7 +45,7 @@ class TestDecompositions:
 
     def test_segments_sorted_descending(self):
         pi = QuasiTemperedGL(
-            (DiscreteSegment("a", 1, 1, "0"), DiscreteSegment("b", 1, 1, "1/4"))
+            (DiscreteSegment("a", "0"), DiscreteSegment("b", "1/4"))
         )
         assert [s.a for s in pi.segments] == [Fraction(1, 4), Fraction(0)]
 
@@ -102,21 +104,28 @@ class TestClassification:
         out = classify_holomorphy(factor_normalization(pi, RHO0))
         for c in out:
             if c.status == "holo_nonzero":
-                assert c.bound > 0
+                assert c.ratio.alpha * HALF + c.ratio.beta > 0
 
     def test_shifted_argument_bound(self):
-        # slope-2 factor at offset 1+2a has bound 2·(1/2)+1+2a ≥ 1 > 0
+        # the slope-2 factor (iv) at 2s+2a has bound 2·(1/2)+2a = 1/2 at a = -1/4
         pi = make_pi("-1/4")
         rs = [r for r in factor_normalization(pi, RHO0) if r.family == "iv"]
         c = classify_holomorphy(rs)[0]
-        assert c.bound == Fraction(1, 2)
+        assert c.status == "holo_nonzero" and c.ratio.alpha * HALF + c.ratio.beta == HALF
 
     def test_denominators_always_regular(self):
         # the denominator of every ratio sits one unit right of the numerator
         pi = make_pi("1/4", "-1/4")
         rho = QuasiTemperedSelfdual(("r0",), (("r1", "1/4"), ("r2", "2/5")))
         for c in classify_holomorphy(factor_normalization(pi, rho)):
-            assert c.bound + 1 > 0
+            assert c.ratio.alpha * HALF + c.ratio.beta + 1 > 0
+
+    def test_nonpositive_bound_is_refused_outside_the_minus_twists(self):
+        at_zero = Fraction(-1, 2)  # Re(s + beta) = 0 at Re(s) = 1/2
+        with pytest.raises(NormalizerError, match="unbounded argument"):
+            classify_holomorphy([Ratio("i", ("rankin", "p1", "r0"), 1, at_zero)])
+        (c,) = classify_holomorphy([Ratio("ii-", ("rankin", "p1", "r1^"), 1, at_zero)])
+        assert c.status == "pole_candidate"
 
 
 class TestWords:
@@ -140,7 +149,7 @@ class TestWords:
 
 class TestVerdict:
     def test_no_pairs_two_part_certificate(self):
-        v = holomorphy_verdict(QuasiTemperedGL((DiscreteSegment("p1", 1, 2, "1/4"),)), RHO0)
+        v = holomorphy_verdict(QuasiTemperedGL((DiscreteSegment("p1", "1/4"),)), RHO0)
         assert len(v["certificate"]) == 2
         assert v["statement"].startswith("holomorphic")
 

@@ -109,14 +109,14 @@ SAMPLES = {
         lambda: Verdict(False, "cuspidal count"),
     ),
     DiscreteSegment: (
-        lambda: DiscreteSegment("p1", 1, 2, "1/4"),
-        lambda: DiscreteSegment("p2", 2, 1),
+        lambda: DiscreteSegment("p1", "1/4"),
+        lambda: DiscreteSegment("p2"),
     ),
     QuasiTemperedGL: (
         lambda: QuasiTemperedGL(
-            (DiscreteSegment("p2", 2, 1), DiscreteSegment("p1", 1, 2, "1/4"))
+            (DiscreteSegment("p2"), DiscreteSegment("p1", "1/4"))
         ),
-        lambda: QuasiTemperedGL((DiscreteSegment("p2", 2, 1),)),
+        lambda: QuasiTemperedGL((DiscreteSegment("p2"),)),
     ),
     QuasiTemperedSelfdual: (
         lambda: QuasiTemperedSelfdual(["s"], (("r1", "1/4"),)),
@@ -124,8 +124,8 @@ SAMPLES = {
     ),
     Ratio: (_ratio, lambda: _ratio(2), lambda: Ratio("iii", ("wedge2", "p1"), 2, 0)),
     FactorClassification: (
-        lambda: FactorClassification(_ratio(), "pole_candidate", Fraction(1, 4), "r1"),
-        lambda: FactorClassification(_ratio(2), "holo_nonzero", Fraction(3, 4), "r2"),
+        lambda: FactorClassification(_ratio(), "pole_candidate"),
+        lambda: FactorClassification(_ratio(2), "holo_nonzero"),
     ),
     Eigenvalue: (lambda: Eigenvalue(1, (("u", 1),), -1), lambda: Eigenvalue(0)),
     SatakeClass: (
@@ -137,7 +137,7 @@ SAMPLES = {
         lambda: AutModel(),
     ),
     GroupDescriptor: (
-        lambda: GroupDescriptor("SOeven", 2, "d"),
+        lambda: GroupDescriptor("SOeven", 2),
         lambda: GroupDescriptor("U", 3),
     ),
     GradedNilradical: (lambda: grade_nilradical(2, 1), lambda: grade_nilradical(1, 0)),
