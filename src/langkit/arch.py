@@ -2,11 +2,12 @@
 
 Infinitesimal characters are per-embedding multisets of half-integers v,
 each held doubled as the int 2v, so the predicates and the sign loop work
-on ints; a `Fraction` appears only in `serialize` and in the weight that
-`purity_weight` returns.  The predicates (superregularity, disjointness,
-regularity of the induced character, the even-orthogonal regularity shape)
-gate the pole pipeline; the sign formulas compute the archimedean part of
-the functional-equation sign and its invariance certificate.
+on ints; `serialize` renders them with `half_str`, and a `Fraction`
+appears only in the weight that `purity_weight` returns.  The predicates
+(superregularity, disjointness, regularity of the induced character, the
+even-orthogonal regularity shape) gate the pole pipeline; the sign
+formulas compute the archimedean part of the functional-equation sign and
+its invariance certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .rationals import doubled, rat, rat_str
+from .rationals import doubled, half_str, rat
 from .record import Record
 
 
@@ -87,7 +88,7 @@ class InfChar(Record):
         return InfChar(tuple((label, dict(self.data)[inv[label]]) for label in self.labels))
 
     def serialize(self) -> dict:
-        return {label: [rat_str(Fraction(v, 2)) for v in vals] for label, vals in self.data}
+        return {label: list(map(half_str, vals)) for label, vals in self.data}
 
 
 class AutOnEmbeddings(Record):

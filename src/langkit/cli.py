@@ -9,7 +9,6 @@ Exit code is 0 only when no error occurred and no hypothesis was violated.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -42,7 +41,7 @@ from .normalizer import (
     QuasiTemperedSelfdual,
     holomorphy_verdict,
 )
-from .rationals import doubled, rat, rat_str
+from .rationals import doubled, half_str, rat
 from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
@@ -473,9 +472,8 @@ def cmd_kostant(args) -> dict:
     }
     if args.weight:
         twice_lam = _twice_lambda(Weight(args.weight), datum)
-        text = functools.lru_cache(maxsize=None)(rat_str)  # one string per distinct value
         payload["weights"] = [
-            {"degree": d, "weight": list(map(text, wt.coords))}
+            {"degree": d, "weight": list(map(half_str, wt.twice))}
             for d, wt in _shifted_weights(twice_lam, datum, shape, windows)
         ]
     return _report("kostant", "", payload)

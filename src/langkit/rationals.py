@@ -1,18 +1,11 @@
 """Exact rational helpers shared across the package.
 
-Every rational in this library's interfaces is a `fractions.Fraction`.
-The kernels that only ever see half-integers (`weyl`, the `spectra`
-ladders, `satake` q-exponents and the `arch` infinitesimal characters)
-hold a half-integer x as the int 2x instead: `doubled` is the one
-conversion into that form, applied once where a value is parsed, and a
-Fraction is built again only at the edges, in `rat_str` output, report
-strings and where the ledger or pole layer reads a value.  In `weyl` the
-roots, 2ρ and the shifted weights are ints from the moment a `Weight` is
-passed in until `kostant_weights` returns, and `Weight.coords` stay
-Fractions at the interface: `Weight(coords)` passes each coordinate
-through `rat` and `doubled`, while `kostant_weights` builds x/2 once per
-distinct doubled value x in a call, through a table local to that call,
-and skips the check on values it made half-integral.  Scenario files
+Every general rational in this library's interfaces is a
+`fractions.Fraction`.  A half-integer x (a Weyl weight coordinate, a
+ladder shift, a Satake q-exponent, an infinitesimal character entry) is
+held as the int 2x instead: `doubled` is the one conversion into that
+form, applied once where a value is parsed, and `half_str` renders the int
+2x as `rat_str` renders x, without building the Fraction.  Scenario files
 store rationals as strings like "3/2", "-1/2" or "2"; these helpers
 round-trip that format losslessly.
 """
@@ -41,6 +34,11 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def half_str(x2: int) -> str:
+    """`rat_str` of x2/2 for an int x2, without building the Fraction."""
+    return f"{x2}/2" if x2 % 2 else str(x2 // 2)
 
 
 def doubled(x: Fraction):

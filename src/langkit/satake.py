@@ -3,12 +3,12 @@
 An eigenvalue is sign·q^e·u where e is an exact half-integer, q a formal
 residue-cardinality symbol attached to a place, and u a word in a free
 abelian group of opaque unit symbols.  The kernel holds e doubled, as the
-int 2e, and u in normal form; `ev` and `parse_eigenvalue` take e as a
-rational and u as tokens or pairs, and normalize both once.  A field
-automorphism is modeled by the only data the computations use: a
-permutation of the unit symbols (compatible with inversion) and the sign
-eps = a(q^{1/2})/q^{1/2}, the same at every place.  Equality of
-eigenvalues is syntactic on the normal form.
+int 2e, and u in normal form; `parse_eigenvalue` reads e as a rational and
+u as tokens, and normalizes both once.  A field automorphism is modeled
+by the only data the computations use: a permutation of the unit symbols
+(compatible with inversion) and the sign eps = a(q^{1/2})/q^{1/2}, the
+same at every place.  Equality of eigenvalues is syntactic on the normal
+form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
-from .rationals import doubled, rat, rat_str
+from .rationals import doubled, half_str, rat
 from .record import Record
 
 
@@ -33,8 +33,6 @@ def _normalize_unit(unit) -> tuple:
     """Normal form of tokens "u^k" or (symbol, exponent) pairs: the sorted
     tuple of (symbol, nonzero exponent), equal symbols merged."""
     acc: dict = {}
-    if isinstance(unit, str):
-        unit = [unit] if unit else []
     for item in unit:
         if isinstance(item, str):
             m = _UNIT_TOKEN.match(item)
@@ -51,10 +49,10 @@ class Eigenvalue(Record):
     """sign · q^{q2/2} · unit, in normal form.
 
     The half-integral q-exponent is held doubled as the int ``q2``, so the
-    products and transports below never build a `Fraction`; one
-    appears only in `serialize` and in the read-only view `q_exp`.  The
-    ``unit`` must already be in normal form: it is normalized only where it
-    is parsed (`ev`, `parse_eigenvalue`) or merged (`__mul__`, `apply_unit`).
+    transports below never build a `Fraction` and `serialize` renders it
+    with `half_str`.  The ``unit`` must already be in normal form: it is
+    normalized only where it is parsed (`parse_eigenvalue`) or mapped
+    (`AutModel.apply_unit`).
     """
 
     _fields = ("q2", "unit", "sign")
@@ -75,14 +73,6 @@ class Eigenvalue(Record):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "sign", sign)
 
-    @property
-    def q_exp(self) -> Fraction:
-        return Fraction(self.q2, 2)
-
-    def __mul__(self, other: "Eigenvalue") -> "Eigenvalue":
-        unit = _normalize_unit(self.unit + other.unit)
-        return Eigenvalue(self.q2 + other.q2, unit, self.sign * other.sign)
-
     def scaled(self, sign: int = 1, shift2: int = 0) -> "Eigenvalue":
         """Multiply by sign·q^{shift2/2}."""
         return Eigenvalue(self.q2 + shift2, self.unit, self.sign * sign)
@@ -90,7 +80,7 @@ class Eigenvalue(Record):
     def serialize(self) -> str:
         parts = []
         if self.q2:
-            parts.append(f"q^{rat_str(self.q_exp)}")
+            parts.append(f"q^{half_str(self.q2)}")
         for s, e in self.unit:
             parts.append(s if e == 1 else f"{s}^{e}")
         body = "*".join(parts) if parts else "1"
@@ -98,25 +88,6 @@ class Eigenvalue(Record):
 
     def sort_key(self):
         return (self.q2, self.unit, self.sign)
-
-    def __str__(self):
-        return self.serialize()
-
-
-def _doubled(q_exp: Fraction) -> int:
-    """2·q_exp as an int; the q-exponent must be a half-integer."""
-    q2 = doubled(q_exp)
-    if q2 is None:
-        raise SatakeError(f"q-exponent {q_exp} is not half-integral")
-    return q2
-
-
-def ev(q_exp=0, unit=(), sign=1) -> Eigenvalue:
-    """The eigenvalue sign·q^{q_exp}·unit, for a rational q_exp."""
-    return Eigenvalue(_doubled(rat(q_exp)), _normalize_unit(unit), sign)
-
-
-ONE = ev()
 
 
 def parse_eigenvalue(text: str) -> Eigenvalue:
@@ -142,7 +113,10 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
             continue
         else:
             unit.append(token)
-    return Eigenvalue(_doubled(q_exp), _normalize_unit(unit), sign)
+    q2 = doubled(q_exp)
+    if q2 is None:
+        raise SatakeError(f"q-exponent {q_exp} is not half-integral")
+    return Eigenvalue(q2, _normalize_unit(unit), sign)
 
 
 class SatakeClass(Record):
@@ -161,9 +135,6 @@ class SatakeClass(Record):
 
     def serialize(self) -> list:
         return [e.serialize() for e in self.eigenvalues]
-
-    def __str__(self):
-        return "{" + ", ".join(self.serialize()) + "}"
 
 
 class AutModel(Record):
@@ -200,9 +171,6 @@ class AutModel(Record):
         units permuted."""
         twist = -1 if (self.eps == -1 and e.q2 % 2 == 1) else 1
         return Eigenvalue(e.q2, self.apply_unit(e.unit), e.sign * twist)
-
-
-IDENTITY_AUT = AutModel()
 
 
 def eps_m(aut: AutModel, m: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arch import ArchError, AutOnEmbeddings, InfChar, purity_weight
-from .rationals import rat, rat_str
+from .rationals import half_str, rat, rat_str
 from .record import Record
 
 SELFDUAL_SYMPLECTIC = "symplectic"
@@ -125,7 +125,7 @@ class CuspidalSum(Record):
     """Multiset of (record, j) terms, where j = 2·shift is an int.
 
     Shifts are half-integers, so the ladder kernel (`expand`, `reconstruct`)
-    holds them doubled and builds a `Fraction` only in its error messages.
+    holds them doubled and builds no `Fraction`.
     Terms are kept sorted by (label, degree, j).
     """
 
@@ -139,9 +139,6 @@ class CuspidalSum(Record):
                 raise SpectraError(f"doubled shift must be an int, not {j!r}")
         terms = tuple(sorted(terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
         object.__setattr__(self, "terms", terms)
-
-    def __len__(self):
-        return len(self.terms)
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
@@ -175,7 +172,7 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
             top = group[-1][0]
             if top < 0:
                 raise SpectraError(
-                    f"not a parameter sum: stray shift {rat_str(Fraction(top, 2))} for {rec.label}"
+                    f"not a parameter sum: stray shift {half_str(top)} for {rec.label}"
                 )
             for step in range(top, -top - 1, -2):
                 for i, (j, r) in enumerate(group):
@@ -185,7 +182,7 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
                 else:
                     raise SpectraError(
                         "not a parameter sum: ladder of "
-                        f"{rec.label} misses shift {rat_str(Fraction(step, 2))}"
+                        f"{rec.label} misses shift {half_str(step)}"
                     )
             summands.append((rec, top + 1))
     return ArthurParameter(tuple(summands))

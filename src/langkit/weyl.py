@@ -28,12 +28,10 @@ the unipotent radical by an integer pairing; 2ρ is the int sum of the
 positive roots.  One private search, `_kostant_windows`, serves
 `kostant_reps`, which wraps its windows in `SignedPerm`s, and
 `kostant_weights` (and the `kostant` command), which act with the raw
-windows: λ is doubled once, the shifted weights 2(w(λ+ρ)-ρ) are computed
-on ints, and dominance is read off the sign of an integer pairing.
-`Weight.coords` stay `Fraction`s at the interface: `Weight(coords)`
-validates its input, while `kostant_weights` builds one `Fraction` per
-distinct coordinate value in a call, and its `Weight`s skip that check
-since their values are half-integral by construction.
+windows: the shifted weights 2(w(λ+ρ)-ρ) are computed on ints, and
+dominance is read off the sign of an integer pairing.  A `Weight` holds
+its coordinates doubled, so no `Fraction` is built between
+`Weight(coords)` and the rendered output; `Weight.coords` derives them.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
 
-from .rationals import doubled, rat, rat_str
+from .rationals import doubled, half_str, rat
 from .record import Record
 
 
@@ -57,22 +55,29 @@ class WeylError(ValueError):
 
 
 class Weight(Record):
-    """A coordinate vector of exact half-integers."""
+    """A coordinate vector of exact half-integers x, held as the ints 2x in
+    ``twice``; it is built from the coordinates themselves."""
 
-    _fields = ("coords",)
+    _fields = ("twice",)
 
     def __init__(self, coords: tuple):
-        coords = tuple(rat(c) for c in coords)
-        for c in coords:
-            if doubled(c) is None:
+        twice = []
+        for c in map(rat, coords):
+            x = doubled(c)
+            if x is None:
                 raise WeylError(f"weight coordinate {c} is not half-integral")
-        object.__setattr__(self, "coords", coords)
+            twice.append(x)
+        object.__setattr__(self, "twice", tuple(twice))
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(x, 2) for x in self.twice)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.twice)
 
     def __str__(self):
-        return "(" + ", ".join(rat_str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(map(half_str, self.twice)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +307,7 @@ class RootDatum(Record):
         return 2 ** (n - 1) * math.factorial(n)
 
     def is_dominant(self, weight: Weight) -> bool:
-        twice = [doubled(c) for c in weight.coords]
-        return _pairs_nonnegative(map(_terms, self.simple_roots()), twice)
+        return _pairs_nonnegative(map(_terms, self.simple_roots()), weight.twice)
 
 
 class ParabolicShape(Record):
@@ -487,31 +491,21 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     return [(SignedPerm(w), ell) for w, ell in _kostant_windows(datum, shape)]
 
 
-class _Halves(dict):
-    """x ↦ Fraction(x, 2) for doubled coordinates x, each built on its first
-    lookup; one instance lives for one call."""
-
-    def __missing__(self, x):
-        half = self[x] = Fraction(x, 2)
-        return half
-
-
-def _twice_lambda(lam: Weight, datum: RootDatum) -> list:
+def _twice_lambda(lam: Weight, datum: RootDatum) -> tuple:
     """2λ on ints, once λ is checked to be a dominant weight of the datum."""
     if len(lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
     if not datum.is_dominant(lam):
         raise WeylError(f"weight {lam} is not dominant")
-    return [doubled(c) for c in lam.coords]
+    return lam.twice
 
 
-def _shifted_weights(twice_lam: list, datum: RootDatum, shape: ParabolicShape, windows) -> list:
+def _shifted_weights(twice_lam: tuple, datum: RootDatum, shape: ParabolicShape, windows) -> list:
     """The step behind `kostant_weights`: [(length, w(λ+ρ)-ρ)] over the
     (window, length) pairs of `_kostant_windows`, for 2λ = ``twice_lam``."""
     twice_rho = datum.twice_rho()
     twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
     levi = list(map(_terms, shape.levi_simple_roots()))
-    halves = _Halves()
     out = []
     for w, ell in windows:
         acted = [0] * len(w)
@@ -523,8 +517,8 @@ def _shifted_weights(twice_lam: list, datum: RootDatum, shape: ParabolicShape, w
         shifted = [x - r for x, r in zip(acted, twice_rho)]
         if not _pairs_nonnegative(levi, shifted):
             raise WeylError("shifted weight is not Levi-dominant")
-        weight = Weight.__new__(Weight)  # half-integral by construction: no re-validation
-        object.__setattr__(weight, "coords", tuple(map(halves.__getitem__, shifted)))
+        weight = Weight.__new__(Weight)  # already doubled: nothing to convert
+        object.__setattr__(weight, "twice", tuple(shifted))
         out.append((ell, weight))
     return out
 
@@ -533,13 +527,11 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     """Degree-graded weights w(λ+ρ)-ρ over the minimal coset representatives.
 
     λ must be dominant; every returned weight is dominant for the Levi and
-    the degree of each entry is the length of its representative.  λ is
-    doubled once and the weights are computed doubled, on integers: each
-    representative's window, as `_kostant_windows` returns it, acts on
-    2(λ+ρ) directly, and dominance is read off the sign of the integer
-    pairing.  The returned coordinates are half-integral by construction,
-    so each distinct one becomes a `Fraction` once per call and the
-    `Weight`s skip re-validation.
+    the degree of each entry is the length of its representative.  The
+    weights are computed doubled, on integers: each representative's
+    window, as `_kostant_windows` returns it, acts on 2(λ+ρ) directly,
+    dominance is read off the sign of the integer pairing, and each
+    returned `Weight` keeps the doubled coordinates.
     """
     twice_lam = _twice_lambda(lam, datum)
     return _shifted_weights(twice_lam, datum, shape, _kostant_windows(datum, shape))

@@ -49,3 +49,17 @@ def test_counting_sees_each_construction_and_root_build():
         datum.positive_roots()
     counts = tracing.REC.counts
     assert (counts["perms_built"], counts["positive_roots"]) == (1, 1)
+
+
+def test_kostant_ladder_reads_resolve():
+    """What the `kostant-ladder` workload reads back from the kernel: a
+    renamed read would show only as incorrect outputs in the benchmark."""
+    from fractions import Fraction
+
+    from langkit import weyl
+
+    lam = tuple(Fraction(x, 2) for x in (7, 5, 3, 1))
+    assert weyl.Weight(lam).coords == lam
+    datum = weyl.RootDatum("C", 4)
+    reps = weyl.kostant_reps(datum, weyl.ParabolicShape((2,), 2, datum))
+    assert all(type(p.images) is tuple for p, _ in reps)

@@ -236,14 +236,21 @@ def test_record_fields_are_fixed(cls):
     assert repr(obj) == before
 
 
+# records built from other values than the fields they hold: a `Weight`
+# holds its coordinates doubled and is built from the coordinates, which
+# its `coords` property gives back
+CONSTRUCTED_FROM = {Weight: ("coords",)}
+
+
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
 def test_record_takes_exactly_its_fields(cls):
+    names = CONSTRUCTED_FROM.get(cls, cls._fields)
     params = inspect.signature(cls).parameters
-    assert tuple(params) == cls._fields
+    assert tuple(params) == names
     obj = SAMPLES[cls][0]()
-    values = [getattr(obj, f) for f in cls._fields]
+    values = [getattr(obj, f) for f in names]
     assert cls(*values) == obj
-    assert cls(**dict(zip(cls._fields, values))) == obj
+    assert cls(**dict(zip(names, values))) == obj
     required = sum(p.default is inspect.Parameter.empty for p in params.values())
     if required:
         with pytest.raises(TypeError):
