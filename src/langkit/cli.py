@@ -49,8 +49,7 @@ from .spectra import (
     ArthurParameter,
     CuspidalRecord,
     SpectraError,
-    candidate_family,
-    classify_levi_support,
+    classify_support,
 )
 
 SCHEMA = "1"
@@ -233,24 +232,33 @@ def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/
     return ledger
 
 
+def _unique_label(obj: dict, at: str, default: str, seen: dict) -> str:
+    """obj's label, or ``default`` when it has none, recorded in ``seen``
+    (label -> pointer of its entry); a label already seen is exit 2 at the
+    later label, or at the later entry when that label is a default."""
+    label = _field(obj, "label", str, at, default)
+    if label in seen:
+        where = _pointer(at, "label") if "label" in obj else at
+        raise ScenarioError(f"{where}: {label!r} is also the label of {seen[label]}")
+    seen[label] = at
+    return label
+
+
 def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
     block = _field(raw, "pi", dict, path)
-    segments = []
+    segments, seen = [], {}
     for i, seg in enumerate(_field(block, "segments", [dict], f"{path}/pi")):
         at = f"{path}/pi/segments/{i}"
-        label = _field(seg, "label", str, at, f"p{i + 1}")
+        label = _unique_label(seg, at, f"p{i + 1}", seen)
         _field(seg, "m", POSITIVE, at, 1)  # size and ladder height: checked, read by no report
         _field(seg, "h", POSITIVE, at, 1)
         segments.append(DiscreteSegment(label, _field(seg, "a", Fraction, at, 0)))
     core = _field(raw, "rho", dict, path)
     selfdual = _field(core, "selfdual", [str], f"{path}/rho")
-    pairs = tuple(
-        (
-            _field(p, "label", str, f"{path}/rho/pairs/{i}", f"r{i + 1}"),
-            _field(p, "b", Fraction, f"{path}/rho/pairs/{i}"),
-        )
-        for i, p in enumerate(_field(core, "pairs", [dict], f"{path}/rho", []))
-    )
+    pairs, seen = [], {}
+    for i, p in enumerate(_field(core, "pairs", [dict], f"{path}/rho", [])):
+        at = f"{path}/rho/pairs/{i}"
+        pairs.append((_unique_label(p, at, f"r{i + 1}", seen), _field(p, "b", Fraction, at)))
     aux = _field(raw, "aux", tuple(AUX_KINDS), path, "wedge2")
     try:
         pi = QuasiTemperedGL(segments)
@@ -388,18 +396,12 @@ def cmd_pole(scn: dict, strict: bool, override) -> dict:
 
 def cmd_classify(scn: dict, strict: bool, override) -> dict:
     pi, rho = resolve_records(scn)
-    target = ArthurParameter(((pi, 2), (rho, 1)))
-    verdicts = [
-        {"candidate": i, **classify_levi_support(target, cand).serialize()}
-        for i, cand in enumerate(candidate_family(target))
-    ]
-    accepted = [v for v in verdicts if v["accepted"]]
-    keys = sorted({(v["block"]["label"], v["block"]["shift"]) for v in accepted})
+    verdicts, accepted = classify_support(ArthurParameter(((pi, 2), (rho, 1))))
     return {
-        "verdict": f"{len(keys)} induction datum accepted"
-        + ("" if len(keys) == 1 else " (not unique)"),
-        "accepted": [{"label": l, "shift": s} for l, s in keys],
-        "candidates": verdicts,
+        "verdict": f"{len(accepted)} induction datum accepted"
+        + ("" if len(accepted) == 1 else " (not unique)"),
+        "accepted": [{"label": l, "shift": half_str(j)} for l, j in sorted(accepted)],
+        "candidates": [{"candidate": i, **v.serialize()} for i, v in enumerate(verdicts)],
         "citation": rules.cite("support-uniqueness"),
     }
 
@@ -453,14 +455,7 @@ LEDGER_COMMANDS = ("check-scenario", "pole")
 def cmd_kostant(args) -> dict:
     """The representatives and, with --weight, the shifted weights, both
     from one level search."""
-    from .weyl import (
-        ParabolicShape,
-        RootDatum,
-        Weight,
-        _kostant_windows,
-        _shifted_weights,
-        _twice_lambda,
-    )
+    from .weyl import ParabolicShape, RootDatum, _kostant_windows, _shifted_weights, _twice_lambda
 
     datum = RootDatum(args.family, args.rank)
     shape = ParabolicShape(args.blocks, args.core, datum)
@@ -471,7 +466,7 @@ def cmd_kostant(args) -> dict:
         "representatives": [{"window": list(w), "length": l} for w, l in windows],
     }
     if args.weight:
-        twice_lam = _twice_lambda(Weight(args.weight), datum)
+        twice_lam = _twice_lambda(args.weight, datum)
         payload["weights"] = [
             {"degree": d, "weight": list(map(half_str, wt.twice))}
             for d, wt in _shifted_weights(twice_lam, datum, shape, windows)
@@ -578,10 +573,11 @@ def _comma_list(convert):
 
 def _weight(text: str) -> tuple:
     """An argparse type: comma-separated half-integers, each an integer or a
-    "p/q" string as in a scenario; an error names the entry by its index."""
+    "p/q" string as in a scenario, read doubled; an error names the entry by
+    its index."""
     entries = text.split(",") if text else ()
     try:
-        return tuple(Fraction(_check(x, HALF_INTEGER, f"/{i}"), 2) for i, x in enumerate(entries))
+        return tuple(_check(x, HALF_INTEGER, f"/{i}") for i, x in enumerate(entries))
     except ScenarioError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

@@ -12,7 +12,6 @@ points and the involution property is a composition.
 
 from __future__ import annotations
 
-from .record import Record
 from .weyl import SignedPerm
 
 
@@ -31,38 +30,15 @@ def phi_perm(N: int) -> SignedPerm:
     return SignedPerm(tuple((-1) ** (N - j) * (N + 1 - j) for j in range(1, N + 1)))
 
 
-class GradedNilradical(Record):
-    """Map degree → (dimension, factor label).
-
-    Degrees are consecutive; they start at 1 whenever more than one
-    component is present (the degenerate no-off-diagonal case keeps its
-    single component at its pairing value 2).
-    """
-
-    _fields = ("components",)
-
-    def __init__(self, components: tuple):
-        """``components`` is ((degree, dim, label), ...)."""
-        comps = tuple(sorted(components))
-        degrees = [c[0] for c in comps]
-        if degrees != list(range(degrees[0], degrees[0] + len(degrees))):
-            raise DualError("degrees must be consecutive")
-        if len(degrees) > 1 and degrees[0] != 1:
-            raise DualError("multi-component gradings start at degree 1")
-        if degrees[0] not in (1, 2):
-            raise DualError("grading starts at degree 1 or 2")
-        object.__setattr__(self, "components", comps)
-
-
-def grade_nilradical(n: int, r: int) -> GradedNilradical:
-    """Grading of the radical for the block-n Levi: degree 1 holds the two
-    n×r blocks (dimension 2nr), degree 2 the n×n block (dimension n²);
-    degree 1 is absent when r = 0."""
+def grade_nilradical(n: int, r: int) -> dict:
+    """Grading of the radical for the block-n Levi as {degree: dimension}:
+    degree 1 holds the two n×r blocks (dimension 2nr), degree 2 the n×n
+    block (dimension n²); degree 1 is absent when r = 0."""
     if n < 1 or r < 0:
         raise DualError("need n ≥ 1, r ≥ 0")
     if r == 0:
-        return GradedNilradical(((2, n * n, "R1"),))
-    return GradedNilradical(((1, 2 * n * r, "R2"), (2, n * n, "R1")))
+        return {2: n * n}
+    return {1: 2 * n * r, 2: n * n}
 
 
 def grade_nilradical_by_roots(n: int, r: int) -> dict:

@@ -41,7 +41,7 @@ from .groups import (
     ambient_with_block,
     unitary,
 )
-from .rationals import HALF, rat, rat_str
+from .rationals import HALF, half_str, rat, rat_str
 from .record import Record
 from .satake import AutModel, bc_chain_check, eps_identities_hold
 from .spectra import (
@@ -50,8 +50,7 @@ from .spectra import (
     SELFDUAL_SYMPLECTIC,
     ArthurParameter,
     CuspidalRecord,
-    candidate_family,
-    classify_levi_support,
+    classify_support,
     duality_preserved,
     purity_consistent,
 )
@@ -584,18 +583,11 @@ def theorem_pipeline(
     psi_moved = residual_parameter(moved_pi, moved_rho)
 
     # support classification for the transported parameter
-    verdicts = [
-        classify_levi_support(psi_moved, cand) for cand in candidate_family(psi_moved)
-    ]
-    accepted = {
-        (v.block[0].label, v.block[1]) for v in verdicts if v.accepted
-    }
+    verdicts, accepted = classify_support(psi_moved)
+    blocks = sorted(f"{lbl}@{half_str(j)}" for lbl, j in accepted)
     if len(accepted) != 1:
-        raise EisensteinError(f"support classification not unique: {sorted(accepted)}")
-    details["support"] = {
-        "accepted": sorted(f"{lbl}@{rat_str(s)}" for lbl, s in accepted),
-        "candidates": len(verdicts),
-    }
+        raise EisensteinError(f"support classification not unique: {', '.join(blocks)}")
+    details["support"] = {"accepted": blocks, "candidates": len(verdicts)}
 
     # transported pole: same quotient shape with transported records
     quotient_moved = constant_term_quotient(ambient, moved_pi, moved_rho)

@@ -55,8 +55,7 @@ from .spectra import (
     TRIVIAL,
     ArthurParameter,
     CuspidalRecord,
-    candidate_family,
-    classify_levi_support,
+    classify_support,
     expand,
     reconstruct,
 )
@@ -132,9 +131,7 @@ def _suite_modulus():
 def _suite_grading_and_operator():
     for n in range(1, 7):
         for r in range(0, 7):
-            got = {d: dim for d, dim, _ in grade_nilradical(n, r).components}
-            want = grade_nilradical_by_roots(n, r)
-            if got != want:
+            if grade_nilradical(n, r) != grade_nilradical_by_roots(n, r):
                 raise AssertionError(f"grading mismatch {n} {r}")
     for n in range(1, 5):
         for r in range(0, 5):
@@ -181,17 +178,10 @@ def _suite_round_trip():
 def _suite_classification():
     pi = CuspidalRecord("pi", 2, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
     rho = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
-    target = ArthurParameter(((pi, 2), (rho, 1)))
-    keys = set()
-    total = 0
-    for cand in candidate_family(target):
-        v = classify_levi_support(target, cand)
-        total += 1
-        if v.accepted:
-            keys.add((v.block[0].label, v.block[1]))
-    if keys != {("pi", Fraction(1, 2))}:
-        raise AssertionError(f"classification not unique: {keys}")
-    return f"support classification: 1 datum accepted of {total} candidates"
+    verdicts, accepted = classify_support(ArthurParameter(((pi, 2), (rho, 1))))
+    if accepted != {("pi", 1)}:
+        raise AssertionError(f"classification not unique: {accepted}")
+    return f"support classification: 1 datum accepted of {len(verdicts)} candidates"
 
 
 def _suite_pole_table():

@@ -3,7 +3,9 @@
 A parameter is a multiplicity-one multiset of (cuspidal record, ladder
 length) pairs; its expansion lists the half-integral twist ladder of each
 pair.  `classify_levi_support` decides which induction data can carry a
-given two-term parameter, by the cuspidal count plus multiset matching.
+given two-term parameter, by the cuspidal count plus multiset matching;
+`classify_support` runs it over the whole candidate family.  Every shift,
+in a ladder or in an induction datum, is held doubled as the int 2·shift.
 """
 
 from __future__ import annotations
@@ -133,12 +135,17 @@ class CuspidalSum(Record):
 
     def __init__(self, terms: tuple):
         """``terms`` is ((CuspidalRecord, j), ...)."""
-        terms = tuple(terms)
-        for _, j in terms:
-            if type(j) is not int:
-                raise SpectraError(f"doubled shift must be an int, not {j!r}")
-        terms = tuple(sorted(terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
+        terms = tuple(sorted(_doubled_shifts(terms), key=lambda t: (t[0].label, t[0].degree, t[1])))
         object.__setattr__(self, "terms", terms)
+
+
+def _doubled_shifts(pairs) -> tuple:
+    """The (record, j) pairs as a tuple, once each doubled shift j is an int."""
+    pairs = tuple(pairs)
+    for _, j in pairs:
+        if type(j) is not int:
+            raise SpectraError(f"doubled shift must be an int, not {j!r}")
+    return pairs
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
@@ -198,8 +205,8 @@ class LeviCandidate(Record):
     _fields = ("blocks", "core")
 
     def __init__(self, blocks: tuple, core: ArthurParameter):
-        """``blocks`` is ((CuspidalRecord, shift), ...)."""
-        object.__setattr__(self, "blocks", tuple((rec, rat(s)) for rec, s in blocks))
+        """``blocks`` is ((CuspidalRecord, j), ...), j = 2·shift an int."""
+        object.__setattr__(self, "blocks", _doubled_shifts(blocks))
         object.__setattr__(self, "core", core)
 
 
@@ -207,7 +214,9 @@ class Verdict(Record):
     _fields = ("accepted", "reason", "block")
 
     def __init__(self, accepted: bool, reason: str, block: tuple | None = None):
-        """``block`` is the (record, shift) of the accepted block."""
+        """``block`` is the (record, j) of the accepted block, j = 2·shift an int."""
+        if block is not None:
+            _doubled_shifts((block,))
         object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "block", block)
@@ -215,9 +224,14 @@ class Verdict(Record):
     def serialize(self) -> dict:
         out = {"accepted": self.accepted, "reason": self.reason}
         if self.block is not None:
-            rec, s = self.block
-            out["block"] = {"label": rec.label, "shift": rat_str(s)}
+            rec, j = self.block
+            out["block"] = {"label": rec.label, "shift": half_str(j)}
         return out
+
+
+def _blocks_str(pairs) -> str:
+    """(label, j) pairs as "label@shift", comma-separated."""
+    return ", ".join(f"{label}@{half_str(j)}" for label, j in pairs)
 
 
 def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> Verdict:
@@ -226,10 +240,11 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
     The target must be (record ⊗ ladder 2) ⊕ (record ⊗ ladder 1); its
     expansion has three cuspidal terms, so a candidate with I blocks and
     core ladder count m must satisfy 2I + m = 3.  I = 0 contradicts
-    non-cuspidality; I = 1 forces, by multiset matching of (label, shift)
-    pairs, the block to be the ladder-2 record at shift ±1/2 and the core
-    to match the remaining record.  Trivial-record blocks must carry shift
-    0 (their central character kills any twist) and are rejected.
+    non-cuspidality; I = 1 forces, by multiset matching of (label, j)
+    pairs, the block to be the ladder-2 record at shift ±1/2 (j = ±1) and
+    the core to match the remaining record.  Trivial-record blocks must
+    carry shift 0 (their central character kills any twist) and are
+    rejected.
     """
     lad = sorted(d for _, d in target.summands)
     if lad != [1, 2]:
@@ -243,29 +258,25 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
     if I == 0:
         return Verdict(False, "cuspidal case, contradicts non-cuspidality")
     # here I == 1 and the core is a single ladder-1 record
-    (block_rec, s1), = candidate.blocks
+    (block_rec, j1), = candidate.blocks
     if block_rec.is_trivial:
-        if s1 != 0:
+        if j1 != 0:
             return Verdict(False, "trivial block must carry shift 0")
         return Verdict(False, "{1,1,core} mismatch")
     got = sorted(
-        [
-            (block_rec.label, s1),
-            (block_rec.label, -s1),
-            (candidate.core.summands[0][0].label, Fraction(0)),
-        ]
+        [(block_rec.label, j1), (block_rec.label, -j1), (candidate.core.summands[0][0].label, 0)]
     )
-    want = sorted((rec.label, Fraction(j, 2)) for rec, j in expand(target).terms)
+    want = sorted((rec.label, j) for rec, j in expand(target).terms)
     if got != want:
-        return Verdict(False, f"multiset mismatch: {got} vs {want}")
+        return Verdict(False, f"multiset mismatch: {_blocks_str(got)} vs {_blocks_str(want)}")
     return Verdict(
         True,
-        f"block {block_rec.label} at shift {rat_str(abs(s1))}, core {rho.label}",
-        block=(block_rec, abs(s1)),
+        f"block {block_rec.label} at shift {half_str(abs(j1))}, core {rho.label}",
+        block=(block_rec, abs(j1)),
     )
 
 
-_CANDIDATE_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1))
+_CANDIDATE_SHIFTS = (0, 1, -1, 2)  # doubled: 0, 1/2, -1/2, 1
 
 
 def candidate_family(target: ArthurParameter) -> list:
@@ -278,20 +289,22 @@ def candidate_family(target: ArthurParameter) -> list:
     for core_rec in records:
         core = ArthurParameter(((core_rec, 1),))
         for rec in pool:
-            for s in _CANDIDATE_SHIFTS:
-                out.append(LeviCandidate(((rec, s),), core))
+            for j in _CANDIDATE_SHIFTS:
+                out.append(LeviCandidate(((rec, j),), core))
     # the no-block candidate: everything in the core
     pi = next(rec for rec, d in target.summands if d == 2)
     rho = next(rec for rec, d in target.summands if d == 1)
     out.append(LeviCandidate((), ArthurParameter(((pi, 2), (rho, 1)))))
     # a two-block candidate for the count check
-    out.append(
-        LeviCandidate(
-            ((pi, Fraction(1, 2)), (rho, Fraction(0))),
-            ArthurParameter(((rho, 1),)),
-        )
-    )
+    out.append(LeviCandidate(((pi, 1), (rho, 0)), ArthurParameter(((rho, 1),))))
     return out
+
+
+def classify_support(target: ArthurParameter) -> tuple:
+    """(verdicts, accepted): the verdict on each candidate of
+    `candidate_family`, in order, and the set of accepted (label, j) blocks."""
+    verdicts = [classify_levi_support(target, cand) for cand in candidate_family(target)]
+    return verdicts, {(v.block[0].label, v.block[1]) for v in verdicts if v.accepted}
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,6 @@ class Weight(Record):
     def coords(self) -> tuple:
         return tuple(Fraction(x, 2) for x in self.twice)
 
-    def __len__(self):
-        return len(self.twice)
-
-    def __str__(self):
-        return "(" + ", ".join(map(half_str, self.twice)) + ")"
-
 
 # ---------------------------------------------------------------------------
 # signed permutations
@@ -306,8 +300,9 @@ class RootDatum(Record):
             return 2**n * math.factorial(n)
         return 2 ** (n - 1) * math.factorial(n)
 
-    def is_dominant(self, weight: Weight) -> bool:
-        return _pairs_nonnegative(map(_terms, self.simple_roots()), weight.twice)
+    def is_dominant(self, twice: tuple) -> bool:
+        """Whether the weight with doubled coordinates ``twice`` is dominant."""
+        return _pairs_nonnegative(map(_terms, self.simple_roots()), twice)
 
 
 class ParabolicShape(Record):
@@ -491,13 +486,14 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     return [(SignedPerm(w), ell) for w, ell in _kostant_windows(datum, shape)]
 
 
-def _twice_lambda(lam: Weight, datum: RootDatum) -> tuple:
-    """2λ on ints, once λ is checked to be a dominant weight of the datum."""
-    if len(lam) != datum.dim:
+def _twice_lambda(twice_lam: tuple, datum: RootDatum) -> tuple:
+    """2λ, the int tuple ``twice_lam``, once λ is checked to be a dominant
+    weight of the datum."""
+    if len(twice_lam) != datum.dim:
         raise WeylError("weight rank does not match the datum")
-    if not datum.is_dominant(lam):
-        raise WeylError(f"weight {lam} is not dominant")
-    return lam.twice
+    if not datum.is_dominant(twice_lam):
+        raise WeylError(f"weight ({', '.join(map(half_str, twice_lam))}) is not dominant")
+    return twice_lam
 
 
 def _shifted_weights(twice_lam: tuple, datum: RootDatum, shape: ParabolicShape, windows) -> list:
@@ -533,5 +529,5 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     dominance is read off the sign of the integer pairing, and each
     returned `Weight` keeps the doubled coordinates.
     """
-    twice_lam = _twice_lambda(lam, datum)
+    twice_lam = _twice_lambda(lam.twice, datum)
     return _shifted_weights(twice_lam, datum, shape, _kostant_windows(datum, shape))

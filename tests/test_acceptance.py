@@ -109,7 +109,7 @@ def test_criterion_04_nilradical_grading():
 
     for n in range(1, 7):
         for r in range(0, 7):
-            got = {d: dim for d, dim, _ in grade_nilradical(n, r).components}
+            got = grade_nilradical(n, r)
             want = {2: n * n}
             if r:
                 want[1] = 2 * n * r
@@ -179,12 +179,12 @@ def test_criterion_07_classification_uniqueness():
         total += 1
         if v.accepted:
             accepted.add((v.block[0].label, v.block[1]))
-    assert accepted == {("pi", Fraction(1, 2))}
+    assert accepted == {("pi", 1)}
     # the no-block branch (everything cuspidal) is rejected for the stated reason
     v0 = classify_levi_support(target, LeviCandidate((), ArthurParameter(((pi, 2), (rho, 1)))))
     assert not v0.accepted and "cuspidal" in v0.reason
     # the one-block branch is the accepted one
-    v1 = classify_levi_support(target, LeviCandidate(((pi, "1/2"),), ArthurParameter(((rho, 1),))))
+    v1 = classify_levi_support(target, LeviCandidate(((pi, 1),), ArthurParameter(((rho, 1),))))
     assert v1.accepted
     report(7, f"exactly one induction datum of {total} candidates; both count branches verified")
 

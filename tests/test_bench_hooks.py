@@ -4,6 +4,9 @@ without failing any other test."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -63,3 +66,25 @@ def test_kostant_ladder_reads_resolve():
     datum = weyl.RootDatum("C", 4)
     reps = weyl.kostant_reps(datum, weyl.ParabolicShape((2,), 2, datum))
     assert all(type(p.images) is tuple for p, _ in reps)
+
+
+def test_classify_layer_counts_through_the_rebound_names():
+    """The tracer rebinds `candidate_family` and `classify_levi_support` by
+    name; `classify` reaches them only through `spectra.classify_support`.
+    Run in a fresh interpreter, so the rebinding stays out of this one."""
+    code = f"""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracing.install(["langkit.cli"])
+from langkit import cli
+with tracing.recording("classify thmB"):
+    cli.run("classify", "thmB")
+rec = tracing.REC
+print(json.dumps([rec.calls["candidate_family"], rec.calls["classify_levi_support"],
+                  rec.counts["classify.accepted"]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, 26, 2]

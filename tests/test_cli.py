@@ -768,6 +768,19 @@ FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
          "/roles/rho: names the same record as /roles/pi"),
         ("root-number", {"roles": {"pi": "pi", "rho": "pi"}},
          "/roles/rho: names the same record as /roles/pi"),
+        # segment labels, and pair labels, name one block each
+        ("normalize",
+         {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{"label": "a"}, {"label": "a"}]}}},
+         "/quasi_tempered/pi/segments/1/label: 'a' is also the label of "
+         "/quasi_tempered/pi/segments/0"),
+        ("normalize",
+         {"quasi_tempered": {"pi": {"segments": [{}]}, "rho": {
+             "selfdual": ["r0"], "pairs": [{"label": "x", "b": "1/4"}, {"label": "x", "b": "1/5"}]
+         }}},
+         "/quasi_tempered/rho/pairs/1/label: 'x' is also the label of /quasi_tempered/rho/pairs/0"),
+        ("normalize",
+         {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{"label": "p2"}, {}]}}},
+         "/quasi_tempered/pi/segments/1: 'p2' is also the label of /quasi_tempered/pi/segments/0"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -882,6 +895,8 @@ def test_kostant_half_integral_weights_match_golden(capsys, argv):
 def test_kostant_renders_each_coordinate_as_rat_str(family, weight):
     """At C10(5|5) and D10(5|5) every rendered weight entry is `rat_str` of
     the coordinate `kostant_weights` returns, in the same order."""
+    from fractions import Fraction
+
     from langkit.rationals import rat_str
     from langkit.weyl import ParabolicShape, RootDatum, Weight, kostant_weights
 
@@ -889,10 +904,12 @@ def test_kostant_renders_each_coordinate_as_rat_str(family, weight):
         ["kostant", "--family", family, "--rank", "10", "--blocks", "5", "--core", "5",
          "--weight", weight]
     )
+    assert all(type(x) is int for x in args.weight)  # --weight is read doubled
+    lam = Weight(tuple(Fraction(x, 2) for x in args.weight))
     datum = RootDatum(family, 10)
     want = [
         {"degree": d, "weight": [rat_str(c) for c in wt.coords]}
-        for d, wt in kostant_weights(Weight(args.weight), datum, ParabolicShape((5,), 5, datum))
+        for d, wt in kostant_weights(lam, datum, ParabolicShape((5,), 5, datum))
     ]
     assert len(want) == 8064
     assert cli.run("kostant", None, args=args)["weights"] == want
@@ -1024,6 +1041,16 @@ def test_strict_exit_code(capsys, command, name):
     if command in ("check-scenario", "normalize") and name.startswith("appendix"):
         refusal = "strict mode: open-question choices relied upon: word-length-additivity"
         assert err == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+@pytest.mark.parametrize("name", LIBRARY)
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_no_report_prints_a_fraction_repr(capsys, command, name, fmt):
+    """Exact values render as "p/q" strings, never as a `Fraction(...)` repr."""
+    code = cli.main([command, "--scenario", name, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code != 0 or "Fraction(" not in out
 
 
 REPORTS_GOLDEN = Path(__file__).parent / "golden" / "reports.json"

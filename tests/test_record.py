@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from langkit.arch import AutOnEmbeddings, EmbeddingSet, InfChar
-from langkit.dual import GradedNilradical, grade_nilradical
 from langkit.eisenstein import (
     AnalyticLedger,
     AutSpec,
@@ -101,11 +100,11 @@ SAMPLES = {
         lambda: CuspidalSum(((TRIVIAL, 0),)),
     ),
     LeviCandidate: (
-        lambda: LeviCandidate(((_pi(), "1/2"),), ArthurParameter(((TRIVIAL, 1),))),
+        lambda: LeviCandidate(((_pi(), 1),), ArthurParameter(((TRIVIAL, 1),))),
         lambda: LeviCandidate((), ArthurParameter(((TRIVIAL, 3),))),
     ),
     Verdict: (
-        lambda: Verdict(True, "matched", (_pi(), Fraction(1, 2))),
+        lambda: Verdict(True, "matched", (_pi(), 1)),
         lambda: Verdict(False, "cuspidal count"),
     ),
     DiscreteSegment: (
@@ -140,7 +139,6 @@ SAMPLES = {
         lambda: GroupDescriptor("SOeven", 2),
         lambda: GroupDescriptor("U", 3),
     ),
-    GradedNilradical: (lambda: grade_nilradical(2, 1), lambda: grade_nilradical(1, 0)),
     LFactorRef: (
         lambda: LFactorRef(("std", "pi"), 1, "1/2"),
         lambda: LFactorRef(("asai", 1, "pi"), 2, 0),

@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from langkit.spectra import (
     CuspidalSum,
     LeviCandidate,
     SpectraError,
+    Verdict,
     candidate_family,
     classify_levi_support,
+    classify_support,
     duality_preserved,
     expand,
     reconstruct,
@@ -148,6 +152,14 @@ def test_cuspidal_sum_takes_only_int_doubled_shifts(shift):
         CuspidalSum(((PI, 1), (PI, shift)))
 
 
+@pytest.mark.parametrize("shift", ["1/2", Fraction(1, 2), True, 0.5])
+def test_levi_candidate_takes_only_int_doubled_shifts(shift):
+    with pytest.raises(SpectraError, match="must be an int"):
+        LeviCandidate(((PI, shift),), ArthurParameter(((RHO, 1),)))
+    with pytest.raises(SpectraError, match="must be an int"):
+        Verdict(True, "matched", (PI, shift))
+
+
 def test_cuspidal_sum_reads_a_generator_argument_once():
     """The argument used to be iterated twice, so a generator gave an empty sum."""
     terms = ((PI, 1), (PI, -1))
@@ -223,32 +235,32 @@ class TestClassification:
         assert not v.accepted and "cuspidal" in v.reason
 
     def test_correct_block_accepted(self):
-        cand = LeviCandidate(((PI, "1/2"),), ArthurParameter(((RHO, 1),)))
+        cand = LeviCandidate(((PI, 1),), ArthurParameter(((RHO, 1),)))
         v = classify_levi_support(self.TARGET, cand)
         assert v.accepted
-        assert v.block == (PI, Fraction(1, 2))
+        assert v.block == (PI, 1)
 
     def test_associate_block_accepted(self):
-        cand = LeviCandidate(((PI, "-1/2"),), ArthurParameter(((RHO, 1),)))
+        cand = LeviCandidate(((PI, -1),), ArthurParameter(((RHO, 1),)))
         assert classify_levi_support(self.TARGET, cand).accepted
 
     def test_trivial_block_rejected(self):
-        cand = LeviCandidate(((TRIVIAL, "0"),), ArthurParameter(((RHO, 1),)))
+        cand = LeviCandidate(((TRIVIAL, 0),), ArthurParameter(((RHO, 1),)))
         v = classify_levi_support(self.TARGET, cand)
         assert not v.accepted and "mismatch" in v.reason
 
     def test_trivial_block_cannot_be_twisted(self):
-        cand = LeviCandidate(((TRIVIAL, "1/2"),), ArthurParameter(((RHO, 1),)))
+        cand = LeviCandidate(((TRIVIAL, 1),), ArthurParameter(((RHO, 1),)))
         v = classify_levi_support(self.TARGET, cand)
         assert not v.accepted and "shift 0" in v.reason
 
     def test_wrong_shift_rejected(self):
-        cand = LeviCandidate(((PI, "1"),), ArthurParameter(((RHO, 1),)))
+        cand = LeviCandidate(((PI, 2),), ArthurParameter(((RHO, 1),)))
         assert not classify_levi_support(self.TARGET, cand).accepted
 
     def test_count_rule(self):
         cand = LeviCandidate(
-            ((PI, "1/2"), (RHO, "0")), ArthurParameter(((RHO, 1),))
+            ((PI, 1), (RHO, 0)), ArthurParameter(((RHO, 1),))
         )
         v = classify_levi_support(self.TARGET, cand)
         assert not v.accepted and "count" in v.reason
@@ -259,7 +271,53 @@ class TestClassification:
             v = classify_levi_support(self.TARGET, cand)
             if v.accepted:
                 accepted.add((v.block[0].label, v.block[1]))
-        assert accepted == {("pi", Fraction(1, 2))}
+        assert accepted == {("pi", 1)}
+        verdicts, shared = classify_support(self.TARGET)
+        assert shared == accepted
+        family = candidate_family(self.TARGET)
+        assert verdicts == [classify_levi_support(self.TARGET, c) for c in family]
+
+    def test_reasons_render_shifts_as_label_at_shift(self):
+        cand = LeviCandidate(((PI, 0),), ArthurParameter(((PI, 1),)))
+        v = classify_levi_support(self.TARGET, cand)
+        assert v.reason == "multiset mismatch: pi@0, pi@0, pi@0 vs pi@-1/2, pi@1/2, rho@0"
+        cand = LeviCandidate(((PI, -1),), ArthurParameter(((RHO, 1),)))
+        v = classify_levi_support(self.TARGET, cand)
+        assert v.reason == "block pi at shift 1/2, core rho"
+        assert v.serialize()["block"] == {"label": "pi", "shift": "1/2"}
+
+
+# the support classification, from a candidate's blocks to the accepted set,
+# holds every shift doubled
+CLASSIFICATION_PATH = {
+    "_doubled_shifts",
+    "_blocks_str",
+    "LeviCandidate.__init__",
+    "Verdict.__init__",
+    "Verdict.serialize",
+    "classify_levi_support",
+    "candidate_family",
+    "classify_support",
+    "expand",
+    "reconstruct",
+}
+
+
+def test_classification_path_names_no_fraction():
+    source = Path(__file__).resolve().parents[1] / "src" / "langkit" / "spectra.py"
+    functions = {}
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    functions[f"{node.name}.{fn.name}"] = fn
+    for name in sorted(CLASSIFICATION_PATH):
+        used = set()
+        for n in ast.walk(functions[name]):
+            used.add(n.id if isinstance(n, ast.Name) else getattr(n, "attr", None))
+        assert not used & {"Fraction", "rat", "rat_str", "HALF"}, name
 
 
 class TestTransport:
