@@ -3,16 +3,17 @@
 Infinitesimal characters are per-embedding multisets of half-integers v,
 each held doubled as the int 2v, so the predicates and the sign loop work
 on ints; `serialize` renders them with `half_str`, and a `Fraction`
-appears only in the weight that `purity_weight` returns.  The predicates
-(superregularity, disjointness, regularity of the induced character, the
-even-orthogonal regularity shape) gate the pole pipeline; the sign
-formulas compute the archimedean part of the functional-equation sign and
-its invariance certificate.
+appears only in the weight that `purity_weight` returns.  A coefficient
+automorphism moves an infinitesimal character by relabeling its
+embeddings (`InfChar.permuted`, along `satake.AutModel.embedding_map`).
+The predicates (superregularity, disjointness, regularity of the induced
+character, the even-orthogonal regularity shape) gate the pole pipeline;
+the sign formulas compute the archimedean part of the functional-equation
+sign and its invariance certificate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .rationals import doubled, half_str, rat
@@ -82,32 +83,14 @@ class InfChar(Record):
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.data)
 
-    def permuted(self, perm: "AutOnEmbeddings") -> "InfChar":
-        """Relabel: the new value at ι is the old value at perm⁻¹(ι)."""
-        inv = {b: a for a, b in perm.mapping}
-        return InfChar(tuple((label, dict(self.data)[inv[label]]) for label in self.labels))
+    def permuted(self, mapping: tuple) -> "InfChar":
+        """Relabel by the (label, image) pairs of a bijection, a label with
+        no pair fixed: the new value at ι is the old value at mapping⁻¹(ι)."""
+        image = dict(mapping)
+        return InfChar(tuple((image.get(label, label), vals) for label, vals in self.data))
 
     def serialize(self) -> dict:
         return {label: list(map(half_str, vals)) for label, vals in self.data}
-
-
-class AutOnEmbeddings(Record):
-    """A bijection of embedding labels."""
-
-    _fields = ("mapping",)
-
-    def __init__(self, mapping: tuple):
-        """``mapping`` is ((label, image), ...)."""
-        pairs = tuple(sorted(dict(mapping).items()))
-        src = [a for a, _ in pairs]
-        dst = [b for _, b in pairs]
-        if sorted(src) != sorted(dst):
-            raise ArchError("embedding action must be a bijection")
-        object.__setattr__(self, "mapping", pairs)
-
-    @classmethod
-    def identity(cls, labels: Iterable[str]):
-        return cls(tuple((x, x) for x in labels))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, rules
-from .arch import AutOnEmbeddings, EmbeddingSet, InfChar
+from .arch import EmbeddingSet, InfChar
 from .eisenstein import (
     AnalyticLedger,
-    AutSpec,
     EisensteinError,
     HypothesisError,
     check_kind,
@@ -142,7 +141,9 @@ def load_scenario(path, root: str = "") -> dict:
     return raw
 
 
-def parse_embeddings(raw: dict | None, path: str = "/embeddings") -> EmbeddingSet | None:
+def parse_embeddings(scn: dict) -> EmbeddingSet | None:
+    path = "/embeddings"
+    raw = _field(scn, "embeddings", dict, "", None)
     if raw is None:
         return None
     real = _field(raw, "real", [str], path, [])
@@ -196,24 +197,21 @@ def _string_map(raw: dict, at: str) -> tuple:
     return tuple(sorted((k, _field(raw, k, str, at)) for k in raw))
 
 
-def parse_aut_spec(raw: dict, emb: EmbeddingSet | None, path: str = "/aut_spec") -> AutSpec:
+def parse_aut_spec(scn: dict, emb: EmbeddingSet | None) -> AutModel:
+    """The scenario's coefficient automorphism; an embedding map given
+    beside the embeddings ``emb`` names each of their labels."""
+    path = "/aut_spec"
+    raw = _field(scn, "aut_spec", dict, "", {})
     eps = _field(raw, "eps", SIGNS, path, 1)
     unit_map = _string_map(_field(raw, "unit_map", dict, path, {}), f"{path}/unit_map")
-    try:
-        model = AutModel(unit_map=unit_map, eps=eps)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    emb_map = _field(raw, "embedding_map", dict, path, None)
-    if emb_map is None:
-        return AutSpec(model, AutOnEmbeddings.identity(emb.labels) if emb is not None else None)
     at = f"{path}/embedding_map"
-    mapping = _string_map(emb_map, at)
-    if emb is not None and {label for label, _ in mapping} != set(emb.labels):
+    embedding_map = _string_map(_field(raw, "embedding_map", dict, path, {}), at)
+    if emb is not None and "embedding_map" in raw and set(dict(embedding_map)) != set(emb.labels):
         raise ScenarioError(f"{at}: does not act on the embeddings {', '.join(emb.labels)}")
     try:
-        return AutSpec(model, AutOnEmbeddings(mapping))
+        return AutModel(unit_map, eps, embedding_map)
     except ValueError as exc:
-        raise ScenarioError(f"{at}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/ledger_overrides"):
@@ -232,33 +230,39 @@ def parse_ledger_overrides(entries: list, ledger: AnalyticLedger, path: str = "/
     return ledger
 
 
-def _unique_label(obj: dict, at: str, default: str, seen: dict) -> str:
-    """obj's label, or ``default`` when it has none, recorded in ``seen``
-    (label -> pointer of its entry); a label already seen is exit 2 at the
-    later label, or at the later entry when that label is a default."""
-    label = _field(obj, "label", str, at, default)
+def _unique_label(entry: dict | str, at: str, seen: dict, default: str = "") -> str:
+    """The entry's label (a string entry is one), or ``default``, recorded
+    in ``seen`` (label -> pointer of its entry); a label already seen is
+    exit 2 at the later label, or at the later entry for a default."""
+    label = entry if isinstance(entry, str) else _field(entry, "label", str, at, default)
+    where = _pointer(at, "label") if isinstance(entry, dict) and "label" in entry else at
     if label in seen:
-        where = _pointer(at, "label") if "label" in obj else at
         raise ScenarioError(f"{where}: {label!r} is also the label of {seen[label]}")
     seen[label] = at
     return label
 
 
-def parse_quasi_tempered(raw: dict, path: str = "/quasi_tempered"):
+def parse_quasi_tempered(scn: dict):
+    """The segments, the core and the auxiliary kind; the segments, the
+    self-dual parts and the pairs, in that order, carry distinct labels."""
+    path = "/quasi_tempered"
+    raw = _field(scn, "quasi_tempered", dict, "")
     block = _field(raw, "pi", dict, path)
     segments, seen = [], {}
     for i, seg in enumerate(_field(block, "segments", [dict], f"{path}/pi")):
         at = f"{path}/pi/segments/{i}"
-        label = _unique_label(seg, at, f"p{i + 1}", seen)
+        label = _unique_label(seg, at, seen, f"p{i + 1}")
         _field(seg, "m", POSITIVE, at, 1)  # size and ladder height: checked, read by no report
         _field(seg, "h", POSITIVE, at, 1)
         segments.append(DiscreteSegment(label, _field(seg, "a", Fraction, at, 0)))
     core = _field(raw, "rho", dict, path)
     selfdual = _field(core, "selfdual", [str], f"{path}/rho")
-    pairs, seen = [], {}
+    for i, label in enumerate(selfdual):
+        _unique_label(label, f"{path}/rho/selfdual/{i}", seen)
+    pairs = []
     for i, p in enumerate(_field(core, "pairs", [dict], f"{path}/rho", [])):
         at = f"{path}/rho/pairs/{i}"
-        pairs.append((_unique_label(p, at, f"r{i + 1}", seen), _field(p, "b", Fraction, at)))
+        pairs.append((_unique_label(p, at, seen, f"r{i + 1}"), _field(p, "b", Fraction, at)))
     aux = _field(raw, "aux", tuple(AUX_KINDS), path, "wedge2")
     try:
         pi = QuasiTemperedGL(segments)
@@ -340,7 +344,7 @@ def _report(command: str, scn_name: str, payload: dict, used=()) -> dict:
 
 
 def cmd_normalize(scn: dict, strict: bool, override) -> dict:
-    pi, rho, aux = parse_quasi_tempered(_field(scn, "quasi_tempered", dict, ""))
+    pi, rho, aux = parse_quasi_tempered(scn)
     return holomorphy_verdict(pi, rho, aux_kind=aux, strict=strict)
 
 
@@ -359,9 +363,9 @@ def cmd_check_scenario(scn: dict, strict: bool, override) -> dict:
     target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target == "appendix":
         return {"target": target, **cmd_normalize(scn, strict, override)}
-    emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    emb = parse_embeddings(scn)
     pi, rho = resolve_records(scn, emb)
-    aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), emb)
+    aut = parse_aut_spec(scn, emb)
     if target in ("D", "F"):
         res = sign_pipeline(target, pi, rho, emb, _ratio_flags(scn), strict=strict)
         return {"target": target, **res}
@@ -407,7 +411,7 @@ def cmd_classify(scn: dict, strict: bool, override) -> dict:
 
 
 def cmd_root_number(scn: dict, strict: bool, override) -> dict:
-    emb = parse_embeddings(_field(scn, "embeddings", dict, "", None))
+    emb = parse_embeddings(scn)
     pi, rho = resolve_records(scn, emb)
     target = _field(scn, "theorem_target", THEOREM_TARGETS, "", "custom")
     if target not in ("D", "F"):
@@ -427,12 +431,12 @@ def cmd_satake_act(scn: dict, strict: bool, override) -> dict:
         cls = SatakeClass(tuple(parse_eigenvalue(e) for e in eigenvalues), group)
     except ValueError as exc:
         raise ScenarioError(f"{at}: {exc}") from exc
-    aut = parse_aut_spec(_field(scn, "aut_spec", dict, "", {}), None)
+    aut = parse_aut_spec(scn, None)
     return {
         "verdict": "transported",
         "family": group.label(),
         "input": cls.serialize(),
-        "output": act(aut.model, cls).serialize(),
+        "output": act(aut, cls).serialize(),
     }
 
 

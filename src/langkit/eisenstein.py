@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import rules
 from .arch import (
     ArchError,
-    AutOnEmbeddings,
     EmbeddingSet,
     algebraicity_required,
     induced_regular,
@@ -364,16 +363,6 @@ def residual_parameter(
 # the pipeline
 
 
-class AutSpec(Record):
-    """A coefficient automorphism: Satake-side model plus embedding action."""
-
-    _fields = ("model", "embeddings")
-
-    def __init__(self, model: AutModel, embeddings: AutOnEmbeddings | None = None):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "embeddings", embeddings)
-
-
 def refuse_open_choices(warnings, strict: bool):
     """Strict mode refuses a run that relies on open-question choices."""
     if strict and warnings:
@@ -513,7 +502,7 @@ def theorem_pipeline(
     pi: CuspidalRecord,
     rho: CuspidalRecord,
     emb: EmbeddingSet | None,
-    aut: AutSpec,
+    aut: AutModel,
     central_order: int = 0,
     ledger: AnalyticLedger | None = None,
     strict: bool = False,
@@ -567,18 +556,18 @@ def theorem_pipeline(
     details["residual_parameter"] = psi.serialize()
 
     # transport of the records (the trivial record transports to itself)
-    moved_pi = duality_preserved(pi, aut.embeddings)
-    moved_rho = rho if rho.is_trivial else duality_preserved(rho, aut.embeddings)
+    moved_pi = duality_preserved(pi, aut)
+    moved_rho = rho if rho.is_trivial else duality_preserved(rho, aut)
     details["transported"] = {
         "pi": moved_pi.serialize(),
         "rho": moved_rho.serialize(),
     }
     if target == "E":
-        ok, steps, mism = bc_chain_check(pi.degree, rho.degree, aut.model)
+        ok, steps, mism = bc_chain_check(pi.degree, rho.degree, aut)
         details["satake_chain"] = steps
         if not ok:
             raise EisensteinError(f"transport chain mismatch: {mism}")
-        if not eps_identities_hold(aut.model, pi.degree, rho.degree):
+        if not eps_identities_hold(aut, pi.degree, rho.degree):
             raise EisensteinError("sign identities fail")
     psi_moved = residual_parameter(moved_pi, moved_rho)
 

@@ -4,11 +4,12 @@ An eigenvalue is sign·q^e·u where e is an exact half-integer, q a formal
 residue-cardinality symbol attached to a place, and u a word in a free
 abelian group of opaque unit symbols.  The kernel holds e doubled, as the
 int 2e, and u in normal form; `parse_eigenvalue` reads e as a rational and
-u as tokens, and normalizes both once.  A field automorphism is modeled
+u as tokens, and normalizes both once.  A field automorphism σ is modeled
 by the only data the computations use: a permutation of the unit symbols
-(compatible with inversion) and the sign eps = a(q^{1/2})/q^{1/2}, the
-same at every place.  Equality of eigenvalues is syntactic on the normal
-form.
+(compatible with inversion), the sign eps = σ(q^{1/2})/q^{1/2}, the same
+at every place, and the relabeling of the archimedean embeddings ι ↦ σ∘ι,
+which moves infinitesimal characters.  `AutModel` is the one record for σ.
+Equality of eigenvalues is syntactic on the normal form.
 """
 
 from __future__ import annotations
@@ -138,33 +139,36 @@ class SatakeClass(Record):
 
 
 class AutModel(Record):
-    """Coefficient automorphism through its effect on unit symbols and on
-    the square root of the residue cardinality at each place.
+    """Coefficient automorphism σ through its effect on unit symbols, on
+    the square root of the residue cardinality at each place and on the
+    archimedean embeddings.
 
     ``unit_map`` permutes unit symbols; ``eps`` is the sign 1 or -1 (an
-    int, never a bool), the same at every place.
+    int, never a bool), the same at every place; ``embedding_map``
+    permutes embedding labels.
     """
 
-    _fields = ("unit_map", "eps")
+    _fields = ("unit_map", "eps", "embedding_map")
 
-    def __init__(self, unit_map: tuple = (), eps: int = 1):
-        """``unit_map`` is a tuple of (symbol, image) pairs whose images are
-        its symbols; a missing symbol is fixed, and fixed pairs are dropped,
-        so equal models act alike."""
-        table = dict(unit_map)
-        if set(table) != set(table.values()):
-            raise SatakeError("unit_map must be a bijection on symbols")
+    def __init__(self, unit_map: tuple = (), eps: int = 1, embedding_map: tuple = ()):
+        """``unit_map`` and ``embedding_map`` are tuples of (symbol, image)
+        and (label, image) pairs whose images are the symbols or labels
+        they map; a missing one is fixed, and fixed pairs are dropped, so
+        equal models act alike."""
+        maps = (("unit_map", unit_map, "symbols"), ("embedding_map", embedding_map, "labels"))
+        for name, pairs, domain in maps:
+            table = dict(pairs)
+            if set(table) != set(table.values()):
+                raise SatakeError(f"{name} must be a bijection on {domain}")
+            moved = sorted((x, y) for x, y in table.items() if x != y)
+            object.__setattr__(self, name, tuple(moved))
         if type(eps) is not int or eps not in (1, -1):
             raise SatakeError(f"eps must be the int 1 or -1, not {eps!r}")
-        pairs = tuple(sorted((s, d) for s, d in table.items() if s != d))
-        object.__setattr__(self, "unit_map", pairs)
         object.__setattr__(self, "eps", eps)
 
-    def map_symbol(self, sym: str) -> str:
-        return dict(self.unit_map).get(sym, sym)
-
     def apply_unit(self, unit: tuple) -> tuple:
-        return _normalize_unit([(self.map_symbol(s), e) for s, e in unit])
+        table = dict(self.unit_map)
+        return _normalize_unit([(table.get(s, s), e) for s, e in unit])
 
     def raw(self, e: Eigenvalue) -> Eigenvalue:
         """Plain coefficient transport a(sign·q^e·u): q^{1/2} ↦ eps·q^{1/2},

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .arch import AutOnEmbeddings, EmbeddingSet, InfChar, eps_arch, root_number_selfdual
+from .arch import EmbeddingSet, InfChar, eps_arch, root_number_selfdual
 from .dual import conjugation_operator, grade_nilradical, grade_nilradical_by_roots
 from .eisenstein import (
     LFactorRef,
@@ -259,7 +259,7 @@ def _suite_arch_signs():
         base, _ = root_number_selfdual(emb, p, q, deg_p, deg_q)
         labels = list(emb.labels)
         rng.shuffle(labels)
-        perm = AutOnEmbeddings(tuple(zip(emb.labels, labels)))
+        perm = tuple(zip(emb.labels, labels))
         s2, _ = root_number_selfdual(emb, p.permuted(perm), q.permuted(perm), deg_p, deg_q)
         if base != s2:
             raise AssertionError(f"sign not invariant in case {case}")

@@ -6,15 +6,18 @@ pair.  `classify_levi_support` decides which induction data can carry a
 given two-term parameter, by the cuspidal count plus multiset matching;
 `classify_support` runs it over the whole candidate family.  Every shift,
 in a ladder or in an induction datum, is held doubled as the int 2·shift.
+`duality_preserved` transports a record along a `satake.AutModel`, whose
+embedding map relabels the infinitesimal character.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arch import ArchError, AutOnEmbeddings, InfChar, purity_weight
+from .arch import ArchError, InfChar, purity_weight
 from .rationals import half_str, rat, rat_str
 from .record import Record
+from .satake import AutModel
 
 SELFDUAL_SYMPLECTIC = "symplectic"
 SELFDUAL_ORTHOGONAL = "orthogonal"
@@ -323,20 +326,16 @@ def purity_consistent(record: CuspidalRecord, emb) -> bool:
     return w == record.weight
 
 
-def duality_preserved(
-    record: CuspidalRecord, emb_action: AutOnEmbeddings | None
-) -> CuspidalRecord:
+def duality_preserved(record: CuspidalRecord, aut: AutModel) -> CuspidalRecord:
     """Transport a record along a coefficient automorphism: identical
     weight, duality type, parity sign and algebraicity class, infinitesimal
-    character relabeled by the embedding action.
+    character relabeled by its ``embedding_map``.
 
     Records without a regularity class cannot be transported.
     """
     if record.algebraicity == "none":
         raise SpectraError(f"record {record.label} lacks regularity flags")
-    infchar = record.infchar
-    if infchar is not None and emb_action is not None:
-        infchar = infchar.permuted(emb_action)
+    infchar = None if record.infchar is None else record.infchar.permuted(aut.embedding_map)
     return CuspidalRecord(
         f"a({record.label})",
         record.degree,

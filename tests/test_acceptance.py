@@ -243,7 +243,6 @@ def test_criterion_09_normalization_factorization():
 
 def test_criterion_10_root_number_invariance():
     from langkit.arch import (
-        AutOnEmbeddings,
         EmbeddingSet,
         InfChar,
         eps_arch,
@@ -270,7 +269,7 @@ def test_criterion_10_root_number_invariance():
         base, cert = root_number_selfdual(emb, p, q, deg_p, deg_q)
         assert cert["invariant"]
         for images in itertools.permutations(emb.labels):
-            perm = AutOnEmbeddings(tuple(zip(emb.labels, images)))
+            perm = tuple(zip(emb.labels, images))
             sign, _ = root_number_selfdual(emb, p.permuted(perm), q.permuted(perm), deg_p, deg_q)
             assert sign == base
     for a in ("1/2", "1", "3/2", "2"):

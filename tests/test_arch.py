@@ -6,7 +6,6 @@ import pytest
 
 from langkit.arch import (
     ArchError,
-    AutOnEmbeddings,
     EmbeddingSet,
     InfChar,
     _symmetrize,
@@ -180,7 +179,7 @@ class TestRootNumber:
         q = InfChar((("r1", (2, 0, -2)), ("r2", (4, 0, -4)), ("r3", (6, 0, -6))))
         base, _ = root_number_selfdual(emb, p, q, 2, 3)
         for images in itertools.permutations(emb.labels):
-            perm = AutOnEmbeddings(tuple(zip(emb.labels, images)))
+            perm = tuple(zip(emb.labels, images))
             sign, _ = root_number_selfdual(emb, p.permuted(perm), q.permuted(perm), 2, 3)
             assert sign == base
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -165,7 +166,6 @@ TEST_ONLY_METHODS = set()
 # for every one of them, so the guard below cannot see a dead one.  Each was
 # checked for a caller in the package.
 SHARED_METHOD_NAMES = {
-    "identity": {"AutOnEmbeddings", "SignedPerm"},
     "labels": {"EmbeddingSet", "InfChar"},
     "order": {"AnalyticLedger", "RootDatum"},
     "serialize": {
@@ -365,6 +365,40 @@ def test_satake_act_command(tmp_path):
     p.write_text(json.dumps(scn))
     report = cli.run("satake-act", str(p))
     assert report["output"] == report["input"]
+
+
+def test_satake_act_reads_but_does_not_apply_the_embedding_map(tmp_path, capsys):
+    """The embedding relabeling moves no eigenvalue: with and without it the
+    report is the same."""
+    scn = json.loads((cli.scenario_dir() / "thmE.json").read_text())
+    scn["satake_class"] = {"family": "GL", "size": 2, "eigenvalues": ["q^1/2*u1", "-u2"]}
+    scn["aut_spec"] = {"eps": -1, "unit_map": {"u1": "u2", "u2": "u1"}}
+    outputs = []
+    for embedding_map in (None, {"c1": "c1b", "c1b": "c1"}):
+        if embedding_map is not None:
+            scn["aut_spec"]["embedding_map"] = embedding_map
+        p = tmp_path / "act.json"
+        p.write_text(json.dumps(scn))
+        assert cli.main(["satake-act", "--scenario", str(p)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["output"] == ["u1", "q^1/2*u2"]
+
+
+@pytest.mark.parametrize("name", [n for n in LIBRARY if n.startswith("thm")])
+def test_a_label_with_no_pair_is_fixed(name):
+    """Relabeling a library record's infinitesimal character by a partial
+    map equals relabeling it by the map completed with its fixed labels."""
+    scn = json.loads((cli.scenario_dir() / f"{name}.json").read_text())
+    emb = cli.parse_embeddings(scn)
+    infchars = [r.infchar for r in cli.resolve_records(scn, emb) if r.infchar is not None]
+    assert infchars
+    for infchar in infchars:
+        assert infchar.permuted(()) == infchar
+        for images in itertools.permutations(infchar.labels):
+            full = tuple(zip(infchar.labels, images))
+            partial = tuple((a, b) for a, b in full if a != b)
+            assert infchar.permuted(partial) == infchar.permuted(full)
 
 
 def test_schema_error_paths(tmp_path):
@@ -635,6 +669,7 @@ TARGET_ERROR = (
 )
 SEGMENT = {"pi": {"segments": []}, "rho": {"selfdual": ["r0"]}}
 PI_B, RHO_B = json.loads((cli.scenario_dir() / "thmB.json").read_text())["records"]
+THM_E = json.loads((cli.scenario_dir() / "thmE.json").read_text())  # overrides every thmB key
 SHARED_PI = [PI_B, {**RHO_B, "label": "pi"}]  # thmB's rho relabelled pi
 SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
 FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
@@ -781,6 +816,26 @@ FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
         ("normalize",
          {"quasi_tempered": {**SEGMENT, "pi": {"segments": [{"label": "p2"}, {}]}}},
          "/quasi_tempered/pi/segments/1: 'p2' is also the label of /quasi_tempered/pi/segments/0"),
+        ("check-scenario",
+         {**THM_E, "aut_spec": {**THM_E["aut_spec"], "embedding_map": {"c1": "c1", "c1b": "c1"}}},
+         "/aut_spec: embedding_map must be a bijection on labels"),
+        # segments, self-dual parts and pairs share one label table
+        ("normalize",
+         {"quasi_tempered": {"pi": {"segments": [{}]}, "rho": {
+             "selfdual": ["r0"], "pairs": [{"label": "r0", "b": "1/4"}]
+         }}},
+         "/quasi_tempered/rho/pairs/0/label: 'r0' is also the label of "
+         "/quasi_tempered/rho/selfdual/0"),
+        ("normalize", {"quasi_tempered": {**SEGMENT, "rho": {"selfdual": ["r0", "r0"]}}},
+         "/quasi_tempered/rho/selfdual/1: 'r0' is also the label of /quasi_tempered/rho/selfdual/0"),
+        ("normalize",
+         {"quasi_tempered": {"pi": {"segments": [{}]}, "rho": {"selfdual": ["p1"]}}},
+         "/quasi_tempered/rho/selfdual/0: 'p1' is also the label of /quasi_tempered/pi/segments/0"),
+        ("normalize",
+         {"quasi_tempered": {"pi": {"segments": [{}]}, "rho": {
+             "selfdual": ["r1"], "pairs": [{"b": "1/4"}]
+         }}},
+         "/quasi_tempered/rho/pairs/0: 'r1' is also the label of /quasi_tempered/rho/selfdual/0"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -1064,3 +1119,31 @@ def test_library_report_matches_golden(capsys, key):
     command, name, fmt = key.split()
     assert cli.main([command, "--scenario", name, "--format", fmt]) == 0
     assert capsys.readouterr().out.encode() == REPORTS[key].encode()
+
+
+INVOCATIONS = json.loads(
+    (Path(__file__).parent / "golden" / "invocations.json").read_text(encoding="utf-8")
+)
+
+
+def test_invocations_golden_covers_every_library_run():
+    assert sorted(INVOCATIONS) == sorted(
+        f"{command} {name} {fmt}{strict}"
+        for command in SCENARIO_COMMANDS
+        for name in LIBRARY
+        for fmt in ("json", "text")
+        for strict in ("", " --strict")
+    )
+
+
+@pytest.mark.parametrize("key", sorted(INVOCATIONS))
+def test_library_invocation_matches_golden(capsys, key):
+    """Every library invocation, with and without --strict, ends with the
+    recorded exit code and stderr; one that exits 0 prints the plain run's
+    recorded report."""
+    command, name, fmt, *strict = key.split()
+    code = cli.main([command, "--scenario", name, "--format", fmt, *strict])
+    captured = capsys.readouterr()
+    assert {"exit": code, "stderr": captured.err} == INVOCATIONS[key]
+    if code == 0:
+        assert captured.out.encode() == REPORTS[f"{command} {name} {fmt}"].encode()

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from langkit.arch import AutOnEmbeddings, EmbeddingSet, InfChar
+from langkit.arch import EmbeddingSet, InfChar
 from langkit.eisenstein import (
-    AutSpec,
     EisensteinError,
     HypothesisError,
     LFactorRef,
@@ -46,7 +45,7 @@ def std_degree(group) -> int:
 
 
 EMB = EmbeddingSet(real=("r1",))
-AUT = AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("r1",)))
+AUT = AutModel(eps=-1)
 
 PI_B = CuspidalRecord(
     "pi",
@@ -64,7 +63,7 @@ RHO_B = CuspidalRecord(
 )
 
 EMB_E = EmbeddingSet(complex_pairs=(("c1", "c1b"),))
-AUT_E = AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("c1", "c1b")))
+AUT_E = AutModel(eps=-1)
 PI_E = CuspidalRecord(
     "piu",
     2,
@@ -328,7 +327,7 @@ class TestPipeline:
         moved_rho = CuspidalRecord(
             "a(rho)", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic", infchar=RHO_B.infchar
         )
-        inv = AutSpec(AutModel(eps=-1), AutOnEmbeddings((("r1", "r1"),)))  # AUT's inverse
+        inv = AutModel(eps=-1, embedding_map=(("r1", "r1"),))  # AUT's inverse
         back = theorem_pipeline("B", moved_pi, moved_rho, EMB, inv, 0)
         assert back["verdict"] == res["verdict"]
 

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from langkit.arch import AutOnEmbeddings, EmbeddingSet, InfChar
+from langkit.arch import EmbeddingSet, InfChar
 from langkit.eisenstein import (
     AnalyticLedger,
-    AutSpec,
     LFactorRef,
     LQuotient,
     PoleDecision,
@@ -75,10 +74,6 @@ SAMPLES = {
         lambda: InfChar((("r1", (-3, 3)),)),
         lambda: InfChar((("r2", (1, -1)), ("r1", (1, -1)))),
     ),
-    AutOnEmbeddings: (
-        lambda: AutOnEmbeddings((("b", "a"), ("a", "b"))),
-        lambda: AutOnEmbeddings.identity(("a", "b")),
-    ),
     Weight: (lambda: Weight((1, "1/2")), lambda: Weight((0, 0))),
     SignedPerm: (lambda: SignedPerm((2, -1)), lambda: SignedPerm.identity(3)),
     RootDatum: (lambda: RootDatum("C", 3), lambda: RootDatum("A", 2)),
@@ -132,7 +127,7 @@ SAMPLES = {
         lambda: SatakeClass((), sp(1)),
     ),
     AutModel: (
-        lambda: AutModel((("v", "u"), ("u", "v")), -1),
+        lambda: AutModel((("v", "u"), ("u", "v")), -1, (("b", "a"), ("a", "b"))),
         lambda: AutModel(),
     ),
     GroupDescriptor: (
@@ -151,10 +146,6 @@ SAMPLES = {
     PoleDecision: (
         lambda: PoleDecision(True, -1, ("L(s, pi)",), (("a pole", "rule"),)),
         lambda: PoleDecision(False, 0, (), ()),
-    ),
-    AutSpec: (
-        lambda: AutSpec(AutModel(eps=-1), AutOnEmbeddings.identity(("r1",))),
-        lambda: AutSpec(AutModel()),
     ),
 }
 

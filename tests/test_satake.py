@@ -243,6 +243,19 @@ def test_aut_model_drops_fixed_pairs():
     )
 
 
+def test_aut_model_embedding_map_has_the_unit_map_normal_form():
+    """No embedding action and the identity one are one value, ``()``."""
+    assert AutModel(embedding_map=(("r1", "r1"),)) == AutModel()
+    swap = (("c1b", "c1"), ("c1", "c1b"))
+    assert AutModel(embedding_map=swap + (("r1", "r1"),)).embedding_map == (
+        ("c1", "c1b"),
+        ("c1b", "c1"),
+    )
+    for embedding_map in ((("c1", "c1b"),), (("c1", "c1b"), ("c1b", "c1b"))):
+        with pytest.raises(SatakeError, match="embedding_map must be a bijection on labels"):
+            AutModel(embedding_map=embedding_map)
+
+
 def test_aut_model_unit_map_is_a_bijection():
     """The images are exactly the symbols mapped: a map into an unlisted
     symbol, which is fixed, is refused, as is a repeated image."""

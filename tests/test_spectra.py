@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langkit.arch import AutOnEmbeddings, InfChar
+from langkit.arch import InfChar
+from langkit.satake import AutModel
 from langkit.spectra import (
     CONJ_SELFDUAL,
     SELFDUAL_ORTHOGONAL,
@@ -327,29 +328,29 @@ class TestTransport:
     )
 
     def test_preserves_fields(self):
-        moved = duality_preserved(self.REC, None)
+        moved = duality_preserved(self.REC, AutModel())
         assert moved.duality == self.REC.duality == SELFDUAL_SYMPLECTIC
         assert moved.weight == self.REC.weight
         assert moved.algebraicity == self.REC.algebraicity == "algebraic"
         assert moved.eta == self.REC.eta
 
     def test_permutes_infchar(self):
-        perm = AutOnEmbeddings((("r1", "r2"), ("r2", "r1")))
-        moved = duality_preserved(self.REC, perm)
+        aut = AutModel(embedding_map=(("r1", "r2"), ("r2", "r1")))
+        moved = duality_preserved(self.REC, aut)
         assert moved.infchar.at("r1") == (5, -5)
 
     def test_identity_aut(self):
-        perm = AutOnEmbeddings.identity(("r1", "r2"))
-        moved = duality_preserved(self.REC, perm)
+        aut = AutModel(embedding_map=(("r1", "r1"), ("r2", "r2")))
+        moved = duality_preserved(self.REC, aut)
         assert moved.infchar == self.IC
 
     def test_requires_regularity_flags(self):
         with pytest.raises(SpectraError):
-            duality_preserved(CuspidalRecord("x", 2), None)
+            duality_preserved(CuspidalRecord("x", 2), AutModel())
 
     def test_conj_dual_parity_kept(self):
         rec = CuspidalRecord(
             "u", 2, base="E/F", duality=CONJ_SELFDUAL, eta=-1, algebraicity="algebraic"
         )
-        moved = duality_preserved(rec, None)
+        moved = duality_preserved(rec, AutModel())
         assert moved.eta == -1
