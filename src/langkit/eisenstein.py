@@ -396,8 +396,10 @@ def _check_infchar_hypotheses(
     even orthogonal record; E requires gap-2 spacing on the block,
     strictly decreasing core, and disjointness.
     """
-    if pi.infchar is None or emb is None:
-        raise HypothesisError("regularity: no infinitesimal character supplied")
+    if emb is None:
+        raise HypothesisError("regularity: no embeddings supplied")
+    if pi.infchar is None:
+        raise HypothesisError(f"regularity: record {pi.label} lacks an infinitesimal character")
     for rec in (pi, rho):
         if not purity_consistent(rec, emb):
             raise HypothesisError(

@@ -167,6 +167,11 @@ class AutModel(Record):
         object.__setattr__(self, "eps", eps)
 
     def apply_unit(self, unit: tuple) -> tuple:
+        """The unit with its symbols mapped, in normal form.  With no moved
+        symbol it is returned as it is: an `Eigenvalue`'s unit is already
+        in normal form."""
+        if not self.unit_map:
+            return unit
         table = dict(self.unit_map)
         return _normalize_unit([(table.get(s, s), e) for s, e in unit])
 

@@ -11,6 +11,7 @@ deployed install can revalidate itself.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ from .spectra import (
     expand,
     reconstruct,
 )
-from .weyl import ParabolicShape, RootDatum, all_signed_perms, bfs_length
+from .weyl import ParabolicShape, RootDatum, all_signed_perms, bfs_lengths
 
 
 def _suite_word_lengths():
@@ -67,8 +68,11 @@ def _suite_word_lengths():
         for u in range(0, 5):
             intertwining_word(t, u)  # raises on any length mismatch
     for t in (1, 2, 3):
+        table = bfs_lengths(t)
+        if len(table) != 2**t * math.factorial(t):
+            raise AssertionError(f"word search reaches {len(table)} elements at rank {t}")
         for w in all_signed_perms(t):
-            if w.length() != bfs_length(w):
+            if w.length() != table[w.images]:
                 raise AssertionError(f"length mismatch at {w}")
     return "word lengths: closed count = reduced-word search (rank <= 3), block words on the grid"
 

@@ -2,7 +2,10 @@
 
 A parameter is a multiplicity-one multiset of (cuspidal record, ladder
 length) pairs; its expansion lists the half-integral twist ladder of each
-pair.  `classify_levi_support` decides which induction data can carry a
+pair.  `reconstruct` inverts the expansion by one walk over the sorted
+terms, and hands the sums that walk cannot read (nested ladders, twin
+records, stray or missing shifts) to greedy ladder stripping.
+`classify_levi_support` decides which induction data can carry a
 given two-term parameter, by the cuspidal count plus multiset matching;
 `classify_support` runs it over the whole candidate family.  Every shift,
 in a ladder or in an induction datum, is held doubled as the int 2·shift.
@@ -108,14 +111,14 @@ class ArthurParameter(Record):
         pairs = tuple(
             sorted(summands, key=lambda s: (s[0].label, s[0].degree, s[1]))
         )
-        seen = set()
+        prev = None  # sorted, so a repeated key follows its first copy
         for record, d in pairs:
             if d < 1:
                 raise SpectraError("ladder lengths are positive")
             key = (record.label, record.degree, d)
-            if key in seen:
+            if key == prev:
                 raise SpectraError(f"summand {key} repeats")
-            seen.add(key)
+            prev = key
         object.__setattr__(self, "summands", pairs)
 
     @property
@@ -158,22 +161,56 @@ def expand(p: ArthurParameter) -> CuspidalSum:
     They are listed in ascending order, so each ladder is already a sorted
     run for `CuspidalSum`.
     """
-    return CuspidalSum(tuple((rec, j) for rec, d in p.summands for j in range(1 - d, d, 2)))
+    return CuspidalSum([(rec, j) for rec, d in p.summands for j in range(1 - d, d, 2)])
 
 
 def reconstruct(s: CuspidalSum) -> ArthurParameter:
+    """Invert `expand`: one walk over the sorted terms, else greedy stripping.
+
+    The walk reads the terms in order.  At each position the term (rec, j)
+    opens a ladder of length d = 1-j, which is taken when j ≤ 0, the next
+    d terms are exactly (rec, j), (rec, j+2), ..., (rec, -j) and its
+    (label, degree) differs from the previous ladder's.  Since
+    `CuspidalSum` keeps the terms sorted, this accepts exactly the sums
+    in which every (label, degree) holds one whole ladder of one record,
+    which is what `expand` makes of a parameter with one ladder per
+    record.  Any other sum (nested ladders of one record, twin records
+    sharing a (label, degree), stray or missing shifts) goes whole to
+    `_strip_ladders`, which finds the same summands where the walk
+    succeeds and alone names what is wrong where no parameter fits.
+    """
+    terms = s.terms
+    summands = []
+    key = None
+    i, n = 0, len(terms)
+    while i < n:
+        rec, j = terms[i]
+        d = 1 - j
+        if (
+            j > 0
+            or (rec.label, rec.degree) == key
+            or terms[i:i + d] != tuple((rec, k) for k in range(j, d, 2))
+        ):
+            return _strip_ladders(terms)
+        key = (rec.label, rec.degree)
+        summands.append((rec, d))
+        i += d
+    return ArthurParameter(tuple(summands))
+
+
+def _strip_ladders(terms: tuple) -> ArthurParameter:
     """Invert `expand` by greedy ladder stripping.
 
-    The terms are grouped once by (label, degree); since `CuspidalSum` keeps
-    them sorted, the groups come in ascending key order and each group in
-    ascending shift order.  While a group is non-empty, its first record
-    `rec` and its largest doubled shift `top` = d-1 fix a ladder of length
-    d, and the rungs d-1, d-3, ..., 1-d of `rec` are struck from the group,
-    each as its first matching entry.  A negative `top` is a stray shift; a
-    missing rung fails the ladder.
+    The sorted terms are grouped once by (label, degree), so the groups
+    come in ascending key order and each group in ascending shift order.
+    While a group is non-empty, its first record `rec` and its largest
+    doubled shift `top` = d-1 fix a ladder of length d, and the rungs d-1,
+    d-3, ..., 1-d of `rec` are struck from the group, each as its first
+    matching entry.  A negative `top` is a stray shift; a missing rung
+    fails the ladder.
     """
     groups: dict = {}
-    for rec, j in s.terms:
+    for rec, j in terms:
         groups.setdefault((rec.label, rec.degree), []).append((j, rec))
     summands = []
     for group in groups.values():

@@ -5,7 +5,8 @@ permutations w of {±1, ..., ±t} with w(-i) = -w(i).  Its Coxeter length is
 taken for the generating set consisting of the adjacent transpositions
 s_1, ..., s_{t-1} together with the sign change on position t; length is
 computed exactly as the number of positive roots made negative, which is a
-closed O(t²) count.
+closed O(t²) count.  Its oracle, `bfs_lengths`, is one breadth-first search
+per rank: a table of the word length of every element.
 
 `kostant_reps` returns the minimal-length representatives of W_M\\W for a
 standard parabolic with Levi M, and `kostant_weights` the associated
@@ -186,32 +187,29 @@ def simple_reflections(t: int) -> list:
     return [SignedPerm(w) for w in _simple_windows("C", t)]
 
 
-def bfs_length(w: SignedPerm) -> int:
-    """Shortest word length over `simple_reflections` by breadth-first search.
+def bfs_lengths(t: int) -> dict:
+    """Shortest word length over `simple_reflections` of every element of
+    W_t, keyed by window: one breadth-first search from the identity.
 
-    Exponential in the rank; meant as an independent check for rank ≤ 3.
+    Linear in |W_t| = 2^t·t!; meant as an independent check on
+    `SignedPerm.length` at small rank.
     """
-    gens = simple_reflections(w.rank)
-    start = SignedPerm.identity(w.rank)
-    if w == start:
-        return 0
-    frontier = {start.images}
-    seen = {start.images}
+    gens = simple_reflections(t)
+    start = SignedPerm.identity(t)
+    depths = {start.images: 0}
+    frontier = [start]
     depth = 0
     while frontier:
         depth += 1
-        nxt = set()
-        for images in frontier:
-            u = SignedPerm(images)
+        nxt = []
+        for u in frontier:
             for s in gens:
                 v = u.then(s)
-                if v.images == w.images:
-                    return depth
-                if v.images not in seen:
-                    seen.add(v.images)
-                    nxt.add(v.images)
+                if v.images not in depths:
+                    depths[v.images] = depth
+                    nxt.append(v)
         frontier = nxt
-    raise WeylError("element not generated")
+    return depths
 
 
 def all_signed_perms(t: int) -> Iterator[SignedPerm]:

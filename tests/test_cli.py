@@ -673,6 +673,7 @@ THM_E = json.loads((cli.scenario_dir() / "thmE.json").read_text())  # overrides 
 SHARED_PI = [PI_B, {**RHO_B, "label": "pi"}]  # thmB's rho relabelled pi
 SATAKE = {"family": "GL", "size": 2, "eigenvalues": ["1", "1"]}
 FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
+DROP = object()  # a patch value that removes its key from the scenario
 
 
 @pytest.mark.parametrize(
@@ -836,13 +837,18 @@ FACTOR_KINDS = '"std", "rankin", "bc_rankin", "wedge2", "sym2", "asai"'
              "selfdual": ["r1"], "pairs": [{"b": "1/4"}]
          }}},
          "/quasi_tempered/rho/pairs/0: 'r1' is also the label of /quasi_tempered/rho/selfdual/0"),
+        # a hypothesis check names which of the two inputs it lacks
+        ("check-scenario", {"embeddings": DROP}, "regularity: no embeddings supplied"),
+        ("check-scenario",
+         {"records": [{k: v for k, v in PI_B.items() if k != "infchar"}, RHO_B]},
+         "regularity: record pi lacks an infinitesimal character"),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
     scn = json.loads((cli.scenario_dir() / "thmB.json").read_text())
     scn.update(patch)
     p = tmp_path / "malformed.json"
-    p.write_text(json.dumps(scn))
+    p.write_text(json.dumps({k: v for k, v in scn.items() if v is not DROP}))
     proc = run_cli(command, "--scenario", str(p))
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"

@@ -227,6 +227,23 @@ def test_aut_model_takes_only_a_sign(eps):
         AutModel(eps=eps)
 
 
+def test_apply_unit_without_moved_symbols_returns_the_unit():
+    """Every unit of the transport grid (the default u_i and w_j of
+    `bc_chain_check`, n, r <= 6) comes back as it is under both signs."""
+    units = [((f"{sym}{i}", 1),) for sym in "uw" for i in range(1, 7)]
+    for e in (1, -1):
+        for u in units:
+            assert AutModel(eps=e).apply_unit(u) is u
+
+
+def test_apply_unit_with_moved_symbols_renormalizes():
+    """A bijection cannot merge two symbols, but it can reorder them: the
+    image is sorted back into normal form, exponents kept."""
+    aut = AutModel(unit_map=(("a", "c"), ("c", "a")))
+    assert aut.apply_unit((("a", 2), ("b", -1))) == (("b", -1), ("c", 2))
+    assert aut.apply_unit((("a", 1), ("c", -1))) == (("a", -1), ("c", 1))
+
+
 def test_aut_model_eps_is_the_same_at_every_place():
     for e in (1, -1):
         aut = AutModel((("u1", "u2"), ("u2", "u1")), e)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langkit import spectra
 from langkit.arch import InfChar
 from langkit.satake import AutModel
 from langkit.spectra import (
@@ -211,6 +212,63 @@ class TestReconstructAgainstGreedyOracle:
                         assert got == _outcome(_greedy_reconstruct_oracle, bad), bad
                         outcomes.add(isinstance(got, str))
         assert outcomes == {True, False}
+
+
+def _several_ladders_per_record():
+    """One or two records of POOL and TWINS, each with two or three distinct
+    ladder lengths from 1..4; twins whose lengths overlap repeat a summand
+    and are left out."""
+    lengths = [ds for k in (2, 3) for ds in itertools.combinations(range(1, 5), k)]
+    for k in (1, 2):
+        for chosen in itertools.combinations(POOL + TWINS, k):
+            for dss in itertools.product(lengths, repeat=k):
+                summands = [(rec, d) for rec, ds in zip(chosen, dss) for d in ds]
+                if len({(rec.label, rec.degree, d) for rec, d in summands}) == len(summands):
+                    yield ArthurParameter(tuple(summands))
+
+
+class TestReconstructPaths:
+    """`reconstruct` walks the sums `expand` makes of one ladder per record
+    and strips the rest greedily; on valid input both paths give the oracle's
+    parameter back."""
+
+    @staticmethod
+    def _counting_strips(monkeypatch):
+        calls = []
+        strip = spectra._strip_ladders
+
+        def counted(terms):
+            calls.append(terms)
+            return strip(terms)
+
+        monkeypatch.setattr(spectra, "_strip_ladders", counted)
+        return calls
+
+    def test_one_ladder_per_record_is_walked(self, monkeypatch):
+        calls = self._counting_strips(monkeypatch)
+        for p in TestReconstructAgainstGreedyOracle.GRID:
+            assert reconstruct(expand(p)) == p
+        assert calls == []
+
+    def test_several_ladders_per_record_are_stripped(self, monkeypatch):
+        calls = self._counting_strips(monkeypatch)
+        grid = list(_several_ladders_per_record())
+        assert len(grid) > 2000
+        for p in grid:
+            s = expand(p)
+            assert reconstruct(s) == _greedy_reconstruct_oracle(s) == p
+        assert len(calls) == len(grid)
+
+    def test_twins_with_one_ladder_each_are_stripped(self, monkeypatch):
+        calls = self._counting_strips(monkeypatch)
+        count = 0
+        for a, b in itertools.combinations(TWINS, 2):
+            for da, db in itertools.permutations(range(1, 5), 2):
+                p = ArthurParameter(((a, da), (b, db)))
+                s = expand(p)
+                assert reconstruct(s) == _greedy_reconstruct_oracle(s) == p
+                count += 1
+        assert len(calls) == count
 
 
 @given(

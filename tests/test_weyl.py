@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from langkit.weyl import (
     _simple_windows,
     _then,
     all_signed_perms,
-    bfs_length,
+    bfs_lengths,
     kostant_reps,
     kostant_weights,
     length_additive,
@@ -124,10 +125,12 @@ class TestLength:
             w = full_word(t, 0)
             assert w.length() == t * (t - 1) // 2 + t
 
-    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_matches_word_search(self, t):
+        table = bfs_lengths(t)
+        assert len(table) == 2**t * math.factorial(t)
         for w in all_signed_perms(t):
-            assert w.length() == bfs_length(w)
+            assert w.length() == table[w.images]
 
 
 class TestAdditivity:
