@@ -61,10 +61,18 @@ class Eigenvalue(Record):
     def __init__(self, q2: int, unit: tuple = (), sign: int = 1):
         if type(q2) is not int:
             raise SatakeError(f"doubled q-exponent must be an int, not {q2!r}")
-        if type(unit) is not tuple or not all(
-            type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is int and p[1]
-            for p in unit
-        ) or any(a[0] >= b[0] for a, b in zip(unit, unit[1:])):
+        ok = type(unit) is tuple
+        prev = None  # one loop, no generators: transports build thousands of these
+        for p in unit if ok else ():
+            if (
+                type(p) is not tuple or len(p) != 2 or type(p[0]) is not str
+                or type(p[1]) is not int or not p[1]
+                or (prev is not None and prev >= p[0])
+            ):
+                ok = False
+                break
+            prev = p[0]
+        if not ok:
             raise SatakeError(
                 f"unit must be a sorted tuple of (symbol, nonzero int) pairs: {unit!r}"
             )

@@ -178,6 +178,8 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
     sharing a (label, degree), stray or missing shifts) goes whole to
     `_strip_ladders`, which finds the same summands where the walk
     succeeds and alone names what is wrong where no parameter fits.
+    A walked parameter is built without `ArthurParameter`'s sort and
+    repeat check, which the walk has already made true.
     """
     terms = s.terms
     summands = []
@@ -195,7 +197,11 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
         key = (rec.label, rec.degree)
         summands.append((rec, d))
         i += d
-    return ArthurParameter(tuple(summands))
+    # the walk yields positive lengths in strictly ascending (label, degree)
+    # order, which is the sorted, repeat-free form `ArthurParameter` checks for
+    p = ArthurParameter.__new__(ArthurParameter)
+    object.__setattr__(p, "summands", tuple(summands))
+    return p
 
 
 def _strip_ladders(terms: tuple) -> ArthurParameter:
