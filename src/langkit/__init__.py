@@ -3,9 +3,9 @@
 Submodules
 ----------
 weyl        root data, signed-permutation words, coset representatives
-groups      group/Levi descriptors, modular characters
+groups      group/Levi descriptors, modular characters, dual radical grading
 satake      symbolic Satake eigenvalue calculus and coefficient transport
-dual        dual-side nilradical grading and the degree-2 factor
+dual        the operator on the degree-2 piece of the dual radical
 spectra     formal cuspidal records and discrete-spectrum parameters
 arch        infinitesimal characters, regularity predicates, sign formulas
 eisenstein  constant-term quotients, pole decisions, the full pipeline

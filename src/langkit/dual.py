@@ -1,5 +1,5 @@
-"""Dual-side oracles for `selftest`: the two-step grading of the unipotent
-radical and the operator that identifies the factor in its degree-2 piece.
+"""Dual-side oracle for `selftest`: the operator that identifies the factor
+in the degree-2 piece of the dual radical of U(2n+r) (`groups.dual_radical`).
 
 The degree-2 piece is the n×n block; the group of the quadratic extension
 acts on it through the signed anti-transposition x ↦ (-1)^{n+r+1} Φ_n ᵗx Φ_n⁻¹,
@@ -28,34 +28,6 @@ def phi_perm(N: int) -> SignedPerm:
     if N < 1:
         raise DualError("need N ≥ 1")
     return SignedPerm(tuple((-1) ** (N - j) * (N + 1 - j) for j in range(1, N + 1)))
-
-
-def grade_nilradical(n: int, r: int) -> dict:
-    """Grading of the radical for the block-n Levi as {degree: dimension}:
-    degree 1 holds the two n×r blocks (dimension 2nr), degree 2 the n×n
-    block (dimension n²); degree 1 is absent when r = 0."""
-    if n < 1 or r < 0:
-        raise DualError("need n ≥ 1, r ≥ 0")
-    if r == 0:
-        return {2: n * n}
-    return {1: 2 * n * r, 2: n * n}
-
-
-def grade_nilradical_by_roots(n: int, r: int) -> dict:
-    """Brute-force oracle: bucket the root spaces of the radical by their
-    pairing with the normalized half-sum (1^n, 0^r, -1^n)."""
-    N = 2 * n + r
-    rho = [1] * n + [0] * r + [-1] * n
-    buckets: dict = {}
-    blocks = (
-        [(i, j) for i in range(n) for j in range(n + r, N)]  # n×n block
-        + [(i, j) for i in range(n) for j in range(n, n + r)]  # first n×r block
-        + [(i, j) for i in range(n, n + r) for j in range(n + r, N)]  # second
-    )
-    for i, j in blocks:
-        pairing = rho[i] - rho[j]
-        buckets[pairing] = buckets.get(pairing, 0) + 1
-    return buckets
 
 
 def conjugation_operator(n: int, r: int) -> SignedPerm:

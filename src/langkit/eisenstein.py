@@ -32,12 +32,12 @@ from .arch import (
     strictly_gapped,
 )
 from .groups import (
-    SO_EVEN,
-    SO_ODD,
     SP,
+    SQUARE,
     UNITARY,
     GroupDescriptor,
     ambient_with_block,
+    dual_radical,
     unitary,
 )
 from .rationals import HALF, half_str, rat, rat_str
@@ -220,53 +220,36 @@ class PoleDecision(Record):
 # quotient assembly
 
 
-def _aux_kind(ambient: GroupDescriptor, pi: CuspidalRecord, rho: CuspidalRecord) -> tuple:
-    """The square factor of the block, for an ambient family that
-    `constant_term_quotient` accepts."""
-    fam = ambient.family
-    if fam in (SP, SO_EVEN):
-        return ("wedge2", pi.label)
-    if fam == SO_ODD:
-        return ("sym2", pi.label)
-    return ("asai", asai_sign(rho.degree), pi.label)
-
-
 def constant_term_quotient(
     ambient: GroupDescriptor, pi: CuspidalRecord, rho: CuspidalRecord
 ) -> LQuotient:
     """The four-factor quotient for the maximal-parabolic induction of the
-    block record over the core."""
-    fam = ambient.family
+    block record over the core: the pair and the square of `dual_radical`."""
+    fam, n = ambient.family, pi.degree
     if fam == UNITARY:
-        if ambient.size != 2 * pi.degree + rho.degree:
+        if ambient.size != 2 * n + rho.degree:
             raise EisensteinError("degrees do not fill the unitary group")
         pair = ("bc_rankin", pi.label, rho.label)
-    elif fam in (SP, SO_ODD, SO_EVEN):
-        core_rank = ambient.size - pi.degree
-        expected_core_degree = {
-            SP: 2 * core_rank + 1,
-            SO_ODD: 2 * core_rank,
-            SO_EVEN: 2 * core_rank,
-        }[fam]
+        square = (SQUARE[fam], asai_sign(rho.degree), pi.label)
+    elif fam in SQUARE:
+        core_rank = ambient.size - n
         if rho.is_trivial and fam == SP and core_rank == 0:
             pair = ("std", pi.label)
-        elif rho.degree == expected_core_degree and core_rank >= 1:
+        elif core_rank >= 1 and dual_radical(fam, n, core_rank)[1] == n * rho.degree:
             pair = ("rankin", pi.label, rho.label)
         else:
-            raise EisensteinError(
-                f"core degree {rho.degree} does not match the ambient family"
-            )
+            raise EisensteinError(f"core degree {rho.degree} does not match the ambient family")
+        square = (SQUARE[fam], pi.label)
     else:
         raise EisensteinError(f"unsupported ambient family {fam}")
-    aux = _aux_kind(ambient, pi, rho)
     return LQuotient(
         numerator=(
             LFactorRef(pair, 1, Fraction(0)),
-            LFactorRef(aux, 2, Fraction(0)),
+            LFactorRef(square, 2, Fraction(0)),
         ),
         denominator=(
             LFactorRef(pair, 1, Fraction(1)),
-            LFactorRef(aux, 2, Fraction(1)),
+            LFactorRef(square, 2, Fraction(1)),
         ),
     )
 

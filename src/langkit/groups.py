@@ -3,12 +3,13 @@
 Covers the split symplectic and orthogonal families, general linear groups
 (possibly restricted from a quadratic extension), and quasi-split unitary
 groups.  A standard maximal Levi GL_r × core is named by its ambient group
-and r.  The operations compute modular characters as exact exponents.
+and r.  The operations compute modular characters as exact exponents and
+the grading of the dual group's unipotent radical (`dual_radical`).
 
 Unitary-group modulus exponents are exponents of the extension-field
 absolute value |·|_E; for the split families the Borel exponents are the
 coordinates of the positive-root sum.  `selftest` checks every closed form
-against root sums enumerated by `weyl`.
+against the radical roots that `weyl` enumerates.
 """
 
 from __future__ import annotations
@@ -148,6 +149,22 @@ def borel_modulus_compose(group: GroupDescriptor, r: int) -> bool:
     core_part = modulus_borel(core) if core.size else ()
     composed = tuple(x + g for g in gl_part) + tuple(core_part)
     return composed == full
+
+
+# the square factor of a block by ambient family, degree 2 of the dual radical
+SQUARE = {SP: "wedge2", SO_ODD: "sym2", SO_EVEN: "wedge2", UNITARY: "asai"}
+
+
+def dual_radical(family: str, n: int, c: int) -> dict:
+    """Grading of the dual group's unipotent radical for a GL_n block over a
+    core of size c, as {degree: dimension} without the empty degrees: degree
+    1 is the block times the core's standard representation (n·(2c+1) for
+    Sp, n·2c for SO, 2nc for U), degree 2 the block's square `SQUARE`."""
+    if family not in SQUARE or n < 1 or c < 0:
+        raise GroupError(f"no dual radical for {family} with block {n} over core {c}")
+    one = n * (2 * c + 1 if family == SP else 2 * c)
+    two = {"wedge2": n * (n - 1) // 2, "sym2": n * (n + 1) // 2, "asai": n * n}[SQUARE[family]]
+    return {degree: dim for degree, dim in ((1, one), (2, two)) if dim}
 
 
 def ambient_with_block(rho_duality: str, r: int, t: int) -> GroupDescriptor:

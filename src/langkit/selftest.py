@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from .arch import EmbeddingSet, InfChar, eps_arch, root_number_selfdual
-from .dual import conjugation_operator, grade_nilradical, grade_nilradical_by_roots
+from .dual import conjugation_operator
 from .eisenstein import (
     LFactorRef,
     LQuotient,
@@ -32,6 +34,7 @@ from .groups import (
     UNITARY,
     ambient_with_block,
     borel_modulus_compose,
+    dual_radical,
     modulus_borel,
     modulus_levi,
     so_even,
@@ -132,11 +135,30 @@ def _suite_modulus():
     )
 
 
+# the split families by the type of their dual root datum
+_DUAL_TYPE = {SP: "B", SO_ODD: "C", SO_EVEN: "D"}
+
+
+def _radical_grading(family: str, n: int, c: int) -> dict:
+    """`dual_radical`'s oracle: the radical roots of the block-n parabolic of
+    the dual datum, bucketed by their pairing with (1^n, 0^c), or with
+    (1^n, 0^c, -1^n) for U(2n+c), whose dual is GL_{2n+c}."""
+    h = [1] * n + [0] * c
+    if family == UNITARY:
+        h += [-1] * n
+        shape = ParabolicShape((n, c, n) if c else (n, n), 0, RootDatum("A", 2 * n + c - 1))
+    else:
+        shape = ParabolicShape((n,), c, RootDatum(_DUAL_TYPE[family], n + c))
+    return Counter(sum(map(mul, root, h)) for root in shape.radical_roots())
+
+
 def _suite_grading_and_operator():
-    for n in range(1, 7):
-        for r in range(0, 7):
-            if grade_nilradical(n, r) != grade_nilradical_by_roots(n, r):
-                raise AssertionError(f"grading mismatch {n} {r}")
+    cases = [(UNITARY, n, c) for n in range(1, 7) for c in range(0, 7)]
+    cases += [(fam, n, c) for fam in _DUAL_TYPE for n in range(1, 5) for c in range(0, 5)]
+    cases.remove((SO_EVEN, 1, 0))  # SO(2) has no roots, and `RootDatum` refuses D1
+    for case in cases:
+        if dual_radical(*case) != _radical_grading(*case):
+            raise AssertionError(f"grading mismatch {case}")
     for n in range(1, 5):
         for r in range(0, 5):
             op = conjugation_operator(n, r)
@@ -144,7 +166,10 @@ def _suite_grading_and_operator():
                 raise AssertionError(f"trace mismatch {n} {r}")
             if not op.then(op).is_identity():
                 raise AssertionError(f"involution fails {n} {r}")
-    return "nilradical grading = root enumeration; conjugation operator trace and involution"
+    return (
+        "dual radical grading = radical roots of the dual datum (U: n,c <= 6; Sp, SO: n,c <= 4); "
+        "conjugation operator trace and involution"
+    )
 
 
 def _suite_transport():

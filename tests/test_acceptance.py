@@ -108,16 +108,24 @@ def test_criterion_03_conjugation_operator():
 
 
 def test_criterion_04_nilradical_grading():
-    from langkit.dual import grade_nilradical, grade_nilradical_by_roots
+    from langkit.groups import SO_EVEN, SO_ODD, SP, UNITARY, dual_radical
+    from langkit.selftest import _radical_grading
 
     for n in range(1, 7):
         for r in range(0, 7):
-            got = grade_nilradical(n, r)
+            got = dual_radical(UNITARY, n, r)
             want = {2: n * n}
             if r:
                 want[1] = 2 * n * r
-            assert got == want == grade_nilradical_by_roots(n, r)
-    report(4, "grading dimensions {1: 2nr, 2: n^2} match root enumeration for n,r <= 6")
+            assert got == want == _radical_grading(UNITARY, n, r)
+            for family in (SP, SO_ODD, SO_EVEN):
+                if (family, n + r) != (SO_EVEN, 1):  # SO(2) has no roots
+                    assert dual_radical(family, n, r) == _radical_grading(family, n, r)
+    report(
+        4,
+        "dual radical gradings match the dual datum's radical roots: U {1: 2nr, 2: n^2}, "
+        "Sp, SO odd and SO even, for n,r <= 6",
+    )
 
 
 def test_criterion_05_transport_signs():

@@ -463,6 +463,28 @@ def test_selftest_passes():
     # a faster round trip must not come from a smaller grid
     round_trip = "PASS parameter round trips: 3124 exhaustive cases (<= 5 summands, ladders <= 4)"
     assert round_trip in report["checks"]
+    # nor a faster grading from a smaller grid
+    grading = (
+        "PASS dual radical grading = radical roots of the dual datum (U: n,c <= 6; "
+        "Sp, SO: n,c <= 4); conjugation operator trace and involution"
+    )
+    assert grading in report["checks"]
+    assert len(report["checks"]) == 9
+
+
+def test_selftest_suites_are_the_benchmark_suites():
+    """The benchmark reads one metric per suite, named after the suite."""
+    from langkit import selftest
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(
+        encoding="utf-8"
+    )
+    (bench,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITES"
+    ]
+    assert tuple(s.__name__.removeprefix("_suite_") for s in selftest.SUITES) == bench
 
 
 def test_ledger_override_flag(tmp_path):

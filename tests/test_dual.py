@@ -1,13 +1,9 @@
 import pytest
 
-from langkit.dual import (
-    DualError,
-    conjugation_operator,
-    grade_nilradical,
-    grade_nilradical_by_roots,
-    phi_perm,
-)
+from langkit.dual import DualError, conjugation_operator, phi_perm
 from langkit.eisenstein import asai_sign
+from langkit.groups import SO_EVEN, SO_ODD, SP, UNITARY, GroupError, dual_radical
+from langkit.selftest import _radical_grading
 
 # Dense integer oracle, independent of the signed-permutation code.
 
@@ -81,19 +77,34 @@ class TestPhi:
 
 class TestGrading:
     def test_small_cases(self):
-        assert grade_nilradical(1, 1) == {1: 2, 2: 1}
-        assert grade_nilradical(2, 3) == {1: 12, 2: 4}
-        assert grade_nilradical(2, 0) == {2: 4}
-        for n, r in ((0, 1), (1, -1)):
-            with pytest.raises(DualError):
-                grade_nilradical(n, r)
+        assert dual_radical(UNITARY, 1, 1) == {1: 2, 2: 1}
+        assert dual_radical(UNITARY, 2, 3) == {1: 12, 2: 4}
+        assert dual_radical(UNITARY, 2, 0) == {2: 4}
+        assert dual_radical(SP, 2, 1) == {1: 6, 2: 1}
+        assert dual_radical(SO_ODD, 2, 1) == {1: 4, 2: 3}
+        assert dual_radical(SO_EVEN, 2, 1) == {1: 4, 2: 1}
+        for family, n, c in ((UNITARY, 0, 1), (UNITARY, 1, -1), (SP, 0, 1), ("GL", 1, 1)):
+            with pytest.raises(GroupError):
+                dual_radical(family, n, c)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("r", range(0, 7))
     def test_against_root_enumeration(self, n, r):
-        grading = grade_nilradical(n, r)
+        grading = dual_radical(UNITARY, n, r)
         assert sum(grading.values()) == n * n + 2 * n * r
-        assert grading == grade_nilradical_by_roots(n, r)
+        assert grading == _radical_grading(UNITARY, n, r)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("c", range(0, 7))
+    @pytest.mark.parametrize("family", (SP, SO_ODD, SO_EVEN))
+    def test_split_families_against_root_enumeration(self, family, c, n):
+        grading = dual_radical(family, n, c)
+        # the block's part of the dual standard representation, its square
+        core_degree = 2 * c + 1 if family == SP else 2 * c
+        square = n * (n + 1) // 2 if family == SO_ODD else n * (n - 1) // 2
+        assert grading == {d: k for d, k in ((1, n * core_degree), (2, square)) if k}
+        if (family, n + c) != (SO_EVEN, 1):  # SO(2) has no roots
+            assert grading == _radical_grading(family, n, c)
 
 
 class TestConjugationOperator:

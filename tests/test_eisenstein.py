@@ -17,7 +17,7 @@ from langkit.eisenstein import (
     sign_pipeline,
     theorem_pipeline,
 )
-from langkit.groups import SO_EVEN, SO_ODD, SP, so_odd, sp, unitary
+from langkit.groups import SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor, so_odd, sp, unitary
 from langkit.satake import AutModel
 from langkit.spectra import (
     CONJ_SELFDUAL,
@@ -42,6 +42,25 @@ def std_degree(group) -> int:
     if group.family in (SO_ODD, SO_EVEN):
         return 2 * group.size
     return group.size
+
+
+def expected_quotient(ambient, n, rho):
+    """The pair and square kinds of the quotient for a degree-n block "pi"
+    over ``rho``, or the message it is refused with.  The block and the core
+    must fill the standard representation of the dual group: 2n + deg rho
+    is its degree, with a core of rank ≥ 1 or, for Sp, the trivial record
+    over an empty core."""
+    t = rho.degree
+    if ambient.family == UNITARY:
+        if ambient.size != 2 * n + t:
+            return "degrees do not fill the unitary group"
+        return ("bc_rankin", "pi", rho.label), ("asai", (-1) ** t, "pi")
+    square = ("sym2" if ambient.family == SO_ODD else "wedge2", "pi")
+    if ambient.family == SP and ambient.size == n and rho == TRIVIAL:
+        return ("std", "pi"), square
+    if ambient.size > n and std_degree(ambient) == 2 * n + t:
+        return ("rankin", "pi", rho.label), square
+    return f"core degree {t} does not match the ambient family"
 
 
 EMB = EmbeddingSet(real=("r1",))
@@ -115,6 +134,26 @@ class TestQuotient:
             constant_term_quotient(unitary(6), PI_E, RHO_E)
         with pytest.raises(EisensteinError):
             constant_term_quotient(sp(4), PI_B, RHO_B)
+
+    @pytest.mark.parametrize("core", [*range(1, 14), "trivial"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", range(8))
+    @pytest.mark.parametrize("family", (SP, SO_ODD, SO_EVEN, UNITARY))
+    def test_factor_kinds_on_the_grid(self, family, size, n, core):
+        ambient = GroupDescriptor(family, size)
+        pi = CuspidalRecord("pi", n)
+        rho = TRIVIAL if core == "trivial" else CuspidalRecord("rho", core)
+        want = expected_quotient(ambient, n, rho)
+        if isinstance(want, str):
+            with pytest.raises(EisensteinError) as err:
+                constant_term_quotient(ambient, pi, rho)
+            assert str(err.value) == want
+        else:
+            pair, square = want
+            assert constant_term_quotient(ambient, pi, rho) == LQuotient(
+                (LFactorRef(pair, 1, Fraction(0)), LFactorRef(square, 2, Fraction(0))),
+                (LFactorRef(pair, 1, Fraction(1)), LFactorRef(square, 2, Fraction(1))),
+            )
 
 
 class TestFactorKinds:

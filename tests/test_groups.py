@@ -6,7 +6,9 @@ from langkit import groups, selftest
 from langkit.groups import (
     GroupDescriptor,
     GroupError,
+    ambient_with_block,
     borel_modulus_compose,
+    dual_radical,
     modulus_borel,
     modulus_levi,
     so_even,
@@ -105,6 +107,39 @@ def test_modulus_suite_catches_an_off_by_one(monkeypatch, name, family):
     failed = [line for line in lines if line.startswith("FAIL")]
     assert not ok and len(failed) == 1
     assert failed[0].startswith("FAIL _suite_modulus: ") and "mismatch" in failed[0]
+
+
+@pytest.mark.parametrize("family", sorted(groups.SQUARE))
+def test_grading_suite_catches_a_wrong_square(monkeypatch, family):
+    """Sym² read for ∧², ∧² for Sym², or n² − n for the Asai square, in one
+    family, fails the root oracle of `selftest`'s grading suite."""
+
+    def wrong(fam, n, c):
+        grading = dual_radical(fam, n, c)
+        if fam == family:
+            grading[2] = grading.get(2, 0) + (n if groups.SQUARE[fam] == "wedge2" else -n)
+        return grading
+
+    monkeypatch.setattr(selftest, "dual_radical", wrong)
+    with pytest.raises(AssertionError, match=f"grading mismatch \\('{family}'"):
+        selftest._suite_grading_and_operator()
+
+
+@pytest.mark.parametrize("duality", ["symplectic", "orthogonal"])
+def test_ambient_with_block_fills_degree_one_of_the_dual_radical(duality):
+    """The block GL_r and the degree-t core record fill degree 1 of the dual
+    radical of the ambient group that `ambient_with_block` picks."""
+    accepted = 0
+    for r in range(1, 5):
+        for t in range(1, 10):
+            try:
+                amb = ambient_with_block(duality, r, t)
+            except GroupError:
+                assert duality == "symplectic" and t % 2
+                continue
+            assert dual_radical(amb.family, r, amb.size - r)[1] == r * t
+            accepted += 1
+    assert accepted == (16 if duality == "symplectic" else 36)
 
 
 @pytest.mark.parametrize("size", [2.5, 2.0, True, False, "2", None, Fraction(2)])
