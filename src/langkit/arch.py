@@ -151,8 +151,6 @@ def is_superregular(values) -> bool:
         raise ArchError("superregularity needs an even symmetric multiset")
     m = len(closed) // 2
     pos = closed[:m]
-    if any(pos[i] != -closed[-1 - i] for i in range(m)):
-        raise ArchError("multiset is not symmetric under negation")
     for i in range(m - 1):
         if pos[i] < pos[i + 1] + 4:
             return False

@@ -1,14 +1,16 @@
 """Constant-term quotients, the pole decision at the half point, and the
 full invariance pipeline.
 
-The quotient attached to a maximal-parabolic induction always has four
-factors: the pair factor at s and s+1 and the family's auxiliary factor
-(alternating square, symmetric square, or a sign-matched twisted tensor
-factor) at 2s and 2s+1.  Orders of the factors at the relevant points live
-in an analytic ledger (negative order = pole), defaulted from the duality
-types and overridable with provenance.  `theorem_pipeline` replays the
-whole invariance argument symbolically and emits a citation-per-step
-derivation log.
+The quotient attached to a maximal-parabolic induction is given by two
+factor kinds: the pair and the family's square (alternating square,
+symmetric square, or a sign-matched twisted tensor factor).  It reads
+L(s, pair)·L(2s, square) / L(s+1, pair)·L(2s+1, square).  Orders of the
+factors at the relevant points live in an analytic ledger, one table
+(kind, point) -> (order, provenance) with negative order = pole, defaulted
+from the duality types and overridable.  The pole decision keeps the total
+order at the half point; the pole exists exactly when it is negative.
+`theorem_pipeline` replays the whole invariance argument symbolically and
+emits a citation-per-step derivation log.
 """
 
 from __future__ import annotations
@@ -137,11 +139,23 @@ class LFactorRef(Record):
 
 
 class LQuotient(Record):
-    _fields = ("numerator", "denominator")
+    """L(s, pair)·L(2s, square) / L(s+1, pair)·L(2s+1, square), given by
+    its pair and square kinds."""
 
-    def __init__(self, numerator: tuple, denominator: tuple):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+    _fields = ("pair", "square")
+
+    def __init__(self, pair: tuple, square: tuple):
+        """Both kinds pass `check_kind`."""
+        object.__setattr__(self, "pair", check_kind(pair))
+        object.__setattr__(self, "square", check_kind(square))
+
+    @property
+    def numerator(self) -> tuple:
+        return LFactorRef(self.pair, 1, 0), LFactorRef(self.square, 2, 0)
+
+    @property
+    def denominator(self) -> tuple:
+        return LFactorRef(self.pair, 1, 1), LFactorRef(self.square, 2, 1)
 
     def serialize(self) -> dict:
         return {
@@ -151,27 +165,24 @@ class LQuotient(Record):
 
 
 class AnalyticLedger(Record):
-    """Orders of factor kinds at points; negative = pole order.
+    """Orders of factor kinds at points, negative = pole order, in one
+    table (kind, point) -> (order, provenance).
 
-    Defaults are derived from duality types; overrides are recorded with
-    their provenance and shadow the defaults.
+    A ledger starts empty.  Defaults are derived from duality types; a later
+    `set` on the same (kind, point), such as an override, replaces its order
+    and provenance together.
     """
 
-    _fields = ("entries", "provenance")
+    _fields = ("entries",)
     __hash__ = None
 
-    def __init__(self, entries: dict | None = None, provenance: dict | None = None):
-        """``entries`` maps (kind, point) to order; each ledger owns fresh
-        dicts unless given its own."""
-        object.__setattr__(self, "entries", {} if entries is None else entries)
-        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
+    def __init__(self):
+        object.__setattr__(self, "entries", {})
 
     def set(self, kind: tuple, point, order: int, provenance: str):
         if type(order) is not int:
             raise EisensteinError(f"ledger order must be an int, not {order!r}")
-        key = (tuple(kind), rat(point))
-        self.entries[key] = order
-        self.provenance[key] = provenance
+        self.entries[tuple(kind), rat(point)] = (order, provenance)
 
     def order(self, kind: tuple, point) -> int:
         key = (tuple(kind), rat(point))
@@ -179,33 +190,33 @@ class AnalyticLedger(Record):
             raise EisensteinError(
                 f"ledger missing order of {kind} at {rat_str(rat(point))}"
             )
-        return self.entries[key]
+        return self.entries[key][0]
 
     def serialize(self) -> list:
-        out = []
-        for (kind, point), order in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
-            out.append(
-                {
-                    "factor": list(kind),
-                    "point": rat_str(point),
-                    "order": order,
-                    "provenance": self.provenance.get((kind, point), ""),
-                }
+        return [
+            {"factor": list(kind), "point": rat_str(point), "order": order, "provenance": prov}
+            for (kind, point), (order, prov) in sorted(
+                self.entries.items(), key=lambda kv: repr(kv[0])
             )
-        return out
+        ]
 
 
 class PoleDecision(Record):
-    _fields = ("has_pole", "total_order", "contributing_factors", "derivation")
+    """The total order of a quotient at the half point, the factors that
+    contribute to it and the cited derivation; a pole exactly when the
+    total order is negative."""
 
-    def __init__(
-        self, has_pole: bool, total_order: int, contributing_factors: tuple, derivation: tuple
-    ):
+    _fields = ("total_order", "contributing_factors", "derivation")
+
+    def __init__(self, total_order: int, contributing_factors: tuple, derivation: tuple):
         """``derivation`` is ((claim, rule id), ...)."""
-        object.__setattr__(self, "has_pole", has_pole)
         object.__setattr__(self, "total_order", total_order)
         object.__setattr__(self, "contributing_factors", contributing_factors)
         object.__setattr__(self, "derivation", derivation)
+
+    @property
+    def has_pole(self) -> bool:
+        return self.total_order < 0
 
     def serialize(self) -> dict:
         return {
@@ -223,8 +234,8 @@ class PoleDecision(Record):
 def constant_term_quotient(
     ambient: GroupDescriptor, pi: CuspidalRecord, rho: CuspidalRecord
 ) -> LQuotient:
-    """The four-factor quotient for the maximal-parabolic induction of the
-    block record over the core: the pair and the square of `dual_radical`."""
+    """The quotient for the maximal-parabolic induction of the block record
+    over the core: the pair and the square of `dual_radical`."""
     fam, n = ambient.family, pi.degree
     if fam == UNITARY:
         if ambient.size != 2 * n + rho.degree:
@@ -242,16 +253,7 @@ def constant_term_quotient(
         square = (SQUARE[fam], pi.label)
     else:
         raise EisensteinError(f"unsupported ambient family {fam}")
-    return LQuotient(
-        numerator=(
-            LFactorRef(pair, 1, Fraction(0)),
-            LFactorRef(square, 2, Fraction(0)),
-        ),
-        denominator=(
-            LFactorRef(pair, 1, Fraction(1)),
-            LFactorRef(square, 2, Fraction(1)),
-        ),
-    )
+    return LQuotient(pair, square)
 
 
 def default_ledger(pi: CuspidalRecord, rho: CuspidalRecord) -> AnalyticLedger:
@@ -326,10 +328,9 @@ def pole_at_half(
         ),
         ("epsilon factors are order-0 units", "epsilon-units"),
     ]
-    has_pole = total < 0
-    if has_pole:
+    if total < 0:
         contributing.append("central value nonzero: " + pair.serialize())
-    return PoleDecision(has_pole, total, tuple(contributing), tuple(derivation))
+    return PoleDecision(total, tuple(contributing), tuple(derivation))
 
 
 def residual_parameter(

@@ -132,10 +132,8 @@ def modulus_borel(group: GroupDescriptor) -> tuple:
     if group.family == SO_EVEN:
         n = group.size
         return tuple(Fraction(2 * n - 2 - 2 * i) for i in range(n))
-    if group.family in (GL, RES_GL):
-        N = group.size
-        return tuple(Fraction(N - 1 - 2 * i) for i in range(N))
-    raise GroupError(f"unsupported family {group.family}")
+    N = group.size  # GL, RES_GL
+    return tuple(Fraction(N - 1 - 2 * i) for i in range(N))
 
 
 def borel_modulus_compose(group: GroupDescriptor, r: int) -> bool:

@@ -18,7 +18,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
+from .groups import GL, RES_GL, SO_ODD, UNITARY, GroupDescriptor
 from .rationals import doubled, half_str, rat
 from .record import Record
 
@@ -200,15 +200,9 @@ def _twist_parity(family: GroupDescriptor) -> int:
     root twist is needed (even linear and even unitary families, and odd
     orthogonal groups through their similitude cover)."""
     fam = family.family
-    if fam == SP:
-        return 0
     if fam in (GL, RES_GL, UNITARY):
         return 0 if family.size % 2 == 1 else 1
-    if fam == SO_EVEN:
-        return 0
-    if fam == SO_ODD:
-        return 1
-    raise SatakeError(f"unsupported family {fam}")
+    return 1 if fam == SO_ODD else 0
 
 
 def act(aut: AutModel, cls: SatakeClass) -> SatakeClass:

@@ -20,7 +20,6 @@ from operator import mul
 from .arch import EmbeddingSet, InfChar, eps_arch, root_number_selfdual
 from .dual import conjugation_operator
 from .eisenstein import (
-    LFactorRef,
     LQuotient,
     asai_sign,
     constant_term_quotient,
@@ -235,16 +234,7 @@ def _suite_pole_table():
     # mismatched square: orthogonal block forced into the alternating square
     pi = CuspidalRecord("pi", 2, duality=SELFDUAL_ORTHOGONAL, algebraicity="half_algebraic")
     rho = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
-    q = LQuotient(
-        (
-            LFactorRef(("rankin", "pi", "rho"), 1, Fraction(0)),
-            LFactorRef(("wedge2", "pi"), 2, Fraction(0)),
-        ),
-        (
-            LFactorRef(("rankin", "pi", "rho"), 1, Fraction(1)),
-            LFactorRef(("wedge2", "pi"), 2, Fraction(1)),
-        ),
-    )
+    q = LQuotient(("rankin", "pi", "rho"), ("wedge2", "pi"))
     led = default_ledger(pi, rho)
     for central in (0, 1):
         if pole_at_half(q, led, central).has_pole:

@@ -487,6 +487,19 @@ def test_selftest_suites_are_the_benchmark_suites():
     assert tuple(s.__name__.removeprefix("_suite_") for s in selftest.SUITES) == bench
 
 
+SELFTEST_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "selftest.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("argv", sorted(SELFTEST_GOLDEN))
+def test_selftest_matches_golden(capsys, argv):
+    """selftest prints byte-for-byte as recorded in each format, keyed by argv."""
+    assert sorted(SELFTEST_GOLDEN) == [f"selftest --format {f}" for f in ("json", "text")]
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == SELFTEST_GOLDEN[argv].encode()
+
+
 def test_ledger_override_flag(tmp_path):
     override = {
         "schema": "1",

@@ -4,10 +4,12 @@ import pytest
 
 from langkit.arch import EmbeddingSet, InfChar
 from langkit.eisenstein import (
+    AnalyticLedger,
     EisensteinError,
     HypothesisError,
     LFactorRef,
     LQuotient,
+    PoleDecision,
     asai_sign,
     check_kind,
     constant_term_quotient,
@@ -129,6 +131,14 @@ class TestQuotient:
         q2 = constant_term_quotient(unitary(6), PI_E, rho2)
         assert "asai+" in q2.serialize()["numerator"][1]
 
+    def test_layout_is_derived_from_the_two_kinds(self):
+        q = LQuotient(["rankin", "pi", "rho"], ("wedge2", "pi"))
+        assert (q.pair, q.square) == (("rankin", "pi", "rho"), ("wedge2", "pi"))
+        assert q.numerator == (LFactorRef(q.pair, 1, 0), LFactorRef(q.square, 2, 0))
+        assert q.denominator == (LFactorRef(q.pair, 1, 1), LFactorRef(q.square, 2, 1))
+        with pytest.raises(EisensteinError, match='kind/0: must be one of .*, not "asai\\+"'):
+            LQuotient(("std", "pi"), ("asai+", "pi"))
+
     def test_degree_mismatch(self):
         with pytest.raises(EisensteinError):
             constant_term_quotient(unitary(6), PI_E, RHO_E)
@@ -149,11 +159,7 @@ class TestQuotient:
                 constant_term_quotient(ambient, pi, rho)
             assert str(err.value) == want
         else:
-            pair, square = want
-            assert constant_term_quotient(ambient, pi, rho) == LQuotient(
-                (LFactorRef(pair, 1, Fraction(0)), LFactorRef(square, 2, Fraction(0))),
-                (LFactorRef(pair, 1, Fraction(1)), LFactorRef(square, 2, Fraction(1))),
-            )
+            assert constant_term_quotient(ambient, pi, rho) == LQuotient(*want)
 
 
 class TestFactorKinds:
@@ -217,16 +223,7 @@ class TestLedgerAndPole:
         assert not pole_at_half(q, led, 1).has_pole
         # orthogonal block in the alternating square: no pole either way
         pi_o = CuspidalRecord("pio", 2, duality=SELFDUAL_ORTHOGONAL, algebraicity="half_algebraic")
-        q_o = LQuotient(
-            (
-                LFactorRef(("rankin", "pio", "rho"), 1, Fraction(0)),
-                LFactorRef(("wedge2", "pio"), 2, Fraction(0)),
-            ),
-            (
-                LFactorRef(("rankin", "pio", "rho"), 1, Fraction(1)),
-                LFactorRef(("wedge2", "pio"), 2, Fraction(1)),
-            ),
-        )
+        q_o = LQuotient(("rankin", "pio", "rho"), ("wedge2", "pio"))
         led_o = default_ledger(pi_o, RHO_B)
         assert not pole_at_half(q_o, led_o, 0).has_pole
         assert not pole_at_half(q_o, led_o, 1).has_pole
@@ -242,21 +239,44 @@ class TestLedgerAndPole:
 
     def test_missing_ledger_point(self):
         q = constant_term_quotient(sp(5), PI_B, RHO_B)
-        from langkit.eisenstein import AnalyticLedger
-
         with pytest.raises(EisensteinError):
             pole_at_half(q, AnalyticLedger(), 0)
 
     @pytest.mark.parametrize("order", [1.5, 1.0, True, Fraction(1), "1", None])
     def test_ledger_refuses_non_int_orders(self, order):
-        from langkit.eisenstein import AnalyticLedger
-
         led = AnalyticLedger()
         with pytest.raises(EisensteinError, match="must be an int"):
             led.set(("x",), 1, order, "p")
         assert led.entries == {}
         led.set(("x",), 1, -2, "p")
         assert led.order(("x",), 1) == -2
+
+    def test_a_second_set_replaces_order_and_provenance_together(self):
+        led = AnalyticLedger()
+        led.set(("sym2", "pi"), 2, 0, "default:regular")
+        led.set(("wedge2", "pi"), 1, -1, "default:duality")
+        led.set(["wedge2", "pi"], Fraction(1), 0, "override:/ledger_overrides/0")
+        assert led.entries == {
+            (("sym2", "pi"), Fraction(2)): (0, "default:regular"),
+            (("wedge2", "pi"), Fraction(1)): (0, "override:/ledger_overrides/0"),
+        }
+        assert led.order(("wedge2", "pi"), "1") == 0
+        assert [e for e in led.serialize() if e["factor"] == ["wedge2", "pi"]] == [
+            {
+                "factor": ["wedge2", "pi"],
+                "point": "1",
+                "order": 0,
+                "provenance": "override:/ledger_overrides/0",
+            }
+        ]
+        assert len(led.serialize()) == 2
+
+    @pytest.mark.parametrize("total", range(-2, 3))
+    def test_has_pole_is_a_negative_total_order(self, total):
+        decision = PoleDecision(total, (), ())
+        assert "has_pole" not in PoleDecision._fields
+        assert decision.has_pole is (total < 0)
+        assert decision.serialize()["has_pole"] is (total < 0)
 
     def test_every_step_has_one_citation(self):
         q = constant_term_quotient(sp(5), PI_B, RHO_B)

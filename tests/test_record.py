@@ -139,13 +139,13 @@ SAMPLES = {
         lambda: LFactorRef(("asai", 1, "pi"), 2, 0),
     ),
     LQuotient: (
-        lambda: LQuotient((LFactorRef(("std", "pi"), 1, 0),), ()),
-        lambda: LQuotient((), ()),
+        lambda: LQuotient(("std", "pi"), ("wedge2", "pi")),
+        lambda: LQuotient(("bc_rankin", "pi", "rho"), ("asai", -1, "pi")),
     ),
-    AnalyticLedger: (_ledger, AnalyticLedger),
+    AnalyticLedger: (AnalyticLedger, _ledger),
     PoleDecision: (
-        lambda: PoleDecision(True, -1, ("L(s, pi)",), (("a pole", "rule"),)),
-        lambda: PoleDecision(False, 0, (), ()),
+        lambda: PoleDecision(-1, ("L(s, pi)",), (("a pole", "rule"),)),
+        lambda: PoleDecision(0, (), ()),
     ),
 }
 
@@ -227,8 +227,9 @@ def test_record_fields_are_fixed(cls):
 
 # records built from other values than the fields they hold: a `Weight`
 # holds its coordinates doubled and is built from the coordinates, which
-# its `coords` property gives back
-CONSTRUCTED_FROM = {Weight: ("coords",)}
+# its `coords` property gives back; an `AnalyticLedger` is built empty and
+# filled by `set`
+CONSTRUCTED_FROM = {Weight: ("coords",), AnalyticLedger: ()}
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
