@@ -303,7 +303,9 @@ def resolve_records(scn: dict, emb: EmbeddingSet | None = None):
 
 
 def _ratio_flags(scn: dict) -> dict:
-    """The ratio_flags present in the scenario; `sign_pipeline` supplies the defaults."""
+    """The ratio_flags present in the scenario: `arch.invariance_ratio_conjdual`
+    holds the defaults of the signs and the consistency flag, and
+    `sign_pipeline` reads d_C from the embeddings first, else from here, else 0."""
     flags = _field(scn, "ratio_flags", dict, "", {})
     kinds = dict(d_C=NON_NEGATIVE, eps_sqrt_disc=SIGNS, eps_i=SIGNS, discriminant_consistency=bool)
     return {k: _field(flags, k, kind, "/ratio_flags") for k, kind in kinds.items() if k in flags}

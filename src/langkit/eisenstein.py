@@ -609,7 +609,9 @@ def sign_pipeline(
 ) -> dict:
     """Sign targets: the self-dual archimedean product (D) or the
     conjugate-self-dual transport ratio (F), with the order-parity
-    conclusion; the report payload as `theorem_pipeline` returns it."""
+    conclusion; the report payload as `theorem_pipeline` returns it.
+    A flag missing from ``ratio_flags`` takes `invariance_ratio_conjdual`'s
+    default, and d_C is read from ``emb`` when it is given."""
     if target == "D":
         if {pi.duality, rho.duality} != {SELFDUAL_SYMPLECTIC, SELFDUAL_ORTHOGONAL}:
             raise HypothesisError("sign target needs one record of each self-dual type")
@@ -635,16 +637,11 @@ def sign_pipeline(
     if target == "F":
         if pi.duality != CONJ_SELFDUAL or rho.duality != CONJ_SELFDUAL:
             raise HypothesisError("ratio target needs conjugate-self-dual records")
-        flags = ratio_flags or {}
-        d_C = emb.d_C if emb is not None else flags.get("d_C", 0)
-        ratio = invariance_ratio_conjdual(
-            pi.degree,
-            rho.degree,
-            d_C,
-            eps_sqrt_disc=flags.get("eps_sqrt_disc", 1),
-            eps_i=flags.get("eps_i", 1),
-            discriminant_consistency=flags.get("discriminant_consistency", True),
-        )
+        flags = dict(ratio_flags or {})
+        d_C = flags.pop("d_C", 0)
+        if emb is not None:
+            d_C = emb.d_C
+        ratio = invariance_ratio_conjdual(pi.degree, rho.degree, d_C, **flags)
         steps = [
             (
                 f"transport ratio of the two contributions equals {ratio}",

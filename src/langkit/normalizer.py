@@ -5,9 +5,11 @@ blocks twisted by exponents of absolute value < 1/2; the self-dual side
 splits into untwisted discrete parts and inverse pairs with exponents in
 (0, 1/2).  `factor_normalization` expands the normalization factor into
 the four elementary ratio families; `classify_holomorphy` certifies every
-factor on the region Re(s) ≥ 1/2 except the minus-twist pair factors; and
-`holomorphy_verdict` assembles the full certificate via the rank-one
-bounds and the block-word decomposition.
+factor on the region Re(s) ≥ 1/2 except the minus-twist pair factors,
+which it returns as the pole candidates (a ratio's status is its family);
+`intertwining_word` checks the block-word decomposition and reports its
+lengths; and `holomorphy_verdict` assembles the full certificate via the
+rank-one bounds.
 """
 
 from __future__ import annotations
@@ -166,34 +168,22 @@ def verify_wedge_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> boo
     return sorted(got) == sorted(want)
 
 
-class FactorClassification(Record):
-    _fields = ("ratio", "status")
-
-    def __init__(self, ratio: Ratio, status: str):
-        """``status`` is holo_nonzero or pole_candidate."""
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "status", status)
-
-
 def classify_holomorphy(ratios) -> list:
-    """Status of every ratio on Re(s) ≥ 1/2.
+    """The pole candidates on Re(s) ≥ 1/2: the minus-twist ratios, in order.
 
     All numerators have argument real part ≥ alpha/2 + beta; with
     tempered inducing data a positive bound certifies holomorphic nonzero.
-    The minus-twist family is the only one whose bound can be ≤ 0 and is
-    flagged as the pole candidate.  Denominators sit one unit further
-    right and are never flagged.
+    The minus-twist family is the only one whose bound can be ≤ 0; any
+    other ratio with a bound ≤ 0 is refused.  Denominators sit one unit
+    further right and are never candidates.
     """
-    out = []
+    candidates = []
     for ratio in ratios:
         if ratio.family == "ii-":
-            status = "pole_candidate"
+            candidates.append(ratio)
         elif ratio.alpha * HALF + ratio.beta <= 0:
             raise NormalizerError(f"unbounded argument: {ratio.serialize()}")
-        else:
-            status = "holo_nonzero"
-        out.append(FactorClassification(ratio, status))
-    return out
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +209,13 @@ def full_word(t: int, u: int) -> SignedPerm:
     return SignedPerm(tuple(images))
 
 
-def intertwining_word(t: int, u: int):
-    """The full word and its two factors, with the length report.
+def intertwining_word(t: int, u: int) -> dict:
+    """The length report {shuffle, flip, full} of the block shuffle, the
+    flip and the full word.
 
     Lengths are tu, tu + t(t-1)/2 + t and t(t-1)/2 + 2tu + t; the product
     of the factors (first applied first) is the full word and the lengths
-    add.
+    add, or `NormalizerError` is raised.
     """
     if t < 1 or u < 0:
         raise NormalizerError("need t ≥ 1, u ≥ 0")
@@ -239,7 +230,7 @@ def intertwining_word(t: int, u: int):
         raise NormalizerError(f"length report {lengths} does not match {expected}")
     if w1.then(w2) != w or not length_additive(w1, w2):
         raise NormalizerError("block word does not decompose additively")
-    return w, w1, w2, {"shuffle": lengths[0], "flip": lengths[1], "full": lengths[2]}
+    return {"shuffle": lengths[0], "flip": lengths[1], "full": lengths[2]}
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +254,18 @@ def holomorphy_verdict(
     """
     warnings = ["word-length-additivity"]
     refuse_open_choices(warnings, strict)
-    classified = classify_holomorphy(factor_normalization(pi, rho, aux_kind))
-    n_candidates = sum(1 for c in classified if c.status == "pole_candidate")
+    ratios = factor_normalization(pi, rho, aux_kind)
+    candidates = classify_holomorphy(ratios)
     cert = [
         rules.cited(
-            f"{len(classified) - n_candidates} ratio factors are holomorphic nonzero on the "
+            f"{len(ratios) - len(candidates)} ratio factors are holomorphic nonzero on the "
             "region; only the minus-twist pair factors remain",
             "ratio-bound-positive",
             part="normalization-ratio",
         )
     ]
     t, u = len(pi.segments), len(rho.paired_parts)
-    *_, lengths = intertwining_word(t, u)
+    lengths = intertwining_word(t, u)
     if u:
         windows = []
         for seg in pi.segments:

@@ -257,15 +257,20 @@ class LeviCandidate(Record):
 
 
 class Verdict(Record):
-    _fields = ("accepted", "reason", "block")
+    """The decision on one induction datum: its reason and, exactly when
+    the datum is accepted, the (record, j) of its block, j = 2·shift an int."""
 
-    def __init__(self, accepted: bool, reason: str, block: tuple | None = None):
-        """``block`` is the (record, j) of the accepted block, j = 2·shift an int."""
+    _fields = ("reason", "block")
+
+    def __init__(self, reason: str, block: tuple | None = None):
         if block is not None:
             _doubled_shifts((block,))
-        object.__setattr__(self, "accepted", accepted)
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "block", block)
+
+    @property
+    def accepted(self) -> bool:
+        return self.block is not None
 
     def serialize(self) -> dict:
         out = {"accepted": self.accepted, "reason": self.reason}
@@ -300,23 +305,22 @@ def classify_levi_support(target: ArthurParameter, candidate: LeviCandidate) -> 
     I = len(candidate.blocks)
     core_count = candidate.core.cuspidal_count
     if 2 * I + core_count != 3:
-        return Verdict(False, f"cuspidal count 2·{I}+{core_count} ≠ 3")
+        return Verdict(f"cuspidal count 2·{I}+{core_count} ≠ 3")
     if I == 0:
-        return Verdict(False, "cuspidal case, contradicts non-cuspidality")
+        return Verdict("cuspidal case, contradicts non-cuspidality")
     # here I == 1 and the core is a single ladder-1 record
     (block_rec, j1), = candidate.blocks
     if block_rec.is_trivial:
         if j1 != 0:
-            return Verdict(False, "trivial block must carry shift 0")
-        return Verdict(False, "{1,1,core} mismatch")
+            return Verdict("trivial block must carry shift 0")
+        return Verdict("{1,1,core} mismatch")
     got = sorted(
         [(block_rec.label, j1), (block_rec.label, -j1), (candidate.core.summands[0][0].label, 0)]
     )
     want = sorted((rec.label, j) for rec, j in expand(target).terms)
     if got != want:
-        return Verdict(False, f"multiset mismatch: {_blocks_str(got)} vs {_blocks_str(want)}")
+        return Verdict(f"multiset mismatch: {_blocks_str(got)} vs {_blocks_str(want)}")
     return Verdict(
-        True,
         f"block {block_rec.label} at shift {half_str(abs(j1))}, core {rho.label}",
         block=(block_rec, abs(j1)),
     )

@@ -163,28 +163,11 @@ def length_additive(w1: SignedPerm, w2: SignedPerm) -> bool:
     return w1.then(w2).length() == w1.length() + w2.length()
 
 
-def _simple_windows(family: str, n: int) -> list:
-    """Windows of the simple reflections on n coordinates, in the order of
-    `RootDatum.simple_roots`: s_1..s_{n-1}, then the flip at n for B and C,
-    or (n-1, n) ↦ (-n, -(n-1)) for D."""
-    gens = []
-    for i in range(1, n):
-        img = list(range(1, n + 1))
-        img[i - 1], img[i] = img[i], img[i - 1]
-        gens.append(tuple(img))
-    img = list(range(1, n + 1))
-    if family in "BC":
-        img[n - 1] = -n
-        gens.append(tuple(img))
-    elif family == "D":
-        img[n - 2], img[n - 1] = -n, -(n - 1)
-        gens.append(tuple(img))
-    return gens
-
-
 def simple_reflections(t: int) -> list:
     """Generators used by the length function: s_1..s_{t-1} and the flip at t."""
-    return [SignedPerm(w) for w in _simple_windows("C", t)]
+    ident = tuple(range(1, t + 1))
+    swaps = [ident[:i - 1] + (i + 1, i) + ident[i + 1:] for i in range(1, t)]
+    return [SignedPerm(w) for w in swaps + [ident[:-1] + (-t,)]]
 
 
 def bfs_lengths(t: int) -> dict:

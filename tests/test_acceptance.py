@@ -6,14 +6,11 @@ suite doubles as a checklist: run with `pytest tests/test_acceptance.py -s`.
 """
 
 import itertools
-import json
 import math
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -246,9 +243,9 @@ def test_criterion_09_normalization_factorization():
             ratios = factor_normalization(pi, rho)
             expected = t + 2 * t * u + t * (t - 1) // 2 + t
             assert len(ratios) == expected
-            flagged = [c for c in classify_holomorphy(ratios) if c.status == "pole_candidate"]
+            flagged = classify_holomorphy(ratios)
             assert len(flagged) == t * u
-            assert all(c.ratio.family == "ii-" for c in flagged)
+            assert flagged == [r for r in ratios if r.family == "ii-"]
     report(9, "four-family expansion and exact pole-candidate set for t,u <= 4")
 
 

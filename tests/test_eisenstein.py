@@ -1,8 +1,15 @@
+import ast
+import itertools
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from langkit.arch import EmbeddingSet, InfChar
+from langkit import cli
+
+from langkit.arch import EmbeddingSet, InfChar, invariance_ratio_conjdual
 from langkit.eisenstein import (
     AnalyticLedger,
     EisensteinError,
@@ -27,6 +34,7 @@ from langkit.spectra import (
     SELFDUAL_SYMPLECTIC,
     TRIVIAL,
     CuspidalRecord,
+    SpectraError,
 )
 
 
@@ -432,6 +440,30 @@ class TestSignPipelines:
         consistent = sign_pipeline("F", pi1, rho1, EMB_E)
         assert consistent["details"]["ratio"] == 1
 
+    @pytest.mark.parametrize(
+        "emb", (None, EMB_E, EmbeddingSet(complex_pairs=(("c1", "c1b"), ("c2", "c2b"))))
+    )
+    def test_target_f_flags_take_the_ratio_defaults(self, emb):
+        """Every subset of the flags, against the ratio with each default
+        written out: d_C from the embeddings when given, else the flag, else 0."""
+        pi1 = CuspidalRecord("piu1", 1, base="E/F", duality=CONJ_SELFDUAL, eta=-1)
+        rho1 = CuspidalRecord("rhou1", 1, base="E/F", duality=CONJ_SELFDUAL, eta=1)
+        given = {"d_C": 1, "eps_sqrt_disc": -1, "eps_i": -1, "discriminant_consistency": False}
+        ratios = set()
+        for k in range(len(given) + 1):
+            for keys in itertools.combinations(given, k):
+                flags = {key: given[key] for key in keys}
+                full = {"d_C": 0, "eps_sqrt_disc": 1, "eps_i": 1, "discriminant_consistency": True}
+                full.update(flags)
+                if emb is not None:
+                    full["d_C"] = emb.d_C
+                res = sign_pipeline("F", pi1, rho1, emb, flags)
+                ratio = invariance_ratio_conjdual(1, 1, **full)
+                assert res["details"] == {"ratio": ratio, "d_C": full["d_C"]}, flags
+                assert flags == {key: given[key] for key in keys}
+                ratios.add(ratio)
+        assert ratios == {1, -1}
+
 
 class TestDegreeConsistency:
     @pytest.mark.parametrize("r", (2, 4))
@@ -461,3 +493,249 @@ class TestDegreeConsistency:
     def test_unitary_parameter_fills_the_group(self):
         psi = residual_parameter(PI_E, RHO_E)
         assert degree(psi) == 2 * PI_E.degree + RHO_E.degree == unitary(5).size
+
+
+# ---------------------------------------------------------------------------
+# hypothesis refusals: the records and embeddings that thmA…thmF resolve to,
+# one field changed at a time, and the exact outcome of the target's pipeline
+# (its verdict, or the error class and message).  A changed duality carries
+# the eta it needs (only conjugate-self-dual records have one); a record the
+# constructor refuses ends in its `SpectraError`.
+
+HYPOTHESIS_GRID = {
+    "HypothesisError: block record must be algebraic": [
+        "thmA pi.algebraicity=half_algebraic", "thmA pi.algebraicity=none",
+        "thmE pi.algebraicity=half_algebraic", "thmE pi.algebraicity=none",
+    ],
+    "HypothesisError: block record must be half_algebraic": [
+        "thmE pi.degree=1", "thmE pi.degree=3", "thmE pi.degree=5",
+    ],
+    "HypothesisError: block record must be self-dual symplectic": [
+        "thmA roles swapped", "thmA pi.duality=none", "thmA pi.duality=orthogonal",
+        "thmA pi.duality=conj_selfdual", "thmB roles swapped",
+    ],
+    "HypothesisError: both records must be algebraic": [
+        "thmB pi.algebraicity=half_algebraic", "thmB pi.algebraicity=none",
+        "thmB rho.algebraicity=half_algebraic", "thmB rho.algebraicity=none",
+    ],
+    "HypothesisError: core degree must be odd and ≥ 3": [
+        "thmB rho.degree=1", "thmB rho.degree=2", "thmB rho.degree=4", "thmB rho.degree=6",
+    ],
+    "HypothesisError: core record must be algebraic": [
+        "thmE rho.algebraicity=half_algebraic", "thmE rho.algebraicity=none",
+    ],
+    "HypothesisError: orthogonal record must be algebraic": [
+        "thmC rho.degree=1", "thmC rho.degree=3", "thmC rho.degree=5",
+    ],
+    "HypothesisError: orthogonal record must be half_algebraic": [
+        "thmC rho.algebraicity=algebraic", "thmC rho.algebraicity=none",
+    ],
+    "HypothesisError: purity: declared weight of pi does not match its infinitesimal character": [
+        "thmA pi.degree=2", "thmA pi.degree=6", "thmB pi.degree=2", "thmB pi.degree=6",
+        "thmC pi.degree=2", "thmC pi.degree=6",
+    ],
+    "HypothesisError: purity: declared weight of piu does not match its infinitesimal character": [
+        "thmE pi.degree=4", "thmE pi.degree=6",
+    ],
+    "HypothesisError: purity: declared weight of rho does not match its infinitesimal character": [
+        "thmB rho.degree=5", "thmC rho.degree=2", "thmC rho.degree=6",
+    ],
+    "HypothesisError: purity: declared weight of rhou does not match its infinitesimal character": [
+        "thmE rho.degree=3", "thmE rho.degree=5",
+    ],
+    "HypothesisError: ratio target needs conjugate-self-dual records": [
+        "thmF pi.duality=none", "thmF pi.duality=symplectic", "thmF pi.duality=orthogonal",
+        "thmF rho.duality=none", "thmF rho.duality=orthogonal",
+    ],
+    "HypothesisError: records must be self-dual of opposite types": [
+        "thmB pi.duality=none", "thmB pi.duality=orthogonal", "thmB pi.duality=conj_selfdual",
+        "thmB rho.duality=none", "thmB rho.duality=conj_selfdual", "thmC pi.duality=none",
+        "thmC pi.duality=orthogonal", "thmC pi.duality=conj_selfdual", "thmC rho.duality=none",
+        "thmC rho.duality=symplectic", "thmC rho.duality=conj_selfdual",
+    ],
+    "HypothesisError: regularity: core record lacks an infinitesimal character": [
+        "thmB rho.infchar dropped", "thmC rho.infchar dropped", "thmE rho.infchar dropped",
+    ],
+    "HypothesisError: regularity: no embeddings supplied": [
+        "thmA embeddings dropped", "thmB embeddings dropped", "thmC embeddings dropped",
+        "thmE embeddings dropped",
+    ],
+    "HypothesisError: regularity: record pi lacks an infinitesimal character": [
+        "thmA pi.infchar dropped", "thmB pi.infchar dropped", "thmC pi.infchar dropped",
+    ],
+    "HypothesisError: regularity: record piu lacks an infinitesimal character": [
+        "thmE pi.infchar dropped",
+    ],
+    "HypothesisError: sign condition violated: block parity must be (-1)^r": [
+        "thmE pi.eta=1", "thmE rho.degree=2", "thmE rho.degree=4", "thmE rho.degree=6",
+    ],
+    "HypothesisError: sign condition violated: core parity must be (-1)^(r-1)": [
+        "thmE rho.eta=-1",
+    ],
+    "HypothesisError: sign target needs infinitesimal characters": [
+        "thmD embeddings dropped", "thmD pi.infchar dropped", "thmD rho.infchar dropped",
+    ],
+    "HypothesisError: sign target needs one record of each self-dual type": [
+        "thmD pi.duality=none", "thmD pi.duality=orthogonal", "thmD pi.duality=conj_selfdual",
+        "thmD rho.duality=none", "thmD rho.duality=conj_selfdual",
+    ],
+    "HypothesisError: standard target needs the trivial core record": [
+        "thmA rho.degree=2", "thmA rho.degree=3", "thmA rho.degree=4", "thmA rho.degree=5",
+        "thmA rho.degree=6",
+    ],
+    "HypothesisError: symplectic record must be algebraic": [
+        "thmC pi.algebraicity=half_algebraic", "thmC pi.algebraicity=none",
+    ],
+    "HypothesisError: unitary target needs conjugate-self-dual records": [
+        "thmE pi.duality=none", "thmE pi.duality=symplectic", "thmE pi.duality=orthogonal",
+        "thmE rho.duality=none", "thmE rho.duality=orthogonal",
+    ],
+    "nonvanishing invariant: YES": [
+        "thmA unchanged", "thmA rho.duality=none", "thmA rho.duality=conj_selfdual",
+        "thmA rho.algebraicity=half_algebraic", "thmA rho.algebraicity=none",
+        "thmA rho.infchar dropped", "thmB unchanged", "thmC unchanged", "thmC roles swapped",
+        "thmE unchanged", "thmE roles swapped",
+    ],
+    "sign -1: order parity odd invariant": [
+        "thmD unchanged", "thmD roles swapped", "thmD pi.degree=4", "thmD pi.degree=6",
+        "thmD pi.algebraicity=half_algebraic", "thmD pi.algebraicity=none", "thmD rho.degree=2",
+        "thmD rho.degree=3", "thmD rho.degree=4", "thmD rho.degree=5", "thmD rho.degree=6",
+        "thmD rho.algebraicity=half_algebraic", "thmD rho.algebraicity=none",
+    ],
+    "sign invariant: ratio 1": [
+        "thmF unchanged", "thmF embeddings dropped", "thmF roles swapped", "thmF pi.degree=1",
+        "thmF pi.degree=3", "thmF pi.degree=4", "thmF pi.degree=5", "thmF pi.degree=6",
+        "thmF pi.eta=1", "thmF pi.algebraicity=half_algebraic", "thmF pi.algebraicity=none",
+        "thmF pi.infchar dropped", "thmF rho.degree=2", "thmF rho.degree=3", "thmF rho.degree=4",
+        "thmF rho.degree=5", "thmF rho.degree=6", "thmF rho.eta=-1",
+        "thmF rho.algebraicity=half_algebraic", "thmF rho.algebraicity=none",
+        "thmF rho.infchar dropped",
+    ],
+    "SpectraError: conjugate-self-dual records carry a parity sign": [
+        "thmE pi.eta=0", "thmE rho.eta=0", "thmF pi.eta=0", "thmF rho.eta=0",
+    ],
+    "SpectraError: only conjugate-self-dual records carry eta": [
+        "thmA pi.eta=-1", "thmA pi.eta=1", "thmA rho.eta=-1", "thmA rho.eta=1", "thmB pi.eta=-1",
+        "thmB pi.eta=1", "thmB rho.eta=-1", "thmB rho.eta=1", "thmC pi.eta=-1", "thmC pi.eta=1",
+        "thmC rho.eta=-1", "thmC rho.eta=1", "thmD pi.eta=-1", "thmD pi.eta=1", "thmD rho.eta=-1",
+        "thmD rho.eta=1",
+    ],
+    "SpectraError: symplectic records have even degree": [
+        "thmA pi.degree=1", "thmA pi.degree=3", "thmA pi.degree=5", "thmA rho.duality=symplectic",
+        "thmB pi.degree=1", "thmB pi.degree=3", "thmB pi.degree=5", "thmB rho.duality=symplectic",
+        "thmC pi.degree=1", "thmC pi.degree=3", "thmC pi.degree=5", "thmD pi.degree=1",
+        "thmD pi.degree=3", "thmD pi.degree=5", "thmD rho.duality=symplectic",
+        "thmE rho.duality=symplectic", "thmF rho.duality=symplectic",
+    ],
+
+}
+
+
+def _library_case(name):
+    scn = json.loads((cli.scenario_dir() / f"{name}.json").read_text())
+    emb = cli.parse_embeddings(scn)
+    pi, rho = cli.resolve_records(scn, emb)
+    return scn, emb, pi, rho, cli.parse_aut_spec(scn, emb)
+
+
+GRID_VALUES = {
+    "duality": ("none", SELFDUAL_SYMPLECTIC, SELFDUAL_ORTHOGONAL, CONJ_SELFDUAL),
+    "degree": range(1, 7),
+    "eta": (-1, 0, 1),
+    "algebraicity": ("algebraic", "half_algebraic", "none"),
+}
+
+
+def _changes(pi, rho):
+    """The change ids of one library case, in grid order."""
+    out = ["unchanged", "embeddings dropped", "roles swapped"]
+    for role, rec in (("pi", pi), ("rho", rho)):
+        for field, options in GRID_VALUES.items():
+            out += [f"{role}.{field}={v}" for v in options if v != getattr(rec, field)]
+        if rec.infchar is not None:
+            out.append(f"{role}.infchar dropped")
+    return out
+
+
+def _changed(rec, change):
+    fields = {f: getattr(rec, f) for f in rec._fields}
+    if change.endswith("infchar dropped"):
+        fields["infchar"] = None
+    else:
+        field, value = change.split(".")[1].split("=")
+        fields[field] = int(value) if field in ("degree", "eta") else value
+        if field == "duality":
+            fields["eta"] = (rec.eta or 1) if value == CONJ_SELFDUAL else 0
+    return CuspidalRecord(**fields)
+
+
+def _grid_outcome(case_id):
+    name, change = case_id.split(" ", 1)
+    scn, emb, pi, rho, aut = _library_case(name)
+    target = scn["theorem_target"]
+    try:
+        if change == "embeddings dropped":
+            emb = None
+        elif change == "roles swapped":
+            pi, rho = rho, pi
+        elif change.startswith("pi."):
+            pi = _changed(pi, change)
+        elif change.startswith("rho."):
+            rho = _changed(rho, change)
+        if target in ("D", "F"):
+            res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags"))
+        else:
+            res = theorem_pipeline(target, pi, rho, emb, aut, scn.get("central_order", 0))
+    except (EisensteinError, SpectraError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return res["verdict"]
+
+
+GRID_CASES = {case: outcome for outcome, cases in HYPOTHESIS_GRID.items() for case in cases}
+
+
+def test_hypothesis_grid_covers_every_change_once():
+    expected = []
+    for name in ("thmA", "thmB", "thmC", "thmD", "thmE", "thmF"):
+        _, _, pi, rho, _ = _library_case(name)
+        expected += [f"{name} {change}" for change in _changes(pi, rho)]
+    listed = [case for cases in HYPOTHESIS_GRID.values() for case in cases]
+    assert sorted(listed) == sorted(expected)
+    assert len(set(listed)) == len(listed)
+
+
+@pytest.mark.parametrize("case_id", list(GRID_CASES))
+def test_hypothesis_grid(case_id):
+    assert _grid_outcome(case_id) == GRID_CASES[case_id]
+
+
+# symplectic records have even degree, so target B's block-degree check
+# cannot fail once the block is symplectic
+UNREACHED_REFUSALS = {"block degree must be even and ≥ 2"}
+
+
+def test_every_record_refusal_is_in_the_grid():
+    """Each HypothesisError text of the two target validators and
+    `sign_pipeline` is some grid outcome, or is listed as unreached."""
+    source = Path(__file__).resolve().parents[1] / "src" / "langkit" / "eisenstein.py"
+    checked = ("_validate_selfdual_target", "_validate_unitary_target", "sign_pipeline")
+    patterns, raises = {}, 0
+    for func in ast.parse(source.read_text(encoding="utf-8")).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name in checked):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "HypothesisError"
+            ):
+                (arg,) = node.exc.args
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                text = "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+                patterns[text] = "HypothesisError: " + ".+".join(map(re.escape, text.split("{}")))
+                raises += 1
+    # two raises share "block record must be self-dual symplectic"
+    assert (raises, len(patterns)) == (18, 17)
+    for text, pattern in sorted(patterns.items()):
+        reached = any(re.fullmatch(pattern, outcome) for outcome in HYPOTHESIS_GRID)
+        assert reached == (text not in UNREACHED_REFUSALS), text

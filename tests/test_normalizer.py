@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from langkit import normalizer
 from langkit.eisenstein import HypothesisError
 from langkit.rationals import HALF
 from langkit.normalizer import (
@@ -11,13 +12,17 @@ from langkit.normalizer import (
     QuasiTemperedGL,
     QuasiTemperedSelfdual,
     Ratio,
+    block_shuffle_word,
     classify_holomorphy,
     factor_normalization,
+    flip_word,
+    full_word,
     holomorphy_verdict,
     intertwining_word,
     square_expansion,
     verify_wedge_expansion,
 )
+from langkit.weyl import SignedPerm
 
 
 def make_pi(*exps):
@@ -94,57 +99,85 @@ class TestClassification:
     def test_only_minus_twists_flagged(self):
         pi = make_pi("1/4", "0")
         rho = QuasiTemperedSelfdual(("r0",), (("r1", "1/4"), ("r2", "1/3")))
-        out = classify_holomorphy(factor_normalization(pi, rho))
-        flagged = [c for c in out if c.status == "pole_candidate"]
+        ratios = factor_normalization(pi, rho)
+        flagged = classify_holomorphy(ratios)
         assert len(flagged) == 4  # one per (block, pair)
-        assert all(c.ratio.family == "ii-" for c in flagged)
+        assert flagged == [r for r in ratios if r.family == "ii-"]
 
     def test_denominator_style_bounds_positive(self):
         pi = make_pi("-1/4")
-        out = classify_holomorphy(factor_normalization(pi, RHO0))
-        for c in out:
-            if c.status == "holo_nonzero":
-                assert c.ratio.alpha * HALF + c.ratio.beta > 0
+        ratios = factor_normalization(pi, RHO0)
+        flagged = classify_holomorphy(ratios)
+        for r in ratios:
+            if r not in flagged:
+                assert r.alpha * HALF + r.beta > 0
 
     def test_shifted_argument_bound(self):
         # the slope-2 factor (iv) at 2s+2a has bound 2·(1/2)+2a = 1/2 at a = -1/4
         pi = make_pi("-1/4")
         rs = [r for r in factor_normalization(pi, RHO0) if r.family == "iv"]
-        c = classify_holomorphy(rs)[0]
-        assert c.status == "holo_nonzero" and c.ratio.alpha * HALF + c.ratio.beta == HALF
+        assert classify_holomorphy(rs) == []
+        assert rs[0].alpha * HALF + rs[0].beta == HALF
 
     def test_denominators_always_regular(self):
         # the denominator of every ratio sits one unit right of the numerator
         pi = make_pi("1/4", "-1/4")
         rho = QuasiTemperedSelfdual(("r0",), (("r1", "1/4"), ("r2", "2/5")))
-        for c in classify_holomorphy(factor_normalization(pi, rho)):
-            assert c.ratio.alpha * HALF + c.ratio.beta + 1 > 0
+        ratios = factor_normalization(pi, rho)
+        classify_holomorphy(ratios)
+        for r in ratios:
+            assert r.alpha * HALF + r.beta + 1 > 0
 
     def test_nonpositive_bound_is_refused_outside_the_minus_twists(self):
         at_zero = Fraction(-1, 2)  # Re(s + beta) = 0 at Re(s) = 1/2
         with pytest.raises(NormalizerError, match="unbounded argument"):
             classify_holomorphy([Ratio("i", ("rankin", "p1", "r0"), 1, at_zero)])
-        (c,) = classify_holomorphy([Ratio("ii-", ("rankin", "p1", "r1^"), 1, at_zero)])
-        assert c.status == "pole_candidate"
+        minus = Ratio("ii-", ("rankin", "p1", "r1^"), 1, at_zero)
+        assert classify_holomorphy([minus]) == [minus]
+
+    def test_candidates_keep_their_order_and_the_first_refusal_wins(self):
+        m1 = Ratio("ii-", ("rankin", "p1", "r1^"), 1, Fraction(-1, 2))
+        m2 = Ratio("ii-", ("rankin", "p2", "r1^"), 1, Fraction(1, 4))
+        ok = Ratio("iv", ("wedge2", "p1"), 2, Fraction(0))
+        assert classify_holomorphy([m2, ok, m1]) == [m2, m1]
+        assert classify_holomorphy(iter([m1, ok, m2])) == [m1, m2]
+        bad1 = Ratio("i", ("rankin", "p1", "r0"), 1, Fraction(-1, 2))
+        bad2 = Ratio("iii", ("rankin", "p1", "p2"), 2, Fraction(-2))
+        with pytest.raises(NormalizerError, match=r"^unbounded argument: L\(s-1/2, p1 x r0\)$"):
+            classify_holomorphy([m1, bad1, bad2])
 
 
 class TestWords:
     def test_minimal(self):
-        _, w1, w2, lengths = intertwining_word(1, 0)
-        assert (lengths["shuffle"], lengths["flip"], lengths["full"]) == (0, 1, 1)
+        lengths = intertwining_word(1, 0)
+        assert lengths == {"shuffle": 0, "flip": 1, "full": 1}
 
     def test_displayed_values(self):
-        _, _, _, lengths = intertwining_word(2, 1)
-        assert (lengths["shuffle"], lengths["flip"], lengths["full"]) == (2, 5, 7)
-        _, _, _, lengths = intertwining_word(1, 2)
-        assert (lengths["shuffle"], lengths["flip"], lengths["full"]) == (2, 3, 5)
+        assert intertwining_word(2, 1) == {"shuffle": 2, "flip": 5, "full": 7}
+        assert intertwining_word(1, 2) == {"shuffle": 2, "flip": 3, "full": 5}
 
     @pytest.mark.parametrize("t", range(1, 6))
     @pytest.mark.parametrize("u", range(0, 6))
     def test_additivity_grid(self, t, u):
-        w, w1, w2, lengths = intertwining_word(t, u)
+        w1, w2, w = block_shuffle_word(t, u), flip_word(t, u), full_word(t, u)
+        lengths = intertwining_word(t, u)
         assert w1.then(w2) == w
+        assert lengths == {"shuffle": w1.length(), "flip": w2.length(), "full": w.length()}
         assert lengths["shuffle"] + lengths["flip"] == lengths["full"]
+
+    def test_a_wrong_word_is_refused(self, monkeypatch):
+        monkeypatch.setattr(normalizer, "full_word", lambda t, u: SignedPerm.identity(t + u))
+        with pytest.raises(NormalizerError, match=r"length report \(2, 5, 0\) does not match"):
+            intertwining_word(2, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(normalizer, "length_additive", lambda w1, w2: False)
+        with pytest.raises(NormalizerError, match="does not decompose additively"):
+            intertwining_word(2, 1)
+
+    def test_refuses_an_empty_block_range(self):
+        for t, u in ((0, 1), (1, -1)):
+            with pytest.raises(NormalizerError, match="need t ≥ 1, u ≥ 0"):
+                intertwining_word(t, u)
 
 
 class TestVerdict:

@@ -26,7 +26,6 @@ from langkit.eisenstein import (
 from langkit.groups import GroupDescriptor, sp
 from langkit.normalizer import (
     DiscreteSegment,
-    FactorClassification,
     QuasiTemperedGL,
     QuasiTemperedSelfdual,
     Ratio,
@@ -99,8 +98,8 @@ SAMPLES = {
         lambda: LeviCandidate((), ArthurParameter(((TRIVIAL, 3),))),
     ),
     Verdict: (
-        lambda: Verdict(True, "matched", (_pi(), 1)),
-        lambda: Verdict(False, "cuspidal count"),
+        lambda: Verdict("matched", (_pi(), 1)),
+        lambda: Verdict("cuspidal count"),
     ),
     DiscreteSegment: (
         lambda: DiscreteSegment("p1", "1/4"),
@@ -117,10 +116,6 @@ SAMPLES = {
         lambda: QuasiTemperedSelfdual(("s", "t"), ()),
     ),
     Ratio: (_ratio, lambda: _ratio(2), lambda: Ratio("iii", ("wedge2", "p1"), 2, 0)),
-    FactorClassification: (
-        lambda: FactorClassification(_ratio(), "pole_candidate"),
-        lambda: FactorClassification(_ratio(2), "holo_nonzero"),
-    ),
     Eigenvalue: (lambda: Eigenvalue(1, (("u", 1),), -1), lambda: Eigenvalue(0)),
     SatakeClass: (
         lambda: SatakeClass((Eigenvalue(1), Eigenvalue(-1)), GroupDescriptor("GL", 2)),

@@ -159,7 +159,7 @@ def test_levi_candidate_takes_only_int_doubled_shifts(shift):
     with pytest.raises(SpectraError, match="must be an int"):
         LeviCandidate(((PI, shift),), ArthurParameter(((RHO, 1),)))
     with pytest.raises(SpectraError, match="must be an int"):
-        Verdict(True, "matched", (PI, shift))
+        Verdict("matched", (PI, shift))
 
 
 def test_cuspidal_sum_reads_a_generator_argument_once():
@@ -335,6 +335,17 @@ class TestClassification:
         assert shared == accepted
         family = candidate_family(self.TARGET)
         assert verdicts == [classify_levi_support(self.TARGET, c) for c in family]
+
+    def test_acceptance_is_read_off_the_block(self):
+        assert Verdict._fields == ("reason", "block")
+        verdicts, _ = classify_support(self.TARGET)
+        assert [v.accepted for v in verdicts] == [v.block is not None for v in verdicts]
+        assert {v.block for v in verdicts if v.accepted} == {(PI, 1)}  # both signs of 1/2
+        for v in verdicts:
+            assert v.serialize()["accepted"] is v.accepted
+            assert ("block" in v.serialize()) is v.accepted
+        with pytest.raises(AttributeError):
+            Verdict("matched", (PI, 1)).accepted = False
 
     def test_reasons_render_shifts_as_label_at_shift(self):
         cand = LeviCandidate(((PI, 0),), ArthurParameter(((PI, 1),)))
