@@ -45,7 +45,6 @@ from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
     TRIVIAL,
-    ArthurParameter,
     CuspidalRecord,
     SpectraError,
     classify_support,
@@ -157,7 +156,7 @@ def parse_embeddings(scn: dict) -> EmbeddingSet | None:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def parse_record(raw: dict, path: str, emb: EmbeddingSet | None = None) -> CuspidalRecord:
+def parse_record(raw: dict, path: str, emb: EmbeddingSet | None) -> CuspidalRecord:
     """The record at ``path``; its infinitesimal character, if any, must
     hold ``degree`` entries at each of the embeddings ``emb``."""
     label = _field(raw, "label", str, path)
@@ -396,13 +395,13 @@ def cmd_pole(scn: dict, strict: bool, override) -> dict:
         "decision": decision.serialize(),
     }
     if decision.has_pole:
-        payload["residual_parameter"] = residual_parameter(pi, rho, decision).serialize()
+        payload["residual_parameter"] = residual_parameter(pi, rho).serialize()
     return payload
 
 
 def cmd_classify(scn: dict, strict: bool, override) -> dict:
     pi, rho = resolve_records(scn)
-    verdicts, accepted = classify_support(ArthurParameter(((pi, 2), (rho, 1))))
+    verdicts, accepted = classify_support(residual_parameter(pi, rho))
     return {
         "verdict": f"{len(accepted)} induction datum accepted"
         + ("" if len(accepted) == 1 else " (not unique)"),
@@ -539,11 +538,11 @@ def _resolve_scenario_path(value: str) -> Path:
     raise ScenarioError(f"/: scenario file {value!r} not found")
 
 
-def run(command: str, scenario_path: str | None, strict: bool = False, args=None) -> dict:
-    """Dispatch a command; returns the report dict.
-
-    The ledger overrides of the file ``args.ledger_override``, when given,
-    apply after the scenario's own; errors in them are reported at
+def run(command: str, scenario_path: str | None, args=None) -> dict:
+    """Dispatch a command with the parsed flags ``args`` (None: none set);
+    returns the report dict.  ``args.strict`` refuses open-question choices,
+    and the ledger overrides of the file ``args.ledger_override``, when
+    given, apply after the scenario's own; errors in them are reported at
     ``<file>#/ledger_overrides/...``.
     """
     if command == "selftest":
@@ -561,7 +560,7 @@ def run(command: str, scenario_path: str | None, strict: bool = False, args=None
         entries = _field(load_scenario(path, root), "ledger_overrides", [dict], root, [])
         override = (f"{root}/ledger_overrides", entries)
     name = _field(scn, "name", str, "", "")
-    payload = SCENARIO_COMMANDS[command][1](scn, strict, override)
+    payload = SCENARIO_COMMANDS[command][1](scn, getattr(args, "strict", False), override)
     return _report(command, name, payload, _rule_ids(payload, set()))
 
 
@@ -628,14 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    strict = getattr(args, "strict", False)
     scenario = getattr(args, "scenario", None)
     try:
-        report = run(args.command, scenario, strict=strict, args=args)
+        report = run(args.command, scenario, args)
     except (ScenarioError, HypothesisError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (EisensteinError, SpectraError, NormalizerError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     text = render_json(report) if getattr(args, "format", "json") == "json" else render_text(report)

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import rules
 from .arch import (
-    ArchError,
     EmbeddingSet,
     algebraicity_required,
     induced_regular,
@@ -40,7 +39,6 @@ from .groups import (
     GroupDescriptor,
     ambient_with_block,
     dual_radical,
-    unitary,
 )
 from .rationals import HALF, half_str, rat, rat_str
 from .record import Record
@@ -333,13 +331,9 @@ def pole_at_half(
     return PoleDecision(total, tuple(contributing), tuple(derivation))
 
 
-def residual_parameter(
-    pi: CuspidalRecord, rho: CuspidalRecord, decision: PoleDecision | None = None
-) -> ArthurParameter:
-    """The discrete parameter of the residue: ladder 2 on the block record
-    plus ladder 1 on the core record."""
-    if decision is not None and not decision.has_pole:
-        raise EisensteinError("no pole: there is no residual parameter")
+def residual_parameter(pi: CuspidalRecord, rho: CuspidalRecord) -> ArthurParameter:
+    """The discrete parameter π⊠Sp(2) ⊞ ρ of the residue, once the pole is
+    established: ladder 2 on the block record, ladder 1 on the core record."""
     return ArthurParameter(((pi, 2), (rho, 1)))
 
 
@@ -399,11 +393,8 @@ def _check_infchar_hypotheses(
         else:
             raise HypothesisError("regularity: core record lacks an infinitesimal character")
         if target in ("A", "B"):
-            try:
-                if not is_superregular(p_vals):
-                    raise HypothesisError(f"superregularity fails at embedding {label}")
-            except ArchError as exc:
-                raise HypothesisError(f"superregularity: {exc}") from exc
+            if not is_superregular(p_vals):
+                raise HypothesisError(f"superregularity fails at embedding {label}")
             if not is_disjoint(p_vals, q_vals):
                 raise HypothesisError(f"disjointness fails at embedding {label}")
         elif target == "C":
@@ -440,8 +431,6 @@ def _validate_selfdual_target(target: str, pi: CuspidalRecord, rho: CuspidalReco
             raise HypothesisError("block record must be self-dual symplectic")
         if rho.degree % 2 == 0 or rho.degree < 3:
             raise HypothesisError("core degree must be odd and ≥ 3")
-        if pi.degree % 2 or pi.degree < 2:
-            raise HypothesisError("block degree must be even and ≥ 2")
         if pi.algebraicity != "algebraic" or rho.algebraicity != "algebraic":
             raise HypothesisError("both records must be algebraic")
         return
@@ -479,7 +468,7 @@ def target_ambient(target: str, pi: CuspidalRecord, rho: CuspidalRecord) -> Grou
     if target == "A":
         return GroupDescriptor(SP, pi.degree)
     if target == "E" or pi.duality == CONJ_SELFDUAL:
-        return unitary(2 * pi.degree + rho.degree)
+        return GroupDescriptor(UNITARY, 2 * pi.degree + rho.degree)
     return ambient_with_block(rho.duality, pi.degree, rho.degree)
 
 
@@ -489,17 +478,18 @@ def theorem_pipeline(
     rho: CuspidalRecord,
     emb: EmbeddingSet | None,
     aut: AutModel,
-    central_order: int = 0,
-    ledger: AnalyticLedger | None = None,
-    strict: bool = False,
+    central_order: int,
+    ledger: AnalyticLedger,
+    strict: bool,
 ) -> dict:
     """Replay the invariance argument for targets A, B, C (self-dual) and E
-    (conjugate-self-dual): pole, residual parameter, transport, support
-    classification, transported pole, conclusion.
+    (conjugate-self-dual) on the factor orders of ``ledger``: pole, residual
+    parameter, transport, support classification, transported pole,
+    conclusion; ``strict`` refuses open-question choices.
 
-    Targets with a declared central zero return the vanishing direction of
-    the equivalence instead (both sides vanish).  Returns the report
-    payload: verdict, numbered derivation, sorted warnings and details.
+    A declared central zero (``central_order`` ≥ 1) gives the vanishing
+    direction of the equivalence instead (both sides vanish).  Returns the
+    report payload: verdict, numbered derivation, sorted warnings and details.
     """
     if target not in ("A", "B", "C", "E"):
         raise EisensteinError(f"theorem_pipeline does not handle target {target!r}")
@@ -516,13 +506,12 @@ def theorem_pipeline(
     refuse_open_choices(warnings, strict)
 
     quotient = constant_term_quotient(ambient, pi, rho)
-    led = ledger or default_ledger(pi, rho)
-    decision = pole_at_half(quotient, led, central_order)
+    decision = pole_at_half(quotient, ledger, central_order)
 
     details = {
         "ambient": ambient.label(),
         "quotient": quotient.serialize(),
-        "ledger": led.serialize(),
+        "ledger": ledger.serialize(),
         "pole": decision.serialize(),
     }
 
@@ -538,7 +527,7 @@ def theorem_pipeline(
             "both sides vanish (order >= 1 on each side)", steps, warnings, details
         )
 
-    psi = residual_parameter(pi, rho, decision)
+    psi = residual_parameter(pi, rho)
     details["residual_parameter"] = psi.serialize()
 
     # transport of the records (the trivial record transports to itself)
@@ -604,14 +593,15 @@ def sign_pipeline(
     pi: CuspidalRecord,
     rho: CuspidalRecord,
     emb: EmbeddingSet | None,
-    ratio_flags: dict | None = None,
-    strict: bool = False,
+    ratio_flags: dict,
+    strict: bool,
 ) -> dict:
     """Sign targets: the self-dual archimedean product (D) or the
     conjugate-self-dual transport ratio (F), with the order-parity
     conclusion; the report payload as `theorem_pipeline` returns it.
     A flag missing from ``ratio_flags`` takes `invariance_ratio_conjdual`'s
-    default, and d_C is read from ``emb`` when it is given."""
+    default, d_C is read from ``emb`` when it is given, and ``strict``
+    refuses open-question choices."""
     if target == "D":
         if {pi.duality, rho.duality} != {SELFDUAL_SYMPLECTIC, SELFDUAL_ORTHOGONAL}:
             raise HypothesisError("sign target needs one record of each self-dual type")
@@ -637,7 +627,7 @@ def sign_pipeline(
     if target == "F":
         if pi.duality != CONJ_SELFDUAL or rho.duality != CONJ_SELFDUAL:
             raise HypothesisError("ratio target needs conjugate-self-dual records")
-        flags = dict(ratio_flags or {})
+        flags = dict(ratio_flags)
         d_C = flags.pop("d_C", 0)
         if emb is not None:
             d_C = emb.d_C

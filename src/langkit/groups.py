@@ -2,9 +2,11 @@
 
 Covers the split symplectic and orthogonal families, general linear groups
 (possibly restricted from a quadratic extension), and quasi-split unitary
-groups.  A standard maximal Levi GL_r × core is named by its ambient group
-and r.  The operations compute modular characters as exact exponents and
-the grading of the dual group's unipotent radical (`dual_radical`).
+groups, each built as `GroupDescriptor(family, size)` from one of the
+family constants below.  A standard maximal Levi GL_r × core is named by
+its ambient group and r.  The operations compute modular characters as
+exact exponents and the grading of the dual group's unipotent radical
+(`dual_radical`).
 
 Unitary-group modulus exponents are exponents of the extension-field
 absolute value |·|_E; for the split families the Borel exponents are the
@@ -68,22 +70,6 @@ class GroupDescriptor(Record):
         if self.family == RES_GL:
             return f"ResGL{self.size}"
         return f"GL{self.size}"
-
-
-def sp(n: int) -> GroupDescriptor:
-    return GroupDescriptor(SP, n)
-
-
-def so_odd(n: int) -> GroupDescriptor:
-    return GroupDescriptor(SO_ODD, n)
-
-
-def so_even(n: int) -> GroupDescriptor:
-    return GroupDescriptor(SO_EVEN, n)
-
-
-def unitary(N: int) -> GroupDescriptor:
-    return GroupDescriptor(UNITARY, N)
 
 
 # how many coordinates of the ambient rank (for U(N), of N) a GL_r block takes, per r
@@ -174,7 +160,7 @@ def ambient_with_block(rho_duality: str, r: int, t: int) -> GroupDescriptor:
     if rho_duality == "symplectic":
         if t % 2 != 0:
             raise GroupError("symplectic factors have even degree")
-        return so_odd(n)
+        return GroupDescriptor(SO_ODD, n)
     if rho_duality == "orthogonal":
-        return sp(n) if t % 2 == 1 else so_even(n)
+        return GroupDescriptor(SP if t % 2 == 1 else SO_EVEN, n)
     raise GroupError(f"no ambient group for duality {rho_duality!r}")

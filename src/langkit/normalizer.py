@@ -140,7 +140,7 @@ def factor_normalization(
     return out
 
 
-def square_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> list:
+def square_expansion(pi: QuasiTemperedGL, aux_kind: str) -> list:
     """Direct expansion of the auxiliary square of the product: squares of
     the blocks plus the pairwise tensor factors."""
     out = []
@@ -240,11 +240,12 @@ def intertwining_word(t: int, u: int) -> dict:
 def holomorphy_verdict(
     pi: QuasiTemperedGL,
     rho: QuasiTemperedSelfdual,
-    aux_kind: str = "wedge2",
-    strict: bool = False,
+    aux_kind: str,
+    strict: bool,
 ) -> dict:
     """The normalized operator is holomorphic on Re(s) ≥ 1/2 and not
     identically zero on Re(s) = 1/2; returns the report payload.
+    ``aux_kind`` is a key of `AUX_KINDS`; ``strict`` refuses open choices.
 
     Certificate parts: the normalization ratio divided by the minus-twist
     pair ratios is holomorphic nonzero on the region; the normalized

@@ -233,16 +233,11 @@ def _scale_class(evs: Iterable[Eigenvalue], sign: int) -> list:
     return [e.scaled(sign=sign) for e in evs]
 
 
-def bc_chain_check(
-    n: int,
-    r: int,
-    aut: AutModel,
-    pi_units: Iterable[Eigenvalue] | None = None,
-    rho_units: Iterable[Eigenvalue] | None = None,
-):
+def bc_chain_check(n: int, r: int, aut: AutModel):
     """Replay the sign bookkeeping that identifies the transported residual
     parameter, and compare with the direct target form.
 
+    The degree-n and degree-r classes are the generic units u1…un, w1…wr.
     Left side: the base change of the transported degree-(2n+r) class,
     computed step by step through the eps_m twists.  Right side:
     diag(q^{1/2}, q^{-1/2}) ⊗ (twisted transport of the degree-n class)
@@ -251,16 +246,8 @@ def bc_chain_check(
     if n < 1 or r < 0:
         raise SatakeError("need n ≥ 1 and r ≥ 0")
     N = 2 * n + r
-    Mpi = (
-        list(pi_units)
-        if pi_units is not None
-        else [Eigenvalue(0, ((f"u{i}", 1),)) for i in range(1, n + 1)]
-    )
-    Mrho = (
-        list(rho_units)
-        if rho_units is not None
-        else [Eigenvalue(0, ((f"w{j}", 1),)) for j in range(1, r + 1)]
-    )
+    Mpi = [Eigenvalue(0, ((f"u{i}", 1),)) for i in range(1, n + 1)]
+    Mrho = [Eigenvalue(0, ((f"w{j}", 1),)) for j in range(1, r + 1)]
     e_N, e_n, e_r, e_0 = (eps_m(aut, m) for m in (N, n, r, 0))
 
     def rawA(evs):
@@ -272,7 +259,7 @@ def bc_chain_check(
     bc_residual = (
         [e.scaled(shift2=1) for e in Mpi]
         + [e.scaled(shift2=-1) for e in Mpi]
-        + list(Mrho)
+        + Mrho
     )
     steps.append("push the residual class through base change: two half shifts plus the core")
     lhs = _scale_class(rawA(bc_residual), e_N)

@@ -25,21 +25,19 @@ from .eisenstein import (
     constant_term_quotient,
     default_ledger,
     pole_at_half,
+    residual_parameter,
 )
 from .groups import (
     SO_EVEN,
     SO_ODD,
     SP,
     UNITARY,
+    GroupDescriptor,
     ambient_with_block,
     borel_modulus_compose,
     dual_radical,
     modulus_borel,
     modulus_levi,
-    so_even,
-    so_odd,
-    sp,
-    unitary,
 )
 from .normalizer import (
     DiscreteSegment,
@@ -118,8 +116,8 @@ def _borel_root_sum(group) -> tuple:
 
 
 def _suite_modulus():
-    groups = [mk(n) for n in range(1, 5) for mk in (sp, so_odd, so_even)]
-    groups += [unitary(N) for N in range(2, 10)]
+    groups = [GroupDescriptor(fam, n) for n in range(1, 5) for fam in (SP, SO_ODD, SO_EVEN)]
+    groups += [GroupDescriptor(UNITARY, N) for N in range(2, 10)]
     for g in groups:
         if modulus_borel(g) != _borel_root_sum(g):
             raise AssertionError(f"borel mismatch {g.label()}")
@@ -206,7 +204,7 @@ def _suite_round_trip():
 def _suite_classification():
     pi = CuspidalRecord("pi", 2, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
     rho = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
-    verdicts, accepted = classify_support(ArthurParameter(((pi, 2), (rho, 1))))
+    verdicts, accepted = classify_support(residual_parameter(pi, rho))
     if accepted != {("pi", 1)}:
         raise AssertionError(f"classification not unique: {accepted}")
     return f"support classification: 1 datum accepted of {len(verdicts)} candidates"

@@ -80,7 +80,7 @@ class CuspidalRecord(Record):
 
     @property
     def is_trivial(self) -> bool:
-        return self.label == "1" and self.degree == 1
+        return self.label == "1" and self.degree == 1 and self.duality == SELFDUAL_ORTHOGONAL
 
     def serialize(self) -> dict:
         out = {

@@ -43,19 +43,20 @@ def test_criterion_01_weyl_lengths():
 
 
 def test_criterion_02_modular_characters():
-    from langkit.groups import modulus_borel, modulus_levi, unitary
+    from langkit.groups import UNITARY, GroupDescriptor, modulus_borel, modulus_levi
     from langkit.selftest import _borel_root_sum, _levi_root_sum
 
     start = time.monotonic()
     for N in range(2, 10):
+        group = GroupDescriptor(UNITARY, N)
         for r in range(1, N // 2 + 1):
             core = N - 2 * r  # the Levi is GL_r × U(N - 2r)
-            assert modulus_levi(unitary(N), r) == r + core
-            assert modulus_levi(unitary(N), r) == _levi_root_sum(unitary(N), r)
+            assert modulus_levi(group, r) == r + core
+            assert modulus_levi(group, r) == _levi_root_sum(group, r)
         m, eps = N // 2, N % 2
         expected = tuple(Fraction(N - 1 - 2 * i) for i in range(m))
         assert expected == () or expected[-1] == eps + 1
-        assert modulus_borel(unitary(N)) == expected == _borel_root_sum(unitary(N))
+        assert modulus_borel(group) == expected == _borel_root_sum(group)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(2, f"modulus exponents equal the root-sum oracle for N <= 9 ({elapsed:.2f}s)")
@@ -199,7 +200,7 @@ def test_criterion_07_classification_uniqueness():
 
 def test_criterion_08_pole_truth_table():
     from langkit.eisenstein import constant_term_quotient, default_ledger, pole_at_half
-    from langkit.groups import ambient_with_block, so_odd
+    from langkit.groups import SO_ODD, GroupDescriptor, ambient_with_block
     from langkit.spectra import SELFDUAL_ORTHOGONAL, SELFDUAL_SYMPLECTIC, CuspidalRecord
 
     cells = []
@@ -213,7 +214,7 @@ def test_criterion_08_pole_truth_table():
     # matching symmetric square: orthogonal block over a symplectic core
     pi_o = CuspidalRecord("pi2", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
     rho_s = CuspidalRecord("rho2", 4, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
-    q2 = constant_term_quotient(so_odd(3 + 2), pi_o, rho_s)
+    q2 = constant_term_quotient(GroupDescriptor(SO_ODD, 3 + 2), pi_o, rho_s)
     led2 = default_ledger(pi_o, rho_s)
     cells.append(pole_at_half(q2, led2, 0).has_pole is True)
     cells.append(pole_at_half(q2, led2, 1).has_pole is False)

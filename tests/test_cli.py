@@ -159,6 +159,69 @@ def test_every_public_name_is_used_by_the_package():
     assert EXTERNAL_ENTRY_POINTS.isdisjoint(referenced)  # the pin goes once a caller comes
 
 
+# parameters of public functions that the package always passes, or never
+# passes, and why each stays
+TEST_ONLY_PARAMETERS = {
+    "cli.run.args": "perfbench and the tests call cli.run(command, scenario) without args",
+    "cli.main.argv": "the console entry point reads sys.argv; the tests pass argv",
+    "normalizer.verify_wedge_expansion.aux_kind": "the tests check the sym2 expansion too",
+}
+
+
+def _defaults(func) -> list:
+    args = func.args
+    positional = args.posonlyargs + args.args
+    return [a.arg for a in positional[len(positional) - len(args.defaults):]] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _passed_and_omitted(func, call) -> tuple:
+    """The parameters of ``func`` that ``call`` passes and the defaults it
+    omits; a ``**kwargs`` argument both passes and omits every default."""
+    positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        passed = set(positional)
+    else:
+        passed = set(positional[: len(call.args)])
+    passed |= {k.arg for k in call.keywords if k.arg is not None}
+    omitted = set(_defaults(func)) - passed
+    if any(k.arg is None for k in call.keywords):
+        passed |= set(_defaults(func))
+    return passed, omitted
+
+
+def test_no_parameter_exists_for_the_tests_alone():
+    """Each public module-level function that the package calls by name:
+    some call passes each parameter, and some call omits each default."""
+    modules = _package_modules()
+    functions = {
+        node.name: (module, node)
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    passed, omitted = {}, {}
+    for tree in modules.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in functions:
+                got, left = _passed_and_omitted(functions[name][1], call)
+                passed.setdefault(name, set()).update(got)
+                omitted.setdefault(name, set()).update(left)
+    flagged = set()
+    for name in passed:
+        module, func = functions[name]
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        flagged |= {f"{module}.{name}.{p}" for p in params if p not in passed[name]}
+        flagged |= {f"{module}.{name}.{p}" for p in _defaults(func) if p not in omitted[name]}
+    assert sorted(flagged - set(TEST_ONLY_PARAMETERS)) == []
+    assert sorted(set(TEST_ONLY_PARAMETERS) - flagged) == []  # a stale entry goes
+
+
 # public methods that only tests call: none, a method ships with a caller
 TEST_ONLY_METHODS = set()
 

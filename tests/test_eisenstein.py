@@ -26,7 +26,8 @@ from langkit.eisenstein import (
     sign_pipeline,
     theorem_pipeline,
 )
-from langkit.groups import SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor, so_odd, sp, unitary
+from langkit.groups import SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
+from langkit.rationals import doubled
 from langkit.satake import AutModel
 from langkit.spectra import (
     CONJ_SELFDUAL,
@@ -115,28 +116,28 @@ RHO_E = CuspidalRecord(
 
 class TestQuotient:
     def test_standard_case(self):
-        q = constant_term_quotient(sp(4), PI_B, TRIVIAL)
+        q = constant_term_quotient(GroupDescriptor(SP, 4), PI_B, TRIVIAL)
         assert q.serialize()["numerator"] == ["L(s, pi)", "L(2s, pi, wedge2)"]
         assert q.serialize()["denominator"] == ["L(s+1, pi)", "L(2s+1, pi, wedge2)"]
 
     def test_block_over_core(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         assert q.serialize()["numerator"] == ["L(s, pi x rho)", "L(2s, pi, wedge2)"]
 
     def test_odd_orthogonal_uses_symmetric_square(self):
         pi = CuspidalRecord("pi", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
         rho = CuspidalRecord("rho", 4, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
-        q = constant_term_quotient(so_odd(5), pi, rho)
+        q = constant_term_quotient(GroupDescriptor(SO_ODD, 5), pi, rho)
         assert "sym2" in q.serialize()["numerator"][1]
 
     def test_unitary_sign_tracks_core_degree(self):
-        q = constant_term_quotient(unitary(5), PI_E, RHO_E)
+        q = constant_term_quotient(GroupDescriptor(UNITARY, 5), PI_E, RHO_E)
         nums = q.serialize()["numerator"]
         assert nums == ["L(s, piu x bc(rhou))", "L(2s, piu, asai-)"]
         rho2 = CuspidalRecord(
             "rho2", 2, base="E/F", duality=CONJ_SELFDUAL, eta=-1, algebraicity="algebraic"
         )
-        q2 = constant_term_quotient(unitary(6), PI_E, rho2)
+        q2 = constant_term_quotient(GroupDescriptor(UNITARY, 6), PI_E, rho2)
         assert "asai+" in q2.serialize()["numerator"][1]
 
     def test_layout_is_derived_from_the_two_kinds(self):
@@ -149,9 +150,9 @@ class TestQuotient:
 
     def test_degree_mismatch(self):
         with pytest.raises(EisensteinError):
-            constant_term_quotient(unitary(6), PI_E, RHO_E)
+            constant_term_quotient(GroupDescriptor(UNITARY, 6), PI_E, RHO_E)
         with pytest.raises(EisensteinError):
-            constant_term_quotient(sp(4), PI_B, RHO_B)
+            constant_term_quotient(GroupDescriptor(SP, 4), PI_B, RHO_B)
 
     @pytest.mark.parametrize("core", [*range(1, 14), "trivial"])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -208,7 +209,7 @@ class TestFactorKinds:
 
     def test_asai_sign_is_the_parity_of_the_core_degree(self):
         assert [asai_sign(r) for r in range(6)] == [1, -1, 1, -1, 1, -1]
-        q = constant_term_quotient(unitary(5), PI_E, RHO_E)
+        q = constant_term_quotient(GroupDescriptor(UNITARY, 5), PI_E, RHO_E)
         assert q.numerator[1].kind == ("asai", asai_sign(RHO_E.degree), "piu")
 
 
@@ -225,7 +226,7 @@ class TestLedgerAndPole:
         assert led.order(("asai", 1, "rhou"), 1) == -1
 
     def test_truth_table(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         led = default_ledger(PI_B, RHO_B)
         assert pole_at_half(q, led, 0).has_pole
         assert not pole_at_half(q, led, 1).has_pole
@@ -237,7 +238,7 @@ class TestLedgerAndPole:
         assert not pole_at_half(q_o, led_o, 1).has_pole
 
     def test_monotone_in_central_order(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         led = default_ledger(PI_B, RHO_B)
         orders = [pole_at_half(q, led, c).total_order for c in range(4)]
         assert orders == sorted(orders)
@@ -246,7 +247,7 @@ class TestLedgerAndPole:
         )
 
     def test_missing_ledger_point(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         with pytest.raises(EisensteinError):
             pole_at_half(q, AnalyticLedger(), 0)
 
@@ -287,7 +288,7 @@ class TestLedgerAndPole:
         assert decision.serialize()["has_pole"] is (total < 0)
 
     def test_every_step_has_one_citation(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         led = default_ledger(PI_B, RHO_B)
         decision = pole_at_half(q, led, 0)
         for claim, rule_id in decision.derivation:
@@ -304,38 +305,33 @@ class TestResidualParameter:
         psi = residual_parameter(PI_B, TRIVIAL)
         assert degree(psi) == 2 * PI_B.degree + 1
 
-    def test_needs_pole(self):
-        q = constant_term_quotient(sp(5), PI_B, RHO_B)
-        led = default_ledger(PI_B, RHO_B)
-        decision = pole_at_half(q, led, 2)
-        with pytest.raises(EisensteinError):
-            residual_parameter(PI_B, RHO_B, decision)
-
     def test_degree_matches_dual_standard(self):
         # ambient Sp_{r+m}: dual standard degree 2(r+m)+1 = 2r + t
         psi = residual_parameter(PI_B, RHO_B)
-        ambient = sp(PI_B.degree + RHO_B.degree // 2)
+        ambient = GroupDescriptor(SP, PI_B.degree + RHO_B.degree // 2)
         assert degree(psi) == std_degree(ambient)
 
 
 class TestPipeline:
     def test_target_b_yes(self):
-        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, central_order=0)
+        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 0, default_ledger(PI_B, RHO_B), False)
         assert res["verdict"] == "nonvanishing invariant: YES"
         assert [d["step"] for d in res["derivation"]] == [1, 2, 3, 4, 5]
         assert all(d["citation"] for d in res["derivation"])
 
     def test_target_b_dichotomy(self):
-        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, central_order=1)
+        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 1, default_ledger(PI_B, RHO_B), False)
         assert "vanish" in res["verdict"]
 
     def test_target_a(self):
-        res = theorem_pipeline("A", PI_B, TRIVIAL, EMB, AUT, central_order=0)
+        ledger = default_ledger(PI_B, TRIVIAL)
+        res = theorem_pipeline("A", PI_B, TRIVIAL, EMB, AUT, 0, ledger, False)
         assert res["verdict"] == "nonvanishing invariant: YES"
         assert res["details"]["ambient"] == "Sp8"
 
     def test_target_e(self):
-        res = theorem_pipeline("E", PI_E, RHO_E, EMB_E, AUT_E, central_order=0)
+        ledger = default_ledger(PI_E, RHO_E)
+        res = theorem_pipeline("E", PI_E, RHO_E, EMB_E, AUT_E, 0, ledger, False)
         assert res["verdict"] == "nonvanishing invariant: YES"
         assert "satake_chain" in res["details"]
 
@@ -350,7 +346,7 @@ class TestPipeline:
             infchar=PI_E.infchar,
         )
         with pytest.raises(HypothesisError, match="sign condition violated"):
-            theorem_pipeline("E", bad, RHO_E, EMB_E, AUT_E, 0)
+            theorem_pipeline("E", bad, RHO_E, EMB_E, AUT_E, 0, default_ledger(bad, RHO_E), False)
 
     def test_superregularity_enforced(self):
         flat = CuspidalRecord(
@@ -361,7 +357,7 @@ class TestPipeline:
             infchar=InfChar((("r1", (5, 3, -3, -5)),)),
         )
         with pytest.raises(HypothesisError, match="superregularity"):
-            theorem_pipeline("B", flat, RHO_B, EMB, AUT, 0)
+            theorem_pipeline("B", flat, RHO_B, EMB, AUT, 0, default_ledger(flat, RHO_B), False)
 
     def test_disjointness_enforced(self):
         close = CuspidalRecord(
@@ -372,7 +368,7 @@ class TestPipeline:
             infchar=InfChar((("r1", (2, 0, -2)),)),
         )
         with pytest.raises(HypothesisError, match="disjointness"):
-            theorem_pipeline("B", PI_B, close, EMB, AUT, 0)
+            theorem_pipeline("B", PI_B, close, EMB, AUT, 0, default_ledger(PI_B, close), False)
 
     def test_purity_enforced(self):
         heavy = CuspidalRecord(
@@ -384,10 +380,10 @@ class TestPipeline:
             infchar=PI_B.infchar,
         )
         with pytest.raises(HypothesisError, match="purity"):
-            theorem_pipeline("B", heavy, RHO_B, EMB, AUT, 0)
+            theorem_pipeline("B", heavy, RHO_B, EMB, AUT, 0, default_ledger(heavy, RHO_B), False)
 
     def test_involution_symmetry(self):
-        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 0)
+        res = theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 0, default_ledger(PI_B, RHO_B), False)
         moved_pi = CuspidalRecord(
             "a(pi)", 4, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic", infchar=PI_B.infchar
         )
@@ -395,26 +391,27 @@ class TestPipeline:
             "a(rho)", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic", infchar=RHO_B.infchar
         )
         inv = AutModel(eps=-1, embedding_map=(("r1", "r1"),))  # AUT's inverse
-        back = theorem_pipeline("B", moved_pi, moved_rho, EMB, inv, 0)
+        ledger = default_ledger(moved_pi, moved_rho)
+        back = theorem_pipeline("B", moved_pi, moved_rho, EMB, inv, 0, ledger, False)
         assert back["verdict"] == res["verdict"]
 
     def test_strict_mode_blocks_open_choices(self):
         with pytest.raises(HypothesisError, match="strict"):
-            theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 0, strict=True)
+            theorem_pipeline("B", PI_B, RHO_B, EMB, AUT, 0, default_ledger(PI_B, RHO_B), True)
 
 
 class TestSignPipelines:
     def test_target_d(self):
-        res = sign_pipeline("D", PI_B, RHO_B, EMB)
+        res = sign_pipeline("D", PI_B, RHO_B, EMB, {}, False)
         assert res["verdict"].startswith("sign ")
         assert res["details"]["sign"] in (1, -1)
 
     def test_target_d_needs_opposite_types(self):
         with pytest.raises(HypothesisError):
-            sign_pipeline("D", PI_B, PI_B, EMB)
+            sign_pipeline("D", PI_B, PI_B, EMB, {}, False)
 
     def test_target_f_consistent(self):
-        res = sign_pipeline("F", PI_E, RHO_E, EMB_E)
+        res = sign_pipeline("F", PI_E, RHO_E, EMB_E, {}, False)
         assert res["verdict"] == "sign invariant: ratio 1"
 
     def test_target_f_raw(self):
@@ -435,9 +432,10 @@ class TestSignPipelines:
                 "eps_sqrt_disc": -1,
                 "eps_i": 1,
             },
+            strict=False,
         )
         assert res["details"]["ratio"] == -1
-        consistent = sign_pipeline("F", pi1, rho1, EMB_E)
+        consistent = sign_pipeline("F", pi1, rho1, EMB_E, {}, False)
         assert consistent["details"]["ratio"] == 1
 
     @pytest.mark.parametrize(
@@ -457,7 +455,7 @@ class TestSignPipelines:
                 full.update(flags)
                 if emb is not None:
                     full["d_C"] = emb.d_C
-                res = sign_pipeline("F", pi1, rho1, emb, flags)
+                res = sign_pipeline("F", pi1, rho1, emb, flags, False)
                 ratio = invariance_ratio_conjdual(1, 1, **full)
                 assert res["details"] == {"ratio": ratio, "d_C": full["d_C"]}, flags
                 assert flags == {key: given[key] for key in keys}
@@ -492,13 +490,14 @@ class TestDegreeConsistency:
 
     def test_unitary_parameter_fills_the_group(self):
         psi = residual_parameter(PI_E, RHO_E)
-        assert degree(psi) == 2 * PI_E.degree + RHO_E.degree == unitary(5).size
+        assert degree(psi) == 2 * PI_E.degree + RHO_E.degree == GroupDescriptor(UNITARY, 5).size
 
 
 # ---------------------------------------------------------------------------
 # hypothesis refusals: the records and embeddings that thmA…thmF resolve to,
-# one field changed at a time, and the exact outcome of the target's pipeline
-# (its verdict, or the error class and message).  A changed duality carries
+# one field changed at a time (or one infinitesimal character replaced, see
+# `INFCHAR_CHANGES`), and the exact outcome of the target's pipeline (its
+# verdict, or the error class and message).  A changed duality carries
 # the eta it needs (only conjugate-self-dual records have one); a record the
 # constructor refuses ends in its `SpectraError`.
 
@@ -524,6 +523,15 @@ HYPOTHESIS_GRID = {
     "HypothesisError: core record must be algebraic": [
         "thmE rho.algebraicity=half_algebraic", "thmE rho.algebraicity=none",
     ],
+    "HypothesisError: core regularity fails at embedding c1": [
+        "thmE rho.degree=3 & rho.infchar=c1:5,5,3;c1b:-3,-5,-5",
+    ],
+    "HypothesisError: disjointness fails at embedding c1": ["thmE rho.infchar=c1:3;c1b:-3"],
+    "HypothesisError: disjointness fails at embedding r1": ["thmB rho.infchar=r1:5,0,-5"],
+    "HypothesisError: even-orthogonal regularity fails at embedding r1": [
+        "thmC rho.weight=-1 & rho.infchar=r1:13/2,7/2,-5/2,-11/2",
+    ],
+    "HypothesisError: induced regularity fails at embedding r1": ["thmC rho.infchar=r1:5,3,-3,-5"],
     "HypothesisError: orthogonal record must be algebraic": [
         "thmC rho.degree=1", "thmC rho.degree=3", "thmC rho.degree=5",
     ],
@@ -579,9 +587,15 @@ HYPOTHESIS_GRID = {
         "thmD pi.duality=none", "thmD pi.duality=orthogonal", "thmD pi.duality=conj_selfdual",
         "thmD rho.duality=none", "thmD rho.duality=conj_selfdual",
     ],
+    "HypothesisError: superregularity fails at embedding c1": [
+        "thmE pi.infchar=c1:3/2,1/2;c1b:-1/2,-3/2",
+    ],
+    "HypothesisError: superregularity fails at embedding r1": [
+        "thmA pi.infchar=r1:9/2,1/2,-1/2,-9/2", "thmB pi.infchar=r1:5/2,3/2,-3/2,-5/2",
+    ],
     "HypothesisError: standard target needs the trivial core record": [
         "thmA rho.degree=2", "thmA rho.degree=3", "thmA rho.degree=4", "thmA rho.degree=5",
-        "thmA rho.degree=6",
+        "thmA rho.degree=6", "thmA rho.duality=none", "thmA rho.duality=conj_selfdual",
     ],
     "HypothesisError: symplectic record must be algebraic": [
         "thmC pi.algebraicity=half_algebraic", "thmC pi.algebraicity=none",
@@ -591,8 +605,7 @@ HYPOTHESIS_GRID = {
         "thmE rho.duality=none", "thmE rho.duality=orthogonal",
     ],
     "nonvanishing invariant: YES": [
-        "thmA unchanged", "thmA rho.duality=none", "thmA rho.duality=conj_selfdual",
-        "thmA rho.algebraicity=half_algebraic", "thmA rho.algebraicity=none",
+        "thmA unchanged", "thmA rho.algebraicity=half_algebraic", "thmA rho.algebraicity=none",
         "thmA rho.infchar dropped", "thmB unchanged", "thmC unchanged", "thmC roles swapped",
         "thmE unchanged", "thmE roles swapped",
     ],
@@ -646,6 +659,26 @@ GRID_VALUES = {
 }
 
 
+# whole infinitesimal characters put in place of a record's, as
+# "label:v,...;label:v,..." with the two labels of a complex pair moved
+# together so that purity holds.  Each reaches a regularity or disjointness
+# refusal, which no one-field change of a library case does.  Two need a
+# second field: a degree-1 core is always strictly decreasing, and degree 3
+# keeps thmE's parity signs and algebraicity class; and an even orthogonal
+# character that fails the shape yet is induced regular is not symmetric,
+# so it moves the weight.
+INFCHAR_CHANGES = {
+    "thmA": ["pi.infchar=r1:9/2,1/2,-1/2,-9/2"],
+    "thmB": ["pi.infchar=r1:5/2,3/2,-3/2,-5/2", "rho.infchar=r1:5,0,-5"],
+    "thmC": ["rho.infchar=r1:5,3,-3,-5", "rho.weight=-1 & rho.infchar=r1:13/2,7/2,-5/2,-11/2"],
+    "thmE": [
+        "pi.infchar=c1:3/2,1/2;c1b:-1/2,-3/2",
+        "rho.degree=3 & rho.infchar=c1:5,5,3;c1b:-3,-5,-5",
+        "rho.infchar=c1:3;c1b:-3",
+    ],
+}
+
+
 def _changes(pi, rho):
     """The change ids of one library case, in grid order."""
     out = ["unchanged", "embeddings dropped", "roles swapped"]
@@ -657,13 +690,24 @@ def _changes(pi, rho):
     return out
 
 
+def _infchar(text):
+    """The InfChar that "label:v,...;label:v,..." spells, entries as in a scenario."""
+    return InfChar(
+        tuple(
+            (label, tuple(doubled(Fraction(v)) for v in entries.split(",")))
+            for label, entries in (part.split(":") for part in text.split(";"))
+        )
+    )
+
+
 def _changed(rec, change):
+    """``rec`` with one change: "infchar dropped" or "field=value"."""
     fields = {f: getattr(rec, f) for f in rec._fields}
-    if change.endswith("infchar dropped"):
+    if change == "infchar dropped":
         fields["infchar"] = None
     else:
-        field, value = change.split(".")[1].split("=")
-        fields[field] = int(value) if field in ("degree", "eta") else value
+        field, value = change.split("=")
+        fields[field] = {"degree": int, "eta": int, "infchar": _infchar}.get(field, str)(value)
         if field == "duality":
             fields["eta"] = (rec.eta or 1) if value == CONJ_SELFDUAL else 0
     return CuspidalRecord(**fields)
@@ -678,14 +722,17 @@ def _grid_outcome(case_id):
             emb = None
         elif change == "roles swapped":
             pi, rho = rho, pi
-        elif change.startswith("pi."):
-            pi = _changed(pi, change)
-        elif change.startswith("rho."):
-            rho = _changed(rho, change)
+        elif change != "unchanged":  # "role.change", several joined by " & "
+            records = {"pi": pi, "rho": rho}
+            for part in change.split(" & "):
+                role, edit = part.split(".", 1)
+                records[role] = _changed(records[role], edit)
+            pi, rho = records["pi"], records["rho"]
         if target in ("D", "F"):
-            res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags"))
+            res = sign_pipeline(target, pi, rho, emb, scn.get("ratio_flags", {}), False)
         else:
-            res = theorem_pipeline(target, pi, rho, emb, aut, scn.get("central_order", 0))
+            central, ledger = scn.get("central_order", 0), default_ledger(pi, rho)
+            res = theorem_pipeline(target, pi, rho, emb, aut, central, ledger, False)
     except (EisensteinError, SpectraError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return res["verdict"]
@@ -698,7 +745,8 @@ def test_hypothesis_grid_covers_every_change_once():
     expected = []
     for name in ("thmA", "thmB", "thmC", "thmD", "thmE", "thmF"):
         _, _, pi, rho, _ = _library_case(name)
-        expected += [f"{name} {change}" for change in _changes(pi, rho)]
+        changes = _changes(pi, rho) + INFCHAR_CHANGES.get(name, [])
+        expected += [f"{name} {change}" for change in changes]
     listed = [case for cases in HYPOTHESIS_GRID.values() for case in cases]
     assert sorted(listed) == sorted(expected)
     assert len(set(listed)) == len(listed)
@@ -709,16 +757,21 @@ def test_hypothesis_grid(case_id):
     assert _grid_outcome(case_id) == GRID_CASES[case_id]
 
 
-# symplectic records have even degree, so target B's block-degree check
-# cannot fail once the block is symplectic
-UNREACHED_REFUSALS = {"block degree must be even and ≥ 2"}
+# refusals that no input reaches: none, a refusal ships with a grid row
+UNREACHED_REFUSALS = set()
 
 
 def test_every_record_refusal_is_in_the_grid():
-    """Each HypothesisError text of the two target validators and
-    `sign_pipeline` is some grid outcome, or is listed as unreached."""
+    """Each HypothesisError text of the two target validators, the
+    infinitesimal-character checks and `sign_pipeline` is some grid outcome,
+    or is listed as unreached."""
     source = Path(__file__).resolve().parents[1] / "src" / "langkit" / "eisenstein.py"
-    checked = ("_validate_selfdual_target", "_validate_unitary_target", "sign_pipeline")
+    checked = (
+        "_validate_selfdual_target",
+        "_validate_unitary_target",
+        "_check_infchar_hypotheses",
+        "sign_pipeline",
+    )
     patterns, raises = {}, 0
     for func in ast.parse(source.read_text(encoding="utf-8")).body:
         if not (isinstance(func, ast.FunctionDef) and func.name in checked):
@@ -734,8 +787,9 @@ def test_every_record_refusal_is_in_the_grid():
                 text = "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
                 patterns[text] = "HypothesisError: " + ".+".join(map(re.escape, text.split("{}")))
                 raises += 1
-    # two raises share "block record must be self-dual symplectic"
-    assert (raises, len(patterns)) == (18, 17)
+    # two raises share "block record must be self-dual symplectic", and the
+    # A/B and E branches share the superregularity and disjointness texts
+    assert (raises, len(patterns)) == (28, 25)
     for text, pattern in sorted(patterns.items()):
         reached = any(re.fullmatch(pattern, outcome) for outcome in HYPOTHESIS_GRID)
         assert reached == (text not in UNREACHED_REFUSALS), text

@@ -4,6 +4,10 @@ import pytest
 
 from langkit import groups, selftest
 from langkit.groups import (
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    UNITARY,
     GroupDescriptor,
     GroupError,
     ambient_with_block,
@@ -11,10 +15,6 @@ from langkit.groups import (
     dual_radical,
     modulus_borel,
     modulus_levi,
-    so_even,
-    so_odd,
-    sp,
-    unitary,
 )
 from langkit.selftest import _borel_root_sum, _levi_root_sum
 
@@ -22,23 +22,24 @@ from langkit.selftest import _borel_root_sum, _levi_root_sum
 class TestModulusLevi:
     def test_unitary_small(self):
         # block 1 over core U_1 inside U_3
-        assert modulus_levi(unitary(3), 1) == 2
+        assert modulus_levi(GroupDescriptor(UNITARY, 3), 1) == 2
         # block 2 over core U_1 inside U_5
-        assert modulus_levi(unitary(5), 2) == 3
+        assert modulus_levi(GroupDescriptor(UNITARY, 5), 2) == 3
 
     def test_siegel_symplectic(self):
-        assert modulus_levi(sp(2), 2) == 3
+        assert modulus_levi(GroupDescriptor(SP, 2), 2) == 3
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_split_families_against_root_sum(self, n):
         for r in range(1, n + 1):
-            for make in (sp, so_odd, so_even):
-                assert modulus_levi(make(n), r) == _levi_root_sum(make(n), r)
+            for group in (GroupDescriptor(fam, n) for fam in (SP, SO_ODD, SO_EVEN)):
+                assert modulus_levi(group, r) == _levi_root_sum(group, r)
 
     @pytest.mark.parametrize("N", range(2, 10))
     def test_unitary_against_root_sum(self, N):
         for r in range(1, N // 2 + 1):
-            assert modulus_levi(unitary(N), r) == _levi_root_sum(unitary(N), r)
+            group = GroupDescriptor(UNITARY, N)
+            assert modulus_levi(group, r) == _levi_root_sum(group, r)
 
     @pytest.mark.parametrize(
         "family,size,r",
@@ -55,31 +56,31 @@ class TestModulusLevi:
 
 class TestModulusBorel:
     def test_unitary_values(self):
-        assert modulus_borel(unitary(2)) == (Fraction(1),)
-        assert modulus_borel(unitary(5)) == (Fraction(4), Fraction(2))
-        assert modulus_borel(unitary(9)) == tuple(map(Fraction, (8, 6, 4, 2)))
+        assert modulus_borel(GroupDescriptor(UNITARY, 2)) == (Fraction(1),)
+        assert modulus_borel(GroupDescriptor(UNITARY, 5)) == (Fraction(4), Fraction(2))
+        assert modulus_borel(GroupDescriptor(UNITARY, 9)) == tuple(map(Fraction, (8, 6, 4, 2)))
 
     def test_symplectic(self):
-        assert modulus_borel(sp(2)) == (Fraction(4), Fraction(2))
+        assert modulus_borel(GroupDescriptor(SP, 2)) == (Fraction(4), Fraction(2))
 
     @pytest.mark.parametrize("N", range(1, 10))
     def test_unitary_oracle(self, N):
-        assert modulus_borel(unitary(N)) == _borel_root_sum(unitary(N))
+        group = GroupDescriptor(UNITARY, N)
+        assert modulus_borel(group) == _borel_root_sum(group)
 
     def test_split_oracle(self):
         for n in range(1, 5):
-            for g in (sp(n), so_odd(n), so_even(n)):
+            for g in (GroupDescriptor(fam, n) for fam in (SP, SO_ODD, SO_EVEN)):
                 assert modulus_borel(g) == _borel_root_sum(g)
 
     def test_compositionality(self):
         for N in range(2, 10):
             for r in range(1, N // 2 + 1):
-                assert borel_modulus_compose(unitary(N), r)
+                assert borel_modulus_compose(GroupDescriptor(UNITARY, N), r)
         for n in range(1, 5):
             for r in range(1, n + 1):
-                assert borel_modulus_compose(sp(n), r)
-                assert borel_modulus_compose(so_odd(n), r)
-                assert borel_modulus_compose(so_even(n), r)
+                for fam in (SP, SO_ODD, SO_EVEN):
+                    assert borel_modulus_compose(GroupDescriptor(fam, n), r)
 
 
 @pytest.mark.parametrize(
@@ -152,8 +153,9 @@ def test_size_must_be_an_int(family, size):
 def test_even_orthogonal_has_one_descriptor():
     for n in range(4):
         group = GroupDescriptor(groups.SO_EVEN, n)
-        assert group == so_even(n) and hash(group) == hash(so_even(n))
+        again = GroupDescriptor(SO_EVEN, n)
+        assert group == again and hash(group) == hash(again)
         assert group.label() == f"SO{2 * n}^1"
     assert GroupDescriptor._fields == ("family", "size")
     # the core of a maximal Levi is the split form again
-    assert groups._levi_core(GroupDescriptor(groups.SO_EVEN, 3), 1) == so_even(2)
+    assert groups._levi_core(GroupDescriptor(groups.SO_EVEN, 3), 1) == GroupDescriptor(SO_EVEN, 2)

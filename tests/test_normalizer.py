@@ -90,7 +90,7 @@ class TestSquareExpansion:
 
     def test_counts(self):
         pi = make_pi("1/4", "1/8", "0")
-        expansion = square_expansion(pi)
+        expansion = square_expansion(pi, "wedge2")
         assert sum(1 for r in expansion if r.family == "iv") == 3
         assert sum(1 for r in expansion if r.family == "iii") == 3
 
@@ -182,12 +182,13 @@ class TestWords:
 
 class TestVerdict:
     def test_no_pairs_two_part_certificate(self):
-        v = holomorphy_verdict(QuasiTemperedGL((DiscreteSegment("p1", "1/4"),)), RHO0)
+        pi = QuasiTemperedGL((DiscreteSegment("p1", "1/4"),))
+        v = holomorphy_verdict(pi, RHO0, "wedge2", False)
         assert len(v["certificate"]) == 2
         assert v["statement"].startswith("holomorphic")
 
     def test_pairs_add_gl_block_part(self):
-        v = holomorphy_verdict(make_pi("1/4", "0"), RHO1)
+        v = holomorphy_verdict(make_pi("1/4", "0"), RHO1, "wedge2", False)
         assert [c["part"] for c in v["certificate"]] == [
             "normalization-ratio",
             "gl-blocks",
@@ -199,9 +200,9 @@ class TestVerdict:
     def test_boundary_exponent_rejected(self):
         with pytest.raises(NormalizerError, match="not quasi-tempered"):
             holomorphy_verdict(
-                make_pi("1/4"), QuasiTemperedSelfdual(("r0",), (("r1", "1/2"),))
+                make_pi("1/4"), QuasiTemperedSelfdual(("r0",), (("r1", "1/2"),)), "wedge2", False
             )
 
     def test_strict_mode(self):
         with pytest.raises(HypothesisError, match="strict"):
-            holomorphy_verdict(make_pi("1/4"), RHO0, strict=True)
+            holomorphy_verdict(make_pi("1/4"), RHO0, "wedge2", strict=True)

@@ -23,7 +23,7 @@ from langkit.eisenstein import (
     LQuotient,
     PoleDecision,
 )
-from langkit.groups import GroupDescriptor, sp
+from langkit.groups import SP, GroupDescriptor
 from langkit.normalizer import (
     DiscreteSegment,
     QuasiTemperedGL,
@@ -119,7 +119,7 @@ SAMPLES = {
     Eigenvalue: (lambda: Eigenvalue(1, (("u", 1),), -1), lambda: Eigenvalue(0)),
     SatakeClass: (
         lambda: SatakeClass((Eigenvalue(1), Eigenvalue(-1)), GroupDescriptor("GL", 2)),
-        lambda: SatakeClass((), sp(1)),
+        lambda: SatakeClass((), GroupDescriptor(SP, 1)),
     ),
     AutModel: (
         lambda: AutModel((("v", "u"), ("u", "v")), -1, (("b", "a"), ("a", "b"))),
