@@ -143,12 +143,9 @@ def _symmetrize(values) -> tuple:
 
 def is_superregular(values) -> bool:
     """Positive entries strictly spaced by at least 2 with smallest ≥ 3/2,
-    after closing the multiset under negation.  Odd closures are rejected."""
+    after closing the multiset under negation.  ``values`` is nonempty of
+    even size, as a purity-checked character of even degree is."""
     closed = _symmetrize(values)
-    if not closed:
-        raise ArchError("superregularity needs a nonempty multiset")
-    if len(closed) % 2:
-        raise ArchError("superregularity needs an even symmetric multiset")
     m = len(closed) // 2
     pos = closed[:m]
     for i in range(m - 1):
@@ -179,10 +176,9 @@ def strictly_decreasing(values) -> bool:
 
 def is_SO_regular(values) -> bool:
     """Shape p_1 > ... > p_n ≥ -p_n > ... > -p_1: strictly decreasing and
-    symmetric, with equality allowed only at the middle."""
+    symmetric, with equality allowed only at the middle.  ``values`` has
+    even size, as a purity-checked character of even degree has."""
     vals = tuple(sorted(values, reverse=True))
-    if len(vals) % 2:
-        raise ArchError("even cardinality required")
     n = len(vals) // 2
     if any(vals[i] != -vals[-1 - i] for i in range(len(vals))):
         return False

@@ -40,7 +40,7 @@ from .normalizer import (
     QuasiTemperedSelfdual,
     holomorphy_verdict,
 )
-from .rationals import doubled, half_str, rat
+from .rationals import RATIONAL, doubled, half_str, rat
 from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
@@ -66,7 +66,6 @@ NON_NEGATIVE, POSITIVE = 0, 1  # integer kinds: the lower bound
 HALF_INTEGER = "half-integer"  # a rational in (1/2)Z, read as the int 2x
 SIGNS = (1, -1)
 _MISSING = object()
-_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")  # "p/q" or "p": no decimals or exponents
 _NOUNS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
@@ -91,7 +90,7 @@ def _check(value, kind, at: str):
         return x2
     if kind is Fraction:
         try:
-            if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
+            if type(value) is int or (type(value) is str and RATIONAL.fullmatch(value)):
                 return rat(value)
         except (ValueError, ZeroDivisionError):
             pass

@@ -46,8 +46,8 @@ class DiscreteSegment(Record):
 
 
 class QuasiTemperedGL(Record):
-    """Product of discrete blocks with exponents |a_i| < 1/2, sorted
-    descending."""
+    """Product of discrete blocks (at least one) with exponents |a_i| < 1/2,
+    sorted descending."""
 
     _fields = ("segments",)
 
@@ -55,6 +55,8 @@ class QuasiTemperedGL(Record):
         segs = tuple(
             sorted(segments, key=lambda s: (-s.a, s.label))
         )
+        if not segs:
+            raise NormalizerError("need at least one discrete block")
         for s in segs:
             if not (abs(s.a) < HALF):
                 raise NormalizerError(
@@ -140,13 +142,13 @@ def factor_normalization(
     return out
 
 
-def square_expansion(pi: QuasiTemperedGL, aux_kind: str) -> list:
-    """Direct expansion of the auxiliary square of the product: squares of
-    the blocks plus the pairwise tensor factors."""
+def square_expansion(pi: QuasiTemperedGL) -> list:
+    """Direct expansion of the alternating square of the product: squares
+    of the blocks plus the pairwise tensor factors."""
     out = []
     segs = pi.segments
     for seg in segs:
-        out.append(Ratio("iv", AUX_KINDS[aux_kind] + (seg.label,), 2, 2 * seg.a))
+        out.append(Ratio("iv", AUX_KINDS["wedge2"] + (seg.label,), 2, 2 * seg.a))
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             out.append(
@@ -155,16 +157,16 @@ def square_expansion(pi: QuasiTemperedGL, aux_kind: str) -> list:
     return out
 
 
-def verify_wedge_expansion(pi: QuasiTemperedGL, aux_kind: str = "wedge2") -> bool:
+def verify_wedge_expansion(pi: QuasiTemperedGL) -> bool:
     """Families (iii)+(iv) of the normalization factor coincide, as a
     multiset of (kind, argument) pairs, with the square expansion."""
     rho = QuasiTemperedSelfdual(("1",), ())
     got = [
         (r.kind, r.alpha, r.beta)
-        for r in factor_normalization(pi, rho, aux_kind)
+        for r in factor_normalization(pi, rho, "wedge2")
         if r.family in ("iii", "iv")
     ]
-    want = [(r.kind, r.alpha, r.beta) for r in square_expansion(pi, aux_kind)]
+    want = [(r.kind, r.alpha, r.beta) for r in square_expansion(pi)]
     return sorted(got) == sorted(want)
 
 

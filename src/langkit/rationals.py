@@ -6,15 +6,17 @@ ladder shift, a Satake q-exponent, an infinitesimal character entry) is
 held as the int 2x instead: `doubled` is the one conversion into that
 form, applied once where a value is parsed, and `half_str` renders the int
 2x as `rat_str` renders x, without building the Fraction.  Scenario files
-store rationals as strings like "3/2", "-1/2" or "2"; these helpers
-round-trip that format losslessly.
+store rationals as strings like "3/2", "-1/2" or "2", the grammar
+`RATIONAL` matches; these helpers round-trip that format losslessly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 HALF = Fraction(1, 2)
+RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")  # "p/q" or "p": no decimals or exponents
 
 
 def rat(x) -> Fraction:

@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .groups import GL, RES_GL, SO_ODD, UNITARY, GroupDescriptor
-from .rationals import doubled, half_str, rat
+from .rationals import RATIONAL, doubled, half_str, rat
 from .record import Record
 
 
@@ -100,7 +100,8 @@ class Eigenvalue(Record):
 
 
 def parse_eigenvalue(text: str) -> Eigenvalue:
-    """Inverse of `Eigenvalue.serialize`: "[-]q^<p/q>*u1*u2^-1" and "1"."""
+    """Inverse of `Eigenvalue.serialize`: "[-]q^<p/q>*u1*u2^-1" and "1";
+    each q-exponent is a scenario rational, in the `RATIONAL` grammar."""
     s = text.strip()
     sign = 1
     if s.startswith("-"):
@@ -112,6 +113,8 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
     for token in s.split("*"):
         token = token.strip()
         if token.startswith("q^"):
+            if not RATIONAL.fullmatch(token[2:]):
+                raise SatakeError(f'q-exponent {token[2:]} must be an integer or a "p/q" string')
             try:
                 q_exp += rat(token[2:])
             except ZeroDivisionError:

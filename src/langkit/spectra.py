@@ -2,9 +2,9 @@
 
 A parameter is a multiplicity-one multiset of (cuspidal record, ladder
 length) pairs; its expansion lists the half-integral twist ladder of each
-pair.  `reconstruct` inverts the expansion by one walk over the sorted
-terms, and hands the sums that walk cannot read (nested ladders, twin
-records, stray or missing shifts) to greedy ladder stripping.
+pair.  `reconstruct` inverts the expansion, by one walk over the sorted
+terms, on the sums it makes of parameters with one ladder per (label,
+degree), and refuses every other sum.
 `classify_levi_support` decides which induction data can carry a
 given two-term parameter, by the cuspidal count plus multiset matching;
 `classify_support` runs it over the whole candidate family.  Every shift,
@@ -134,7 +134,8 @@ class CuspidalSum(Record):
 
     Shifts are half-integers, so the ladder kernel (`expand`, `reconstruct`)
     holds them doubled and builds no `Fraction`.
-    Terms are kept sorted by (label, degree, j).
+    Terms are kept sorted by (label, degree, j).  `reconstruct` reads the
+    sums `expand` makes of parameters with one ladder per (label, degree).
     """
 
     _fields = ("terms",)
@@ -165,19 +166,17 @@ def expand(p: ArthurParameter) -> CuspidalSum:
 
 
 def reconstruct(s: CuspidalSum) -> ArthurParameter:
-    """Invert `expand`: one walk over the sorted terms, else greedy stripping.
+    """Invert `expand` on the sums it makes of parameters with one ladder
+    per (label, degree), by one walk over the sorted terms.
 
-    The walk reads the terms in order.  At each position the term (rec, j)
-    opens a ladder of length d = 1-j, which is taken when j ≤ 0, the next
-    d terms are exactly (rec, j), (rec, j+2), ..., (rec, -j) and its
-    (label, degree) differs from the previous ladder's.  Since
-    `CuspidalSum` keeps the terms sorted, this accepts exactly the sums
-    in which every (label, degree) holds one whole ladder of one record,
-    which is what `expand` makes of a parameter with one ladder per
-    record.  Any other sum (nested ladders of one record, twin records
-    sharing a (label, degree), stray or missing shifts) goes whole to
-    `_strip_ladders`, which finds the same summands where the walk
-    succeeds and alone names what is wrong where no parameter fits.
+    At each position the term (rec, j) opens a ladder of length d = 1-j,
+    which is taken when j ≤ 0, the next d terms are exactly (rec, j),
+    (rec, j+2), ..., (rec, -j) and its (label, degree) differs from the
+    previous ladder's.  Since `CuspidalSum` keeps the terms sorted, this
+    reads exactly the sums in which every (label, degree) holds one whole
+    ladder of one record.  Any other sum, among them the valid sums of
+    nested ladders of one record or of twin records sharing a (label,
+    degree), is refused with the label and shift where the walk stopped.
     A walked parameter is built without `ArthurParameter`'s sort and
     repeat check, which the walk has already made true.
     """
@@ -193,7 +192,10 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
             or (rec.label, rec.degree) == key
             or terms[i:i + d] != tuple((rec, k) for k in range(j, d, 2))
         ):
-            return _strip_ladders(terms)
+            raise SpectraError(
+                "not one ladder per (label, degree): the walk stops at "
+                f"{rec.label} shift {half_str(j)}"
+            )
         key = (rec.label, rec.degree)
         summands.append((rec, d))
         i += d
@@ -202,43 +204,6 @@ def reconstruct(s: CuspidalSum) -> ArthurParameter:
     p = ArthurParameter.__new__(ArthurParameter)
     object.__setattr__(p, "summands", tuple(summands))
     return p
-
-
-def _strip_ladders(terms: tuple) -> ArthurParameter:
-    """Invert `expand` by greedy ladder stripping.
-
-    The sorted terms are grouped once by (label, degree), so the groups
-    come in ascending key order and each group in ascending shift order.
-    While a group is non-empty, its first record `rec` and its largest
-    doubled shift `top` = d-1 fix a ladder of length d, and the rungs d-1,
-    d-3, ..., 1-d of `rec` are struck from the group, each as its first
-    matching entry.  A negative `top` is a stray shift; a missing rung
-    fails the ladder.
-    """
-    groups: dict = {}
-    for rec, j in terms:
-        groups.setdefault((rec.label, rec.degree), []).append((j, rec))
-    summands = []
-    for group in groups.values():
-        while group:
-            rec = group[0][1]
-            top = group[-1][0]
-            if top < 0:
-                raise SpectraError(
-                    f"not a parameter sum: stray shift {half_str(top)} for {rec.label}"
-                )
-            for step in range(top, -top - 1, -2):
-                for i, (j, r) in enumerate(group):
-                    if j == step and (r is rec or r == rec):
-                        del group[i]
-                        break
-                else:
-                    raise SpectraError(
-                        "not a parameter sum: ladder of "
-                        f"{rec.label} misses shift {half_str(step)}"
-                    )
-            summands.append((rec, top + 1))
-    return ArthurParameter(tuple(summands))
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,6 @@ class SignedPerm(Record):
                     total += 2
         return total
 
-    def __str__(self):
-        return "[" + " ".join(str(v) for v in self.images) + "]"
-
 
 def length_additive(w1: SignedPerm, w2: SignedPerm) -> bool:
     """True iff the lengths add along the product w1·w2 (w1 applied first)."""

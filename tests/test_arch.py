@@ -90,10 +90,6 @@ class TestPredicates:
     def test_superregular_full_multiset(self):
         assert is_superregular((7, 3, -3, -7))
 
-    def test_superregular_rejects_odd_closure(self):
-        with pytest.raises(ArchError):
-            is_superregular((2, 0, -2))
-
     def test_superregular_implies_distinct(self):
         vals = (11, 7, 3)
         assert is_superregular(vals)
@@ -109,8 +105,6 @@ class TestPredicates:
         assert is_SO_regular((4, 0, 0, -4))
         assert is_SO_regular((4, 2, -2, -4))
         assert not is_SO_regular((4, 4, -4, -4))
-        with pytest.raises(ArchError):
-            is_SO_regular((2, 0, -2))
 
     def test_induced_regular(self):
         assert not induced_regular((3, -3), (2, 0, -2))
@@ -475,9 +469,15 @@ def _multisets(rng, count):
         yield tuple(vals)
 
 
+# the predicates that take only a nonempty multiset of even size, as the
+# entries of a purity-checked character of even degree are
+EVEN_SIZE_ONLY = (is_superregular, is_SO_regular)
+
+
 def test_predicates_agree_with_fraction_oracles():
     """The six predicates and `_symmetrize` on doubled entries against the
-    Fraction originals on the same multisets, on result or on message."""
+    Fraction originals on the same multisets of their domain, on result or
+    on message."""
     rng = random.Random(23)
     sets = list(BOUNDARY) + list(_multisets(rng, 1500))
     seen = set()
@@ -490,6 +490,8 @@ def test_predicates_agree_with_fraction_oracles():
             (strictly_decreasing, _frac_strictly_decreasing),
             (is_SO_regular, _frac_is_SO_regular),
         ):
+            if new in EVEN_SIZE_ONLY and (not vals or len(vals) % 2):
+                continue
             got = _outcome(new, vals)
             assert got == _outcome(old, fr), (new.__name__, vals)
             seen.add((new.__name__, got))
@@ -503,13 +505,11 @@ def test_predicates_agree_with_fraction_oracles():
             got = new(p, q)
             assert got == old(_halves(p), _halves(q)), (new.__name__, p, q)
             seen.add((new.__name__, got))
-    # every predicate both holds and fails on the grid, and both errors occur
+    # every predicate both holds and fails on the grid, and none raises
     for name in ("is_superregular", "strictly_gapped", "strictly_decreasing", "is_SO_regular",
                  "is_disjoint", "induced_regular"):
         assert {(name, True), (name, False)} <= seen, name
-    odd = "ArchError: superregularity needs an even symmetric multiset"
-    assert ("is_superregular", odd) in seen
-    assert ("is_SO_regular", "ArchError: even cardinality required") in seen
+    assert {got for _, got in seen} == {True, False}
 
 
 def _random_infchar(rng, emb: EmbeddingSet, degree: int) -> InfChar:
@@ -572,11 +572,6 @@ def test_infchar_reads_generator_arguments_once():
     assert InfChar((label, (v for v in vals)) for label, vals in pairs) == expected
     with pytest.raises(ArchError, match="must be ints 2v"):
         InfChar(pair for pair in (("r1", (1, "1/2")),))
-
-
-def test_empty_multiset_is_not_superregular_but_a_domain_error():
-    with pytest.raises(ArchError, match="nonempty"):
-        is_superregular(())
 
 
 @pytest.mark.parametrize("entries", [((1,), (-3,)), ((5, 3, 1), (-7, -5, -3))])

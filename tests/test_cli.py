@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -164,7 +165,6 @@ def test_every_public_name_is_used_by_the_package():
 TEST_ONLY_PARAMETERS = {
     "cli.run.args": "perfbench and the tests call cli.run(command, scenario) without args",
     "cli.main.argv": "the console entry point reads sys.argv; the tests pass argv",
-    "normalizer.verify_wedge_expansion.aux_kind": "the tests check the sym2 expansion too",
 }
 
 
@@ -220,6 +220,78 @@ def test_no_parameter_exists_for_the_tests_alone():
         flagged |= {f"{module}.{name}.{p}" for p in _defaults(func) if p not in omitted[name]}
     assert sorted(flagged - set(TEST_ONLY_PARAMETERS)) == []
     assert sorted(set(TEST_ONLY_PARAMETERS) - flagged) == []  # a stale entry goes
+
+
+# functions that no command reaches and the benchmark calls, each with the
+# text of its call in perfbench/worker.py
+BENCHMARK_CALLS = {
+    "weyl.kostant_reps": ".kostant_reps(",
+    "weyl.kostant_weights": ".kostant_weights(",
+    "weyl.Weight.__init__": ".Weight(",
+    "weyl.Weight.coords": ".coords",
+}
+
+# functions that no command reaches and Python's data model calls, with why
+DATA_MODEL_METHODS = {
+    "record.Record.__init_subclass__": "runs where a record class is defined, at import",
+    "record.Record.__hash__": "records are hashable values, though no command hashes one",
+    "record.Record.__repr__": "shows a record in a failure message or a debugger",
+    "record.Record.__setattr__": "refuses a field assignment",
+    "record.Record.__delattr__": "refuses a field deletion",
+}
+
+
+def _function_starts(tree, prefix) -> dict:
+    """(first line, qualified name) of every def below tree: a decorated
+    function's code starts at its first decorator."""
+    out = {}
+    for node in ast.iter_child_nodes(tree):
+        named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        name = f"{prefix}.{node.name}" if named else prefix
+        if isinstance(node, ast.FunctionDef):
+            out[min([node.lineno] + [d.lineno for d in node.decorator_list])] = name
+        out.update(_function_starts(node, name))
+    return out
+
+
+def test_every_function_is_reached_by_a_command(capsys):
+    """Every def in the package runs under some library invocation, kostant
+    golden or selftest format, or is listed above."""
+    src = Path(cli.__file__).parent
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    runs = [
+        [command, "--scenario", name, "--format", fmt, *strict]
+        for command, name, fmt, *strict in map(str.split, INVOCATIONS)
+    ]
+    runs += [argv.split() for argv in (*KOSTANT_GOLDEN, *SELFTEST_GOLDEN)]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in runs:
+            cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    unreached = {
+        name
+        for path in sorted(src.glob("*.py"))
+        for line, name in _function_starts(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem
+        ).items()
+        if (str(path), line) not in called
+    }
+    listed = set(BENCHMARK_CALLS) | set(DATA_MODEL_METHODS)
+    assert sorted(unreached - listed) == []
+    assert sorted(listed - unreached) == []  # a stale entry goes
+    worker = (Path(__file__).resolve().parents[1] / "perfbench" / "worker.py").read_text(
+        encoding="utf-8"
+    )
+    assert [name for name, call in BENCHMARK_CALLS.items() if call not in worker] == []
 
 
 # public methods that only tests call: none, a method ships with a caller
@@ -428,6 +500,24 @@ def test_satake_act_command(tmp_path):
     p.write_text(json.dumps(scn))
     report = cli.run("satake-act", str(p))
     assert report["output"] == report["input"]
+
+
+def test_satake_act_on_thmE_is_the_twisted_transport():
+    """thmE's class lies on an even linear family, which takes the square-root
+    twist: with eps = -1 an eigenvalue flips its sign exactly when its doubled
+    q-exponent is even, and the empty unit map moves no unit."""
+    scn = json.loads((cli.scenario_dir() / "thmE.json").read_text())
+    raw, aut = scn["satake_class"], scn["aut_spec"]
+    assert (raw["family"], raw["size"] % 2, aut["eps"], aut["unit_map"]) == ("ResGL", 0, -1, {})
+    twice_q = {}
+    for e in raw["eigenvalues"]:
+        exponent = [t[2:] for t in e.split("*") if t.startswith("q^")]
+        twice_q[e] = sum(2 * Fraction(x) for x in exponent)
+    assert {x % 2 for x in twice_q.values()} == {0, 1}  # both parities shown
+    expected = ["-" + e if x % 2 == 0 else e for e, x in twice_q.items()]
+    report = cli.run("satake-act", "thmE")
+    assert sorted(report["input"]) == sorted(raw["eigenvalues"])
+    assert sorted(report["output"]) == sorted(expected)
 
 
 def test_satake_act_reads_but_does_not_apply_the_embedding_map(tmp_path, capsys):
@@ -940,6 +1030,19 @@ DROP = object()  # a patch value that removes its key from the scenario
         ("check-scenario",
          {"records": [{k: v for k, v in PI_B.items() if k != "infchar"}, RHO_B]},
          "regularity: record pi lacks an infinitesimal character"),
+        # an empty product of discrete blocks is malformed, as an empty self-dual part is
+        ("normalize", {"quasi_tempered": SEGMENT},
+         "/quasi_tempered: need at least one discrete block"),
+        ("check-scenario", {"theorem_target": "appendix", "quasi_tempered": SEGMENT},
+         "/quasi_tempered: need at least one discrete block"),
+        # a q-exponent is read in the grammar of every scenario rational
+        *(
+            ("satake-act", {"satake_class": {**SATAKE, "eigenvalues": [token, "1"]}},
+             f'/satake_class: q-exponent {exponent} must be an integer or a "p/q" string')
+            for token, exponent in (
+                ("q^1_0", "1_0"), ("q^1.5*u", "1.5"), ("q^1e1", "1e1"), ("q^1/-2", "1/-2"),
+            )
+        ),
     ],
 )
 def test_malformed_structure_is_a_usage_error(tmp_path, command, patch, message):
@@ -1054,8 +1157,6 @@ def test_kostant_half_integral_weights_match_golden(capsys, argv):
 def test_kostant_renders_each_coordinate_as_rat_str(family, weight):
     """At C10(5|5) and D10(5|5) every rendered weight entry is `rat_str` of
     the coordinate `kostant_weights` returns, in the same order."""
-    from fractions import Fraction
-
     from langkit.rationals import rat_str
     from langkit.weyl import ParabolicShape, RootDatum, Weight, kostant_weights
 
@@ -1141,14 +1242,19 @@ def _mutants(name, values):
             yield pointer, value, scn
 
 
+# the command that reads a top-level key check-scenario does not read
+READER = {"satake_class": "satake-act"}
+
+
 @pytest.mark.parametrize("name", LIBRARY)
 def test_every_retyped_field_is_a_usage_error_with_its_pointer(tmp_path, capsys, name):
     path = tmp_path / "mutant.json"
     violations = []
     for pointer, value, scn in _mutants(name, RETYPES):
         path.write_text(json.dumps(scn))
+        command = READER.get(pointer.split("/")[1], "check-scenario")
         try:
-            code = cli.main(["check-scenario", "--scenario", str(path)])
+            code = cli.main([command, "--scenario", str(path)])
         except Exception as exc:  # noqa: BLE001 - any escape breaks the exit-code contract
             code = repr(exc)
         err = capsys.readouterr().err
@@ -1185,7 +1291,7 @@ STRICT_EXIT_CODES = {
     "classify": (0, 0, 0, 0, 0, 0, 2, 2, 2),
     "root-number": (0, 0, 0, 0, 0, 0, 2, 2, 2),
     "normalize": (2, 2, 2, 2, 2, 2, 2, 2, 2),
-    "satake-act": (2, 2, 2, 2, 2, 2, 2, 2, 2),
+    "satake-act": (2, 2, 2, 2, 0, 2, 2, 2, 2),
 }
 
 

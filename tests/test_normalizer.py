@@ -48,6 +48,10 @@ class TestDecompositions:
         with pytest.raises(NormalizerError):
             QuasiTemperedSelfdual((), (("r1", "1/4"),))
 
+    def test_needs_a_discrete_block(self):
+        with pytest.raises(NormalizerError, match="need at least one discrete block"):
+            QuasiTemperedGL(())
+
     def test_segments_sorted_descending(self):
         pi = QuasiTemperedGL(
             (DiscreteSegment("a", "0"), DiscreteSegment("b", "1/4"))
@@ -86,11 +90,10 @@ class TestSquareExpansion:
     def test_families_match_expansion(self, t):
         pi = make_pi(*[Fraction(1, 4 * (i + 2)) for i in range(t)])
         assert verify_wedge_expansion(pi)
-        assert verify_wedge_expansion(pi, "sym2")
 
     def test_counts(self):
         pi = make_pi("1/4", "1/8", "0")
-        expansion = square_expansion(pi, "wedge2")
+        expansion = square_expansion(pi)
         assert sum(1 for r in expansion if r.family == "iv") == 3
         assert sum(1 for r in expansion if r.family == "iii") == 3
 

@@ -1,5 +1,7 @@
 import ast
 import itertools
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langkit import spectra
 from langkit.arch import InfChar
 from langkit.satake import AutModel
 from langkit.spectra import (
@@ -28,7 +29,7 @@ from langkit.spectra import (
     expand,
     reconstruct,
 )
-from langkit.rationals import rat_str
+from langkit.rationals import half_str, rat_str
 
 PI = CuspidalRecord("pi", 2, duality=SELFDUAL_SYMPLECTIC, algebraicity="algebraic")
 RHO = CuspidalRecord("rho", 3, duality=SELFDUAL_ORTHOGONAL, algebraicity="algebraic")
@@ -81,11 +82,15 @@ class TestReconstruct:
             reconstruct(CuspidalSum(((PI, 1),)))
 
     def test_nested_ladders(self):
+        """A valid parameter sum that the walk does not read: two ladders
+        of one record are refused where the second begins."""
         p = ArthurParameter(((PI, 4), (PI, 2)))
         with pytest.raises(SpectraError):
             # same record twice is not multiplicity-one... build differently
             ArthurParameter(((PI, 2), (PI, 2)))
-        assert reconstruct(expand(p)) == p
+        with pytest.raises(SpectraError, match=r"^not one ladder per \(label, degree\): "
+                           r"the walk stops at pi shift -3/2$"):
+            reconstruct(expand(p))
 
     def test_exhaustive_round_trip(self):
         count = 0
@@ -130,6 +135,29 @@ def _outcome(fn, terms):
         return fn(CuspidalSum(tuple(terms)))
     except SpectraError as exc:
         return f"SpectraError: {exc}"
+
+
+REFUSAL = re.compile(
+    r"SpectraError: not one ladder per \(label, degree\): the walk stops at (\S+) shift (\S+)"
+)
+
+
+def _check_against_oracle(terms) -> bool:
+    """`reconstruct` returns the oracle's parameter, and refuses exactly when
+    the oracle does or the oracle's parameter has several ladders on one
+    (label, degree); the refusal names a term of the sum.  True on refusal."""
+    got = _outcome(reconstruct, terms)
+    want = _outcome(_greedy_reconstruct_oracle, terms)
+    read = isinstance(want, ArthurParameter) and len(
+        {(rec.label, rec.degree) for rec, _ in want.summands}
+    ) == len(want.summands)
+    if read:
+        assert got == want, terms
+        return False
+    match = REFUSAL.fullmatch(got)
+    assert match, (terms, got)
+    assert match.groups() in {(rec.label, half_str(j)) for rec, j in terms}, (terms, got)
+    return True
 
 
 def _corruptions(terms):
@@ -194,13 +222,12 @@ class TestReconstructAgainstGreedyOracle:
             assert _outcome(reconstruct, terms) == _outcome(_greedy_reconstruct_oracle, terms) == p
 
     def test_single_term_corruptions(self):
-        errors = 0
-        for p in self.GRID[::29]:
-            for bad in _corruptions(list(expand(p).terms)):
-                got = _outcome(reconstruct, bad)
-                assert got == _outcome(_greedy_reconstruct_oracle, bad), bad
-                errors += isinstance(got, str)
-        assert errors > 1000  # the corruptions reach the error paths
+        outcomes = Counter(
+            _check_against_oracle(bad)
+            for p in self.GRID[::29]
+            for bad in _corruptions(list(expand(p).terms))
+        )
+        assert outcomes[True] > 1000 and outcomes[False] > 0  # both outcomes occur
 
     def test_twin_records(self):
         outcomes = set()
@@ -208,10 +235,16 @@ class TestReconstructAgainstGreedyOracle:
             for da, db in itertools.product(range(1, 5), repeat=2):
                 for terms in (_ladder(a, da) + _ladder(b, db), _ladder(b, db) + _ladder(a, da)):
                     for bad in [terms, *_corruptions(terms)]:
-                        got = _outcome(reconstruct, bad)
-                        assert got == _outcome(_greedy_reconstruct_oracle, bad), bad
-                        outcomes.add(isinstance(got, str))
+                        outcomes.add(_check_against_oracle(bad))
         assert outcomes == {True, False}
+
+    def test_several_ladders_per_record_are_refused(self):
+        grid = list(_several_ladders_per_record())
+        assert len(grid) > 2000
+        for p in grid:
+            terms = list(expand(p).terms)
+            assert _greedy_reconstruct_oracle(CuspidalSum(tuple(terms))) == p
+            assert _check_against_oracle(terms)
 
 
 def _several_ladders_per_record():
@@ -227,62 +260,32 @@ def _several_ladders_per_record():
                     yield ArthurParameter(tuple(summands))
 
 
-class TestReconstructPaths:
-    """`reconstruct` walks the sums `expand` makes of one ladder per record
-    and strips the rest greedily; on valid input both paths give the oracle's
-    parameter back."""
-
-    @staticmethod
-    def _counting_strips(monkeypatch):
-        calls = []
-        strip = spectra._strip_ladders
-
-        def counted(terms):
-            calls.append(terms)
-            return strip(terms)
-
-        monkeypatch.setattr(spectra, "_strip_ladders", counted)
-        return calls
-
-    def test_one_ladder_per_record_is_walked(self, monkeypatch):
-        calls = self._counting_strips(monkeypatch)
-        for p in TestReconstructAgainstGreedyOracle.GRID:
-            assert reconstruct(expand(p)) == p
-        assert calls == []
-
-    def test_several_ladders_per_record_are_stripped(self, monkeypatch):
-        calls = self._counting_strips(monkeypatch)
-        grid = list(_several_ladders_per_record())
-        assert len(grid) > 2000
-        for p in grid:
-            s = expand(p)
-            assert reconstruct(s) == _greedy_reconstruct_oracle(s) == p
-        assert len(calls) == len(grid)
-
-    def test_twins_with_one_ladder_each_are_stripped(self, monkeypatch):
-        calls = self._counting_strips(monkeypatch)
-        count = 0
-        for a, b in itertools.combinations(TWINS, 2):
-            for da, db in itertools.permutations(range(1, 5), 2):
-                p = ArthurParameter(((a, da), (b, db)))
-                s = expand(p)
-                assert reconstruct(s) == _greedy_reconstruct_oracle(s) == p
-                count += 1
-        assert len(calls) == count
-
-
 @given(
     st.lists(
         st.tuples(st.sampled_from(POOL), st.integers(1, 4)),
         min_size=1,
         max_size=5,
-        unique_by=lambda t: (t[0].label, t[1]),
+        unique_by=lambda t: t[0].label,
     )
 )
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(summands):
     p = ArthurParameter(tuple(summands))
     assert reconstruct(expand(p)) == p
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(POOL), st.integers(1, 4)),
+        min_size=2,
+        max_size=5,
+        unique_by=lambda t: (t[0].label, t[1]),
+    ).filter(lambda summands: len({rec.label for rec, _ in summands}) < len(summands))
+)
+@settings(max_examples=80, deadline=None)
+def test_several_ladders_per_record_property(summands):
+    with pytest.raises(SpectraError, match=r"^not one ladder per \(label, degree\)"):
+        reconstruct(expand(ArthurParameter(tuple(summands))))
 
 
 class TestClassification:
