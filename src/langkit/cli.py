@@ -40,7 +40,7 @@ from .normalizer import (
     QuasiTemperedSelfdual,
     holomorphy_verdict,
 )
-from .rationals import RATIONAL, doubled, half_str, rat
+from .rationals import RATIONAL, doubled_str, half_str, rat
 from .satake import AutModel, SatakeClass, act, parse_eigenvalue
 from .spectra import (
     CONJ_SELFDUAL,
@@ -69,37 +69,51 @@ _MISSING = object()
 _NOUNS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
-def _check(value, kind, at: str):
+class _Refused(Exception):
+    """A value `_check` refuses.  Its text is the JSON pointer from the
+    checked value down to the refused one, "" for the value itself, then
+    ": " and why; `_field` puts the field's own pointer in front."""
+
+
+def _check(value, kind):
     """value if it has kind (see `_field`), a rational as a Fraction and a
-    half-integer x as the int 2x."""
+    half-integer x as the int 2x; else `_Refused`.  No pointer is built
+    unless a value is refused: a list adds the index of its refused item."""
+    if kind is HALF_INTEGER or kind is Fraction:
+        try:
+            if type(value) is int:
+                return 2 * value if kind is HALF_INTEGER else rat(value)
+            if type(value) is str and RATIONAL.fullmatch(value):
+                x = doubled_str(value) if kind is HALF_INTEGER else rat(value)
+                if x is not None:
+                    return x
+                raise _Refused(f": must be a half-integer, not {json.dumps(value)}")
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise _Refused(f': must be an integer or a "p/q" string, not {json.dumps(value)}')
     if isinstance(kind, list):
-        return [_check(v, kind[0], f"{at}/{i}") for i, v in enumerate(_check(value, list, at))]
+        items = []  # its length is the index of the item being checked
+        values = _check(value, list)
+        try:
+            for v in values:
+                items.append(_check(v, kind[0]))
+        except _Refused as exc:
+            raise _Refused(f"/{len(items)}{exc}") from None
+        return items
     if kind in _NOUNS:
         if isinstance(value, kind):
             return value
-        raise ScenarioError(f"{at}: must be {_NOUNS[kind]}")
+        raise _Refused(f": must be {_NOUNS[kind]}")
     if isinstance(kind, tuple):
         if any(type(value) is type(v) and value == v for v in kind):
             return value
         allowed = ", ".join(json.dumps(v) for v in kind)
-        raise ScenarioError(f"{at}: must be one of {allowed}, not {json.dumps(value)}")
-    if kind is HALF_INTEGER:
-        x2 = doubled(_check(value, Fraction, at))
-        if x2 is None:
-            raise ScenarioError(f"{at}: must be a half-integer, not {json.dumps(value)}")
-        return x2
-    if kind is Fraction:
-        try:
-            if type(value) is int or (type(value) is str and RATIONAL.fullmatch(value)):
-                return rat(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise ScenarioError(f'{at}: must be an integer or a "p/q" string, not {json.dumps(value)}')
+        raise _Refused(f": must be one of {allowed}, not {json.dumps(value)}")
     if type(value) is not int:
-        raise ScenarioError(f"{at}: must be an integer, not {json.dumps(value)}")
+        raise _Refused(f": must be an integer, not {json.dumps(value)}")
     if kind is not int and value < kind:
         bound = ("non-negative", "positive")[kind]
-        raise ScenarioError(f"{at}: must be a {bound} integer, got {value}")
+        raise _Refused(f": must be a {bound} integer, got {value}")
     return value
 
 
@@ -110,18 +124,21 @@ def _pointer(parent: str, key: str) -> str:
 def _field(obj: dict, key: str, kind, pointer: str, default=_MISSING):
     """obj[key] checked against kind, or default when the key is absent.
 
-    ``pointer`` is obj's JSON pointer, "" at the scenario root.  Kinds:
+    ``pointer`` is obj's JSON pointer, "" at the scenario root; the field's
+    own pointer is formatted here, and only for a refusal.  Kinds:
     dict, list, str and bool; int, NON_NEGATIVE or POSITIVE for a JSON
     integer (never a bool, float or string) with no bound, >= 0 or >= 1;
     Fraction for an integer or a "p/q" string; HALF_INTEGER for one in
     (1/2)Z, returned doubled; a tuple of allowed values; [kind] for a list
     whose items all have that kind.
     """
-    at = _pointer(pointer, key)
     if key in obj:
-        return _check(obj[key], kind, at)
+        try:
+            return _check(obj[key], kind)
+        except _Refused as exc:
+            raise ScenarioError(f"{_pointer(pointer, key)}{exc}") from None
     if default is _MISSING:
-        raise ScenarioError(f"{at}: missing")
+        raise ScenarioError(f"{_pointer(pointer, key)}: missing")
     return default
 
 
@@ -135,7 +152,11 @@ def load_scenario(path, root: str = "") -> dict:
         raise ScenarioError(f"{root}/: cannot read {path} ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise ScenarioError(f"{root}/: invalid JSON ({exc})") from exc
-    _field(_check(raw, dict, f"{root}/"), "schema", (SCHEMA,), root, SCHEMA)
+    try:
+        _check(raw, dict)
+    except _Refused as exc:
+        raise ScenarioError(f"{root}/{exc}") from None
+    _field(raw, "schema", (SCHEMA,), root, SCHEMA)
     return raw
 
 
@@ -233,8 +254,8 @@ def _unique_label(entry: dict | str, at: str, seen: dict, default: str = "") -> 
     in ``seen`` (label -> pointer of its entry); a label already seen is
     exit 2 at the later label, or at the later entry for a default."""
     label = entry if isinstance(entry, str) else _field(entry, "label", str, at, default)
-    where = _pointer(at, "label") if isinstance(entry, dict) and "label" in entry else at
     if label in seen:
+        where = _pointer(at, "label") if isinstance(entry, dict) and "label" in entry else at
         raise ScenarioError(f"{where}: {label!r} is also the label of {seen[label]}")
     seen[label] = at
     return label
@@ -500,6 +521,10 @@ def render_text(report: dict) -> str:
         lines.append(f"target: {report['target']}")
     if "verdict" in report:
         lines.append(f"verdict: {report['verdict']}")
+    if "family" in report:  # satake-act: the class and its transport
+        lines.append(f"family: {report['family']}")
+        lines.append(f"input: {', '.join(report['input'])}")
+        lines.append(f"output: {', '.join(report['output'])}")
     if "statement" in report:
         lines.append(f"statement: {report['statement']}")
     for step in report.get("derivation", []):
@@ -579,11 +604,10 @@ def _weight(text: str) -> tuple:
     """An argparse type: comma-separated half-integers, each an integer or a
     "p/q" string as in a scenario, read doubled; an error names the entry by
     its index."""
-    entries = text.split(",") if text else ()
     try:
-        return tuple(_check(x, HALF_INTEGER, f"/{i}") for i, x in enumerate(entries))
-    except ScenarioError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        return tuple(_check(text.split(",") if text else [], [HALF_INTEGER]))
+    except _Refused as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

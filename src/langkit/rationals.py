@@ -3,11 +3,14 @@
 Every general rational in this library's interfaces is a
 `fractions.Fraction`.  A half-integer x (a Weyl weight coordinate, a
 ladder shift, a Satake q-exponent, an infinitesimal character entry) is
-held as the int 2x instead: `doubled` is the one conversion into that
-form, applied once where a value is parsed, and `half_str` renders the int
-2x as `rat_str` renders x, without building the Fraction.  Scenario files
-store rationals as strings like "3/2", "-1/2" or "2", the grammar
-`RATIONAL` matches; these helpers round-trip that format losslessly.
+held as the int 2x instead, converted once where the value is parsed:
+`doubled` converts a Fraction, and `doubled_str` reads a string in the
+`RATIONAL` grammar with int arithmetic alone, as the scenario reader
+(`cli._check`) does for every half-integer entry.  `half_str` renders
+the int 2x as `rat_str` renders x, without building the Fraction.
+Scenario files store rationals as strings like "3/2", "-1/2" or "2", the
+grammar `RATIONAL` matches; these helpers round-trip that format
+losslessly.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ def rat(x) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Canonical "p/q" (or "p") rendering used in scenario files and reports."""
-    x = Fraction(x)
+    """Canonical "p/q" (or "p") rendering of a Fraction or an int, as used in
+    scenario files and reports."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -49,3 +52,13 @@ def doubled(x: Fraction):
         return None
     return x.numerator * (2 // x.denominator)
 
+
+def doubled_str(text: str):
+    """`doubled(rat(text))` for a string in the `RATIONAL` grammar, read
+    with int arithmetic and no Fraction.  As in `rat`, a zero denominator
+    raises ZeroDivisionError and a part past int's digit limit ValueError."""
+    p, _, q = text.strip().partition("/")
+    if not q:
+        return 2 * int(p)
+    x2, r = divmod(2 * int(p), int(q))
+    return None if r else x2

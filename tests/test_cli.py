@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import itertools
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from langkit import cli
+from langkit.rationals import RATIONAL, doubled
 
 LIBRARY = (
     "thmA",
@@ -1200,6 +1202,69 @@ def test_bad_weight_is_a_usage_error(weight, message):
     assert proc.stderr.startswith("usage: langkit kostant")
     assert proc.stderr.endswith(f"error: argument --weight: {message}\n")
     assert "Traceback" not in proc.stderr
+
+
+def _half_integer_oracle(value):
+    """("ok", 2x) or ("refused", the text after the pointer), read through
+    Fraction's own parser and `doubled`: the reference for the int reader."""
+    if type(value) is int:
+        return "ok", 2 * value
+    try:
+        if type(value) is str and RATIONAL.fullmatch(value):
+            x2 = doubled(Fraction(value.strip()))
+            if x2 is None:
+                return "refused", f": must be a half-integer, not {json.dumps(value)}"
+            return "ok", x2
+    except (ValueError, ZeroDivisionError):
+        pass
+    return "refused", f': must be an integer or a "p/q" string, not {json.dumps(value)}'
+
+
+BIG = "1" * 4301  # one digit past int's default string-conversion limit
+HALF_INTEGER_GRID = (
+    *(0, 1, -1, 7, -12, 10**40),
+    *(True, False, None, 1.5, 2.0, -0.5, [], {}, ["1/2"]),
+    *("0", "3", "-3", "+3", "3/2", "-3/2", "+3/2", "-7/2", "4/2", "-4/2", "3/6", "-3/6"),
+    *(" 5/2", "5/2 ", "\t-1/2\n", " +4 ", " 1/2 ", "- 1/2", "1 /2", "1/ 2"),
+    *("\x1c3/2\x1f", "\u20037\u3000", "\x1d-4"),  # Unicode spaces: int refuses \x1c-\x1f
+    *("-0/2", "+0/7", "00/02", "007", "0/1", "1/3", "-2/3", "5/4", "1/0", "0/0", "-1/0"),
+    *("1_0", "1e9", "1E9", "1.5", "1.", ".5", "", " ", "x", "3/-2", "3/+2", "1//2"),
+    *("1/2/3", "++1", "0x10", "١", "½", "inf", "nan"),
+    *(BIG, f"-{BIG}", f"{BIG}/2", f"1/{BIG}", f"{BIG}/{BIG}", f"{BIG}/0"),
+    *("1" * 4300, f"{'1' * 4300}/2", f"2/{'1' * 4300}", f"{'4' * 4300}/2"),
+)
+
+
+@pytest.mark.parametrize("key", ["r1", "a/b~c"])
+def test_half_integer_reader_agrees_with_the_fraction_oracle(key):
+    """A half-integer entry read straight to 2x, with no Fraction, agrees
+    with Fraction's parser and `doubled` on the value or on the exact
+    refusal text, pointer included, both in a scenario and in --weight."""
+    parent = "/records/0/infchar"
+    at = f"{parent}/{key.replace('~', '~0').replace('/', '~1')}/2"
+    mismatches = []
+    for value in HALF_INTEGER_GRID:
+        outcome, want = _half_integer_oracle(value)
+        try:
+            got = "ok", cli._field({key: ["1/2", 3, value]}, key, [cli.HALF_INTEGER], parent)
+        except cli.ScenarioError as exc:
+            got = "refused", str(exc)
+        expected = ("ok", [1, 6, want]) if outcome == "ok" else ("refused", f"{at}{want}")
+        if got != expected:
+            mismatches.append((value, got, expected))
+        if type(value) is not str or key != "r1":
+            continue
+        try:
+            got = "ok", cli._weight(f"1/2,3,{value}")
+        except argparse.ArgumentTypeError as exc:
+            got = "refused", str(exc)
+        expected = ("ok", (1, 6, want)) if outcome == "ok" else ("refused", f"/2{want}")
+        if got != expected:
+            mismatches.append(("--weight", value, got, expected))
+    assert mismatches == []
+    reached = {want.split(",")[0] for _, want in map(_half_integer_oracle, HALF_INTEGER_GRID)
+               if type(want) is str}
+    assert reached == {": must be a half-integer", ': must be an integer or a "p/q" string'}
 
 
 RETYPES = (None, True, 1.5, "x", [], {})
