@@ -550,15 +550,15 @@ def scenario_dir() -> Path:
 
 
 def _resolve_scenario_path(value: str) -> Path:
+    """The file ``value`` names: the value as a path, else ``<dir>/<value>``,
+    else ``<dir>/<value>.json``, with ``<dir>`` the `scenario_dir`."""
     p = Path(value)
     if p.exists():
         return p
-    candidate = scenario_dir() / value
-    if candidate.exists():
-        return candidate
-    candidate = scenario_dir() / f"{value}.json"
-    if candidate.exists():
-        return candidate
+    directory = scenario_dir()
+    for candidate in (directory / value, directory / f"{value}.json"):
+        if candidate.exists():
+            return candidate
     raise ScenarioError(f"/: scenario file {value!r} not found")
 
 

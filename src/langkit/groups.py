@@ -37,10 +37,10 @@ class GroupError(ValueError):
 class GroupDescriptor(Record):
     """One of GL(N), Res_{E/F}GL(N), Sp(2n), SO(2n+1), SO(2n), U(N).
 
-    ``size`` is N for the linear and unitary families, n for Sp/SO (so the
-    matrix size is 2n resp. 2n±1).  SO(2n) is the split form, the one the
-    Eisenstein constructions induce from, labelled SO{2n}^1 after its
-    trivial discriminant.
+    ``size`` is an int, as the scenario reader checks it: N for the linear
+    and unitary families, n for Sp/SO (so the matrix size is 2n resp.
+    2n±1).  SO(2n) is the split form, the one the Eisenstein constructions
+    induce from, labelled SO{2n}^1 after its trivial discriminant.
     """
 
     _fields = ("family", "size")
@@ -48,8 +48,6 @@ class GroupDescriptor(Record):
     def __init__(self, family: str, size: int):
         if family not in _FAMILIES:
             raise GroupError(f"unknown family {family!r}")
-        if type(size) is not int:
-            raise GroupError(f"size must be an int, not {size!r}")
         if family in (GL, RES_GL):
             if size < 1:
                 raise GroupError("linear groups need size ≥ 1")
@@ -155,11 +153,10 @@ def ambient_with_block(rho_duality: str, r: int, t: int) -> GroupDescriptor:
     """Ambient group containing GL_r × (core of the degree-t parameter), by
     the duality type of that parameter: symplectic ⇒ odd orthogonal;
     orthogonal of odd degree ⇒ symplectic; orthogonal of even degree ⇒
-    split even orthogonal."""
+    split even orthogonal.  A symplectic parameter has even degree t, as
+    `spectra.CuspidalRecord` makes it."""
     n = r + t // 2
     if rho_duality == "symplectic":
-        if t % 2 != 0:
-            raise GroupError("symplectic factors have even degree")
         return GroupDescriptor(SO_ODD, n)
     if rho_duality == "orthogonal":
         return GroupDescriptor(SP if t % 2 == 1 else SO_EVEN, n)

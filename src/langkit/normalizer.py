@@ -113,7 +113,8 @@ AUX_KINDS = {
 def factor_normalization(
     pi: QuasiTemperedGL, rho: QuasiTemperedSelfdual, aux_kind: str = "wedge2"
 ) -> list:
-    """The four elementary ratio families of the normalization factor.
+    """The four elementary ratio families of the normalization factor;
+    ``aux_kind`` is a key of `AUX_KINDS`, as the scenario reader checks it.
 
     (i)   pair of each block with the untwisted discrete part, at s+a_i;
     (ii)  pairs with each inverse pair at s+a_i∓b_j (the minus twist is the
@@ -121,8 +122,6 @@ def factor_normalization(
     (iii) cross pairs of blocks at 2s+a_i+a_j, i<j;
     (iv)  the auxiliary square of each block at 2s+2a_i.
     """
-    if aux_kind not in AUX_KINDS:
-        raise NormalizerError(f"auxiliary kind must be one of {tuple(AUX_KINDS)}")
     out = []
     rho_label = "+".join(rho.selfdual_parts)
     for seg in pi.segments:
@@ -217,10 +216,9 @@ def intertwining_word(t: int, u: int) -> dict:
 
     Lengths are tu, tu + t(t-1)/2 + t and t(t-1)/2 + 2tu + t; the product
     of the factors (first applied first) is the full word and the lengths
-    add, or `NormalizerError` is raised.
+    add, or `NormalizerError` is raised.  ``t`` ≥ 1 and ``u`` ≥ 0, as its
+    callers pass them: a `QuasiTemperedGL` holds at least one block.
     """
-    if t < 1 or u < 0:
-        raise NormalizerError("need t ≥ 1, u ≥ 0")
     w1, w2, w = block_shuffle_word(t, u), flip_word(t, u), full_word(t, u)
     lengths = (w1.length(), w2.length(), w.length())
     expected = (

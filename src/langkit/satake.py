@@ -18,7 +18,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .groups import GL, RES_GL, SO_ODD, UNITARY, GroupDescriptor
+from .groups import GL, RES_GL, SO_EVEN, SO_ODD, SP, UNITARY, GroupDescriptor
 from .rationals import RATIONAL, doubled, half_str, rat
 from .record import Record
 
@@ -51,33 +51,15 @@ class Eigenvalue(Record):
 
     The half-integral q-exponent is held doubled as the int ``q2``, so the
     transports below never build a `Fraction` and `serialize` renders it
-    with `half_str`.  The ``unit`` must already be in normal form: it is
-    normalized only where it is parsed (`parse_eigenvalue`) or mapped
-    (`AutModel.apply_unit`).
+    with `half_str`.  The ``unit`` is in normal form and ``sign`` is ±1:
+    every eigenvalue is parsed (`parse_eigenvalue` normalizes), transported
+    (`AutModel.apply_unit` keeps the normal form) or a generic unit of
+    `bc_chain_check`.
     """
 
     _fields = ("q2", "unit", "sign")
 
     def __init__(self, q2: int, unit: tuple = (), sign: int = 1):
-        if type(q2) is not int:
-            raise SatakeError(f"doubled q-exponent must be an int, not {q2!r}")
-        ok = type(unit) is tuple
-        prev = None  # one loop, no generators: transports build thousands of these
-        for p in unit if ok else ():
-            if (
-                type(p) is not tuple or len(p) != 2 or type(p[0]) is not str
-                or type(p[1]) is not int or not p[1]
-                or (prev is not None and prev >= p[0])
-            ):
-                ok = False
-                break
-            prev = p[0]
-        if not ok:
-            raise SatakeError(
-                f"unit must be a sorted tuple of (symbol, nonzero int) pairs: {unit!r}"
-            )
-        if sign not in (1, -1):
-            raise SatakeError("sign must be ±1")
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "sign", sign)
@@ -132,14 +114,21 @@ def parse_eigenvalue(text: str) -> Eigenvalue:
 
 
 class SatakeClass(Record):
-    """Multiset of eigenvalues tagged by group family.  It names no place:
+    """Multiset of eigenvalues tagged by group family, one per dimension of
+    the family's standard dual representation: N for GL(N), ResGL(N) and
+    U(N), 2n+1 for Sp(2n), 2n for SO(2n+1) and SO(2n).  It names no place:
     eps, the one datum of the action a place could change, is the same
     sign at every place."""
 
     _fields = ("eigenvalues", "family")
 
     def __init__(self, eigenvalues: tuple, family: GroupDescriptor):
-        object.__setattr__(self, "eigenvalues", tuple(sorted(eigenvalues, key=Eigenvalue.sort_key)))
+        eigenvalues = tuple(sorted(eigenvalues, key=Eigenvalue.sort_key))
+        n = family.size
+        dim = {SP: 2 * n + 1, SO_ODD: 2 * n, SO_EVEN: 2 * n}.get(family.family, n)
+        if len(eigenvalues) != dim:
+            raise SatakeError(f"{family.label()} takes {dim} eigenvalues, not {len(eigenvalues)}")
+        object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "family", family)
 
     def map_eigenvalues(self, fn) -> "SatakeClass":
@@ -155,8 +144,8 @@ class AutModel(Record):
     archimedean embeddings.
 
     ``unit_map`` permutes unit symbols; ``eps`` is the sign 1 or -1 (an
-    int, never a bool), the same at every place; ``embedding_map``
-    permutes embedding labels.
+    int, never a bool, as the scenario reader checks it), the same at every
+    place; ``embedding_map`` permutes embedding labels.
     """
 
     _fields = ("unit_map", "eps", "embedding_map")
@@ -173,8 +162,6 @@ class AutModel(Record):
                 raise SatakeError(f"{name} must be a bijection on {domain}")
             moved = sorted((x, y) for x, y in table.items() if x != y)
             object.__setattr__(self, name, tuple(moved))
-        if type(eps) is not int or eps not in (1, -1):
-            raise SatakeError(f"eps must be the int 1 or -1, not {eps!r}")
         object.__setattr__(self, "eps", eps)
 
     def apply_unit(self, unit: tuple) -> tuple:
@@ -245,9 +232,8 @@ def bc_chain_check(n: int, r: int, aut: AutModel):
     computed step by step through the eps_m twists.  Right side:
     diag(q^{1/2}, q^{-1/2}) ⊗ (twisted transport of the degree-n class)
     ⊕ (transport of the degree-r class).  Returns (ok, steps, mismatch).
+    ``n`` ≥ 1 and ``r`` ≥ 0: two record degrees, or a point of `selftest`'s grid.
     """
-    if n < 1 or r < 0:
-        raise SatakeError("need n ≥ 1 and r ≥ 0")
     N = 2 * n + r
     Mpi = [Eigenvalue(0, ((f"u{i}", 1),)) for i in range(1, n + 1)]
     Mrho = [Eigenvalue(0, ((f"w{j}", 1),)) for j in range(1, r + 1)]

@@ -37,8 +37,9 @@ class SpectraError(ValueError):
 class CuspidalRecord(Record):
     """Formal descriptor of a cuspidal representation.
 
-    ``eta`` is the parity sign of a conjugate-self-dual record (which of
-    the two twisted-tensor factors has the pole).  ``weight`` is the
+    ``degree`` is ≥ 1, as the scenario reader checks it.  ``eta`` is the
+    parity sign of a conjugate-self-dual record (which of the two
+    twisted-tensor factors has the pole).  ``weight`` is the
     unitary-normalization twist; ``algebraicity`` the regularity class.
     """
 
@@ -56,8 +57,6 @@ class CuspidalRecord(Record):
         infchar: InfChar | None = None,
     ):
         weight = rat(weight)
-        if degree < 1:
-            raise SpectraError("degree must be ≥ 1")
         if duality not in _DUALITIES:
             raise SpectraError(f"unknown duality {duality!r}")
         if duality == CONJ_SELFDUAL:
@@ -142,17 +141,8 @@ class CuspidalSum(Record):
 
     def __init__(self, terms: tuple):
         """``terms`` is ((CuspidalRecord, j), ...)."""
-        terms = tuple(sorted(_doubled_shifts(terms), key=lambda t: (t[0].label, t[0].degree, t[1])))
+        terms = tuple(sorted(terms, key=lambda t: (t[0].label, t[0].degree, t[1])))
         object.__setattr__(self, "terms", terms)
-
-
-def _doubled_shifts(pairs) -> tuple:
-    """The (record, j) pairs as a tuple, once each doubled shift j is an int."""
-    pairs = tuple(pairs)
-    for _, j in pairs:
-        if type(j) is not int:
-            raise SpectraError(f"doubled shift must be an int, not {j!r}")
-    return pairs
 
 
 def expand(p: ArthurParameter) -> CuspidalSum:
@@ -217,7 +207,7 @@ class LeviCandidate(Record):
 
     def __init__(self, blocks: tuple, core: ArthurParameter):
         """``blocks`` is ((CuspidalRecord, j), ...), j = 2·shift an int."""
-        object.__setattr__(self, "blocks", _doubled_shifts(blocks))
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "core", core)
 
 
@@ -228,8 +218,6 @@ class Verdict(Record):
     _fields = ("reason", "block")
 
     def __init__(self, reason: str, block: tuple | None = None):
-        if block is not None:
-            _doubled_shifts((block,))
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "block", block)
 

@@ -94,6 +94,38 @@ def test_every_rule_is_named_by_the_code():
     assert sorted(set(rules.RULES) - literals) == []
 
 
+# rule and open-choice ids that no golden cites, each with the reason; an id
+# that a golden comes to cite must leave this table
+UNCITED_IDS = {
+    "dichotomy": "no library scenario declares a central zero (central_order >= 1)",
+    "complex-place-count-parity": "no library target-D scenario has a complex place",
+}
+
+
+def _golden_reports():
+    """Each JSON report under tests/golden/: a file that is one, and each
+    string value of a file that renders one."""
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        yield data
+        for value in data.values():
+            if isinstance(value, str) and value.startswith("{"):
+                yield json.loads(value)
+
+
+def test_every_rule_and_open_choice_is_cited_by_a_golden():
+    """A golden cites a rule by a "citation" or "rule" value and an open
+    choice by a "warnings" item."""
+    from langkit import rules
+
+    cited = set()
+    for report in _golden_reports():
+        cli._rule_ids(report, cited)
+        cited.update(report.get("warnings", []))
+    uncited = (set(rules.RULES) | set(rules.OPEN_CHOICES)) - cited
+    assert sorted(uncited) == sorted(UNCITED_IDS)
+
+
 # public functions with no caller in the package: the kostant command shares
 # their private cores (one level search for the representatives and the
 # weights), and the benchmark calls them by name
@@ -1044,6 +1076,19 @@ DROP = object()  # a patch value that removes its key from the scenario
             for token, exponent in (
                 ("q^1_0", "1_0"), ("q^1.5*u", "1.5"), ("q^1e1", "1e1"), ("q^1/-2", "1/-2"),
             )
+        ),
+        # a class holds one eigenvalue per dimension of the standard dual representation
+        *(
+            ("satake-act",
+             {**THM_E, "satake_class": {**THM_E["satake_class"], "eigenvalues": eigenvalues}},
+             f"/satake_class: ResGL2 takes 2 eigenvalues, not {len(eigenvalues)}")
+            for eigenvalues in (["u1"], ["u1", "u2", "u3", "u4", "u5"])
+        ),
+        # the ratio signs are read as signs whatever the target
+        *(
+            ("root-number", {"ratio_flags": {key: bad}},
+             f"/ratio_flags/{key}: must be one of 1, -1, not {bad}")
+            for key, bad in (("eps_sqrt_disc", 2), ("eps_i", 0))
         ),
     ],
 )

@@ -177,11 +177,6 @@ class TestWords:
         with pytest.raises(NormalizerError, match="does not decompose additively"):
             intertwining_word(2, 1)
 
-    def test_refuses_an_empty_block_range(self):
-        for t, u in ((0, 1), (1, -1)):
-            with pytest.raises(NormalizerError, match="need t ≥ 1, u ≥ 0"):
-                intertwining_word(t, u)
-
 
 class TestVerdict:
     def test_no_pairs_two_part_certificate(self):

@@ -119,7 +119,9 @@ SAMPLES = {
     Eigenvalue: (lambda: Eigenvalue(1, (("u", 1),), -1), lambda: Eigenvalue(0)),
     SatakeClass: (
         lambda: SatakeClass((Eigenvalue(1), Eigenvalue(-1)), GroupDescriptor("GL", 2)),
-        lambda: SatakeClass((), GroupDescriptor(SP, 1)),
+        lambda: SatakeClass(
+            (Eigenvalue(1), Eigenvalue(0), Eigenvalue(-1)), GroupDescriptor(SP, 1)
+        ),
     ),
     AutModel: (
         lambda: AutModel((("v", "u"), ("u", "v")), -1, (("b", "a"), ("a", "b"))),
