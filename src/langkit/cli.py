@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__, rules
@@ -539,7 +540,74 @@ def render_text(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
+    it, plus a newline.  A report holds str-keyed dicts, lists, str, int,
+    bool and None only; any other value, or a non-str key, is json's
+    ``TypeError``.  json's own encoder runs in pure Python whenever
+    ``indent`` is set; this writer hands each string to json's C escaper
+    and each int to ``int.__repr__``, and joins one list once."""
+    out = []
+    _write_json(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(node, newline: str, put) -> None:
+    """Pass the text of node, a dict or a list, to put in pieces; newline is
+    "\\n" plus the indent of the line node starts on."""
+    inner = newline + "  "
+    comma = "," + inner
+    if type(node) is dict:
+        if not node:
+            put("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(node.items()):
+            if type(key) is not str:
+                raise TypeError(f"Object of type {type(key).__name__} is not JSON serializable")
+            head = sep + _json_str(key) + ": "
+            kind = type(value)
+            if kind is str:
+                put(head + _json_str(value))
+            elif kind is int:
+                put(head + int.__repr__(value))
+            elif kind is dict or kind is list:
+                put(head)
+                _write_json(value, inner, put)
+            elif value is None:
+                put(head + "null")
+            elif value is True:
+                put(head + "true")
+            elif value is False:
+                put(head + "false")
+            else:
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            sep = comma
+        put(newline + "}")
+        return
+    if not node:
+        put("[]")
+        return
+    sep = "[" + inner
+    for value in node:
+        kind = type(value)
+        if kind is str:
+            put(sep + _json_str(value))
+        elif kind is int:
+            put(sep + int.__repr__(value))
+        elif kind is dict or kind is list:
+            put(sep)
+            _write_json(value, inner, put)
+        elif value is None:
+            put(sep + "null")
+        elif value is True:
+            put(sep + "true")
+        elif value is False:
+            put(sep + "false")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        sep = comma
+    put(newline + "]")
 
 
 def scenario_dir() -> Path:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import importlib
 import itertools
 import json
@@ -11,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langkit import cli
 from langkit.rationals import RATIONAL, doubled
@@ -1467,3 +1470,102 @@ def test_library_invocation_matches_golden(capsys, key):
     assert {"exit": code, "stderr": captured.err} == INVOCATIONS[key]
     if code == 0:
         assert captured.out.encode() == REPORTS[f"{command} {name} {fmt}"].encode()
+
+
+# render_json: byte-equal to the stdlib's indent encoder on the report domain
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# quote, backslash, control characters, the line and paragraph separators,
+# non-ASCII and astral characters (written as surrogate pairs)
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\\x00\x08\x1f\x7f\n\t/ a\u2028\u2029≥σ\U0001d11e\U0001f600') | st.characters()
+)
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((0, -1, 2**64, 2**64 + 1, -(2**64) - 1, 10**30))
+    | _JSON_TEXT
+    | st.sampled_from(([], {})),  # empty containers as leaves, at any depth
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(_JSON_TEXT, _JSON_TREES, max_size=5))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_render_json_is_the_stdlib_encoder(report):
+    assert cli.render_json(report) == _stdlib_json(report)
+
+
+@pytest.mark.parametrize(
+    "family,weight,sha256",
+    [
+        ("C", "10,9,8,7,6,5,4,3,2,1", "2b3786a8"),
+        ("D", "19/2,17/2,15/2,13/2,11/2,9/2,7/2,5/2,3/2,1/2", "4ee13840"),
+    ],
+)
+def test_large_kostant_report_is_the_stdlib_encoding(capsys, family, weight, sha256):
+    """C10(5|5) and D10(5|5), the largest reports the tests run, print as the
+    stdlib encoder renders them, with the recorded sha256s."""
+    argv = ["kostant", "--family", family, "--rank", "10", "--blocks", "5", "--core", "5",
+            "--weight", weight]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    # a bare bool: pytest's diff of two ~3 MB strings would take minutes
+    same = out == _stdlib_json(cli.run("kostant", None, cli.build_parser().parse_args(argv)))
+    assert same
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(sha256)
+
+
+def _off_domain(node, at=""):
+    """The pointers below node to a value render_json refuses."""
+    if type(node) is dict:
+        for key, value in node.items():
+            if type(key) is not str:
+                yield f"{at}: key {key!r}"
+            else:
+                yield from _off_domain(value, f"{at}/{key}")
+    elif type(node) is list:
+        for i, value in enumerate(node):
+            yield from _off_domain(value, f"{at}/{i}")
+    elif type(node) not in (str, int, bool, type(None)):
+        yield f"{at}: {type(node).__name__}"
+
+
+def test_golden_reports_hold_only_the_writers_types():
+    """The report behind every reports.json row, every kostant.json row and
+    selftest holds only values render_json writes."""
+    parser = cli.build_parser()
+    reports = {
+        f"{command} {name}": cli.run(command, name)
+        for command, name in {tuple(key.split()[:2]) for key in REPORTS}
+    }
+    for argv in KOSTANT_GOLDEN:
+        reports[argv] = cli.run("kostant", None, parser.parse_args(argv.split()))
+    reports["selftest"] = cli.run("selftest", None)
+    assert len(reports) == 43
+    assert {key: off for key, r in reports.items() if (off := list(_off_domain(r)))} == {}
+
+
+@pytest.mark.parametrize(
+    "report,name",
+    [
+        ({"x": [0.5]}, "float"),
+        ({"x": {"y": (1, 2)}}, "tuple"),
+        ({"x": Fraction(1, 2)}, "Fraction"),
+        ({"x": {1: "y"}}, "int"),
+    ],
+)
+def test_render_json_refuses_values_outside_the_report_domain(report, name):
+    """json would write the float, the tuple and the int key; the writer
+    refuses them with json's own text, so a stray one fails loudly."""
+    with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+        cli.render_json(report)
+    if name != "Fraction":
+        assert _stdlib_json(report)
