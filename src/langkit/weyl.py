@@ -18,8 +18,9 @@ search upward from the identity on integer windows: the cost follows the
 Deodhar's lemma (Deodhar, Invent. Math. 39, 1977; Björner–Brenti, §2.5):
 when u is minimal in W_M·u and u(α_s) > 0, us is minimal in its coset
 unless u(α_s) is a simple root of the Levi.  A simple root lies on one or
-two adjacent coordinates, so the step reads two window entries, makes one
-comparison and one set lookup, and rewrites one or two entries; and each
+two adjacent coordinates, so the step reads two window entries: one sign
+comparison settles a descent, and only an ascent builds the image root's
+key for one set lookup and rewrites one or two entries.  Each
 representative is built once, from the parent reached through its first
 descent.
 
@@ -29,7 +30,9 @@ the unipotent radical by an integer pairing; 2ρ is the int sum of the
 positive roots.  One private search, `_kostant_windows`, serves
 `kostant_reps`, which wraps its windows in `SignedPerm`s, and
 `kostant_weights` (and the `kostant` command), which act with the raw
-windows: the shifted weights 2(w(λ+ρ)-ρ) are computed on ints, and
+windows: the shifted weights 2(w(λ+ρ)-ρ) are computed on ints, each
+window reading its entries from one table per call that holds, for each
+position and window value, the entry 2(λ+ρ) sends there less 2ρ, and
 dominance is read off the sign of an integer pairing.  A `Weight` holds
 its coordinates doubled, so no `Fraction` is built between
 `Weight(coords)` and the rendered output; `Weight.coords` derives them.
@@ -377,11 +380,6 @@ def _signed_key(root):
     return key if len(key) == 2 else key[0]
 
 
-def _positive(p: int, q: int) -> bool:
-    """Whether the root keyed (p, q) in either order is positive."""
-    return p > 0 if abs(p) < abs(q) else q > 0
-
-
 def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> list:
     """The level search behind `kostant_reps`: [(window, length)] with
     int-tuple windows, sorted by (length, window).
@@ -392,8 +390,10 @@ def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> list:
     keyed (`_signed_key`) by a = u[i] and -b = -u[i+1], and us swaps those
     two entries; the last root's image is keyed by u[n-1] (B, C) or by
     u[n-2] and u[n-1] (D), and us negates the one entry or swaps and
-    negates the two.  So each step reads two entries and makes one
-    comparison and one Levi lookup.
+    negates the two.  The image is positive iff the entry of smaller
+    absolute value is (a for |a| < |b|, else -b), so a descent costs one
+    comparison; only for an ascent is the key built and looked up in the
+    Levi.
 
     Each v is built once, from the u = vs where s is v's first descent in
     that order: us is kept only when (us)(α_j) > 0 for each simple root
@@ -406,36 +406,44 @@ def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> list:
     n, family = datum.dim, datum.family
     levi = frozenset(map(_signed_key, shape.levi_simple_roots()))
     top = _POSITIVE_ROOT_COUNTS[family](datum.rank)
+    steps = [(i, i + 1, i + 2) for i in range(n - 1)]
     level = [tuple(range(1, n + 1))]
     found = []
     ell = 0
     while level:
         if ell > top:
             raise WeylError(f"level {ell} exceeds the {top} positive roots")
-        found.extend((u, ell) for u in sorted(level))
+        level.sort()
+        found += [(u, ell) for u in level]
         nxt = []
         add = nxt.append
         for u in level:
             first = n  # u's first descent among the α_i seen so far
-            for i in range(n - 1):
+            for i, j, k in steps:
                 if first < i - 1:
                     break
-                a, b = u[i], u[i + 1]
-                key = (a, -b) if abs(a) < abs(b) else (-b, a)
-                if key[0] < 0:
-                    first = min(first, i)
-                elif key not in levi and (i == 0 or _positive(u[i - 1], -b)):
-                    add(u[:i] + (b, a) + u[i + 2:])
+                a = u[i]
+                b = u[j]
+                if a < 0 if abs(a) < abs(b) else b > 0:
+                    if first == n:
+                        first = i
+                # an ascent: u(α_i) not a Levi root, and (us)(α_{i-1}) > 0,
+                # the root keyed (u[i-1], -b)
+                elif ((a, -b) if abs(a) < abs(b) else (-b, a)) not in levi and (
+                    i == 0 or (u[i - 1] > 0 if abs(u[i - 1]) < abs(b) else b < 0)
+                ):
+                    add(u[:i] + (b, a) + u[k:])
             if family == "D" and first >= n - 3:
                 # α_{n-2} is orthogonal to the last root, α_{n-3} joined to it
                 a, b = u[-2], u[-1]
                 key = (a, b) if abs(a) < abs(b) else (b, a)
-                if (key[0] > 0 and key not in levi and _positive(a, -b)
-                        and (n == 2 or _positive(u[-3], b))):
+                if (key[0] > 0 and key not in levi
+                        and (a > 0 if abs(a) < abs(b) else b < 0)
+                        and (n == 2 or (u[-3] > 0 if abs(u[-3]) < abs(b) else b > 0))):
                     add(u[:-2] + (-b, -a))
             elif family in "BC" and first >= n - 2:
                 c = u[-1]
-                if c > 0 and c not in levi and (n == 1 or _positive(u[-2], c)):
+                if c > 0 and c not in levi and (n == 1 or u[-2] > 0 or abs(u[-2]) > c):
                     add(u[:-1] + (-c,))
         level = nxt
         ell += 1
@@ -476,22 +484,33 @@ def _twice_lambda(twice_lam: tuple, datum: RootDatum) -> tuple:
 
 def _shifted_weights(twice_lam: tuple, datum: RootDatum, shape: ParabolicShape, windows) -> list:
     """The step behind `kostant_weights`: [(length, w(λ+ρ)-ρ)] over the
-    (window, length) pairs of `_kostant_windows`, for 2λ = ``twice_lam``."""
+    (window, length) pairs of `_kostant_windows`, for 2λ = ``twice_lam``.
+
+    A window w sends coordinate j of 2(λ+ρ) to coordinate |w[j]|-1 with the
+    sign of w[j], so one table per call serves every window: ``rows[j][v]``
+    is the doubled entry that the value v at position j writes there, 2ρ
+    already subtracted (a negative v reads from the end of the row).
+    """
     twice_rho = datum.twice_rho()
-    twice_shift = [x + r for x, r in zip(twice_lam, twice_rho)]
+    n = len(twice_rho)
+    rows = []
+    for x, r in zip(twice_lam, twice_rho):
+        row = [0] * (2 * n + 1)
+        for c, rc in enumerate(twice_rho, start=1):
+            row[c] = x + r - rc
+            row[-c] = -x - r - rc
+        rows.append(row)
     levi = list(map(_terms, shape.levi_simple_roots()))
+    new = Weight.__new__
     out = []
     for w, ell in windows:
-        acted = [0] * len(w)
-        for x, v in zip(twice_shift, w):
-            if v > 0:
-                acted[v - 1] = x
-            else:
-                acted[-v - 1] = -x
-        shifted = [x - r for x, r in zip(acted, twice_rho)]
-        if not _pairs_nonnegative(levi, shifted):
-            raise WeylError("shifted weight is not Levi-dominant")
-        weight = Weight.__new__(Weight)  # already doubled: nothing to convert
+        shifted = [0] * n
+        for row, v in zip(rows, w):
+            shifted[abs(v) - 1] = row[v]
+        for a, i, b, j in levi:
+            if a * shifted[i] + b * shifted[j] < 0:
+                raise WeylError("shifted weight is not Levi-dominant")
+        weight = new(Weight)  # already doubled: nothing to convert
         object.__setattr__(weight, "twice", tuple(shifted))
         out.append((ell, weight))
     return out
@@ -503,7 +522,8 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     λ must be dominant; every returned weight is dominant for the Levi and
     the degree of each entry is the length of its representative.  The
     weights are computed doubled, on integers: each representative's
-    window, as `_kostant_windows` returns it, acts on 2(λ+ρ) directly,
+    window, as `_kostant_windows` returns it, reads its entries of
+    2(w(λ+ρ)-ρ) from one table built per call (`_shifted_weights`),
     dominance is read off the sign of the integer pairing, and each
     returned `Weight` keeps the doubled coordinates.
     """

@@ -17,6 +17,7 @@ from langkit.weyl import (
     WeylError,
     _POSITIVE_ROOT_COUNTS,
     _kostant_windows,
+    _shifted_weights,
     _then,
     all_signed_perms,
     bfs_lengths,
@@ -288,6 +289,40 @@ class TestKostant:
         datum = RootDatum("C", 3)
         with pytest.raises(WeylError):
             ParabolicShape((3,), 2, datum)
+
+
+# ---------------------------------------------------------------------------
+# each guard of the two kernels, by its message
+
+
+def test_level_search_refuses_a_shape_of_another_datum():
+    shape = ParabolicShape((1,), 2, RootDatum("B", 3))
+    with pytest.raises(WeylError, match="^shape does not belong to this datum$"):
+        _kostant_windows(RootDatum("C", 3), shape)
+
+
+def test_level_search_stops_past_the_positive_root_count(monkeypatch):
+    monkeypatch.setitem(_POSITIVE_ROOT_COUNTS, "C", lambda n: 0)
+    datum = RootDatum("C", 2)
+    with pytest.raises(WeylError, match="^level 1 exceeds the 0 positive roots$"):
+        _kostant_windows(datum, ParabolicShape((1,), 1, datum))
+
+
+def test_level_search_checks_the_coset_count(monkeypatch):
+    # C2(1|1) has |W|/|W_M| = 8/2 representatives; a Levi of order 1 wants 8
+    monkeypatch.setattr(ParabolicShape, "levi_order", lambda self: 1)
+    datum = RootDatum("C", 2)
+    with pytest.raises(WeylError, match="^found 4 representatives, expected 8$"):
+        _kostant_windows(datum, ParabolicShape((1,), 1, datum))
+
+
+def test_shifted_weights_refuse_a_window_that_is_not_minimal():
+    # the Levi reflection of e_1 - e_2 sends 2ρ = (4, 2) to (2, 4): the
+    # shifted weight (-2, 2) pairs negatively with e_1 - e_2
+    datum = RootDatum("C", 2)
+    shape = ParabolicShape((2,), 0, datum)
+    with pytest.raises(WeylError, match="^shifted weight is not Levi-dominant$"):
+        _shifted_weights((0, 0), datum, shape, [((1, 2), 0), ((2, 1), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -818,24 +853,30 @@ def test_is_dominant_matches_the_cartan_test():
     assert seen == {(f, b) for f in "ABCD" for b in (True, False)}
 
 
+def assert_fraction_weights(lam, datum, shape):
+    """`kostant_weights` is w(λ+ρ)-ρ in Fractions, over the representatives."""
+    assert cartan_is_dominant(datum, lam)
+    rho = fraction_rho(datum).coords
+    shifted = tuple(x + r for x, r in zip(lam.coords, rho))
+    expected = [
+        (ell, Weight(tuple(x - r for x, r in zip(act_coords(w, shifted), rho))))
+        for w, ell in kostant_reps(datum, shape)
+    ]
+    assert kostant_weights(lam, datum, shape) == expected
+
+
 @pytest.mark.parametrize(
     "datum", [d for d in ORACLE_DATA if d.rank <= 4], ids=lambda d: f"{d.family}{d.rank}"
 )
 def test_kostant_weights_match_fraction_arithmetic(datum):
-    """w(λ+ρ)-ρ in Fractions, over the representatives, for a seeded dominant λ."""
+    """Every shape up to rank 4, each with a seeded dominant λ."""
     rng = random.Random(datum.dim * 10 + "ABCD".index(datum.family))
-    rho = fraction_rho(datum).coords
     for shape in all_shapes(datum.family, datum.rank):
         half = rng.randint(0, 1)
-        coords = sorted((Fraction(2 * rng.randint(0, 3) + half, 2) for _ in rho), reverse=True)
-        lam = Weight(tuple(coords))
-        assert cartan_is_dominant(datum, lam)
-        shifted = tuple(x + r for x, r in zip(lam.coords, rho))
-        expected = [
-            (ell, Weight(tuple(x - r for x, r in zip(act_coords(w, shifted), rho))))
-            for w, ell in kostant_reps(datum, shape)
-        ]
-        assert kostant_weights(lam, datum, shape) == expected
+        coords = sorted(
+            (Fraction(2 * rng.randint(0, 3) + half, 2) for _ in range(datum.dim)), reverse=True
+        )
+        assert_fraction_weights(Weight(tuple(coords)), datum, shape)
 
 
 KOSTANT_CASES = [
@@ -847,6 +888,20 @@ KOSTANT_CASES = [
     ("A", 6, (3, 4), 0),
     ("C", 10, (5,), 5),
 ]
+
+
+@pytest.mark.parametrize("family,rank,blocks,core", KOSTANT_CASES[:-1])
+def test_ladder_weights_match_fraction_arithmetic(family, rank, blocks, core):
+    """The benchmark's six shapes, each with a zero, an integral and a
+    half-odd dominant λ; for D the half-odd λ ends in a negative entry."""
+    datum = RootDatum(family, rank)
+    shape = ParabolicShape(blocks, core, datum)
+    n = datum.dim
+    half_odd = [Fraction(2 * (n - i) - 1, 2) for i in range(n)]
+    if family == "D":
+        half_odd[-1] = -half_odd[-1]
+    for coords in ((0,) * n, tuple((n - i) // 2 for i in range(n)), tuple(half_odd)):
+        assert_fraction_weights(Weight(coords), datum, shape)
 
 
 @pytest.mark.parametrize("family,rank,blocks,core", KOSTANT_CASES)
@@ -877,7 +932,6 @@ INTEGER_KERNEL = {
     "_terms",
     "_pairs_nonnegative",
     "_signed_key",
-    "_positive",
     "_kostant_windows",
     "_twice_lambda",
     "_shifted_weights",
