@@ -291,8 +291,9 @@ def pole_at_half(
     The declared central order replaces the ledger for the pair factor at
     the half point; every other factor order is a ledger lookup, and the
     denominators must be regular.  The pole exists exactly when the total
-    order is negative: auxiliary pole present and no central zero.
-    ``central_order`` ≥ 0 is an order of vanishing, as the reader checks it.
+    order is negative.  The central value is listed as nonzero only when
+    no central zero is declared and there is a pole.  ``central_order`` ≥ 0
+    is an order of vanishing, as the reader checks it.
     """
     pair, aux = quotient.numerator
     aux_point = aux.point_at(HALF)
@@ -322,7 +323,7 @@ def pole_at_half(
         ),
         ("epsilon factors are order-0 units", "epsilon-units"),
     ]
-    if total < 0:
+    if central_order == 0 and total < 0:
         contributing.append("central value nonzero: " + pair.serialize())
     return PoleDecision(total, tuple(contributing), tuple(derivation))
 
@@ -484,8 +485,10 @@ def theorem_pipeline(
     conclusion; ``strict`` refuses open-question choices.
 
     A declared central zero (``central_order`` ≥ 1) gives the vanishing
-    direction of the equivalence instead (both sides vanish).  Returns the
-    report payload: verdict, numbered derivation, sorted warnings and details.
+    direction of the equivalence instead (both sides vanish), whatever the
+    ledger's auxiliary order.  With no central zero the auxiliary pole is a
+    hypothesis: a quotient with no pole is refused.  Returns the report
+    payload: verdict, numbered derivation, sorted warnings and details.
     """
     if target not in ("A", "B", "C", "E"):
         raise EisensteinError(f"theorem_pipeline does not handle target {target!r}")
@@ -511,16 +514,22 @@ def theorem_pipeline(
         "pole": decision.serialize(),
     }
 
-    if not decision.has_pole:
+    if central_order >= 1:
         steps = [
             (
-                "declared central zero: the quotient stays regular at the half point",
+                f"declared central zero of order {central_order} at the half point",
                 "central-nonvanishing-gate",
             ),
             ("the central zero transports: both sides vanish", "dichotomy"),
         ]
         return _pipeline_report(
             "both sides vanish (order >= 1 on each side)", steps, warnings, details
+        )
+    if not decision.has_pole:
+        aux = quotient.numerator[1]
+        raise HypothesisError(
+            f"auxiliary pole missing: {aux.serialize()} has order {decision.total_order} "
+            f"at {rat_str(aux.point_at(HALF))}, and no central zero is declared"
         )
 
     psi = residual_parameter(pi, rho)

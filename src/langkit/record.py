@@ -5,7 +5,11 @@ own ``__init__`` with ``object.__setattr__``.  Two records are equal when
 they are of the same class with equal field tuples; the hash is the hash
 of the field tuple and the repr reads ``QualName(field=value, ...)``.
 Fields cannot be reassigned or deleted.  A record whose fields hold
-mutable containers sets ``__hash__ = None``.
+mutable containers sets ``__hash__ = None``.  An attribute that an
+instance caches (a ``functools.cached_property``, stored in the instance
+dict on first read) is not a field: equality, hash and repr read
+``_fields`` only, so two equal records stay equal whether or not either
+has filled its cache.
 """
 
 from operator import attrgetter

@@ -27,8 +27,11 @@ descent.
 The kernel is integer-only.  Roots are int vectors, built by one helper;
 the Levi's simple roots are selected from the datum's, and the roots of
 the unipotent radical by an integer pairing; 2ρ is the int sum of the
-positive roots.  One private search, `_kostant_windows`, serves
-`kostant_reps`, which wraps its windows in `SignedPerm`s, and
+positive roots.  The search runs once per `ParabolicShape` object, the
+first time its windows are read, and the shape keeps them as a cached
+attribute, `_windows`, which is not a field.  `_kostant_windows` checks
+that the shape belongs to the datum and hands out the kept windows to
+`kostant_reps`, which wraps them in `SignedPerm`s on every call, and to
 `kostant_weights` (and the `kostant` command), which act with the raw
 windows: the shifted weights 2(w(λ+ρ)-ρ) are computed on ints, each
 window reading its entries from one table per call that holds, for each
@@ -40,6 +43,7 @@ its coordinates doubled, so no `Fraction` is built between
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -353,6 +357,81 @@ class ParabolicShape(Record):
                 order *= 2 ** (m - 1) * math.factorial(m)
         return order
 
+    @functools.cached_property
+    def _windows(self) -> tuple:
+        """The level search behind `_kostant_windows`: ((window, length), ...)
+        with int-tuple windows, sorted by (length, window).  It runs the
+        first time a shape's windows are read and the shape keeps them: a
+        cached attribute is not a field, so equality, hash and repr do not
+        see it, and a search that raises stores nothing.
+
+        The simple roots, in the order of `RootDatum.simple_roots`, are
+        α_i = e_i - e_{i+1} (0-based, i < n-1), then the last root: e_{n-1} for
+        B, 2e_{n-1} for C, e_{n-2} + e_{n-1} for D.  For a window u, u(α_i) is
+        keyed (`_signed_key`) by a = u[i] and -b = -u[i+1], and us swaps those
+        two entries; the last root's image is keyed by u[n-1] (B, C) or by
+        u[n-2] and u[n-1] (D), and us negates the one entry or swaps and
+        negates the two.  The image is positive iff the entry of smaller
+        absolute value is (a for |a| < |b|, else -b), so a descent costs one
+        comparison; only for an ascent is the key built and looked up in the
+        Levi.
+
+        Each v is built once, from the u = vs where s is v's first descent in
+        that order: us is kept only when (us)(α_j) > 0 for each simple root
+        α_j before α_s.  For α_j orthogonal to α_s that is u(α_j) > 0, so the
+        scan over s stops two places after u's first descent; for the one α_j
+        joined to α_s in the Dynkin diagram it is read off two entries of u.
+        """
+        datum = self.ambient
+        n, family = datum.dim, datum.family
+        levi = frozenset(map(_signed_key, self.levi_simple_roots()))
+        top = _POSITIVE_ROOT_COUNTS[family](datum.rank)
+        steps = [(i, i + 1, i + 2) for i in range(n - 1)]
+        level = [tuple(range(1, n + 1))]
+        found = []
+        ell = 0
+        while level:
+            if ell > top:
+                raise WeylError(f"level {ell} exceeds the {top} positive roots")
+            level.sort()
+            found += [(u, ell) for u in level]
+            nxt = []
+            add = nxt.append
+            for u in level:
+                first = n  # u's first descent among the α_i seen so far
+                for i, j, k in steps:
+                    if first < i - 1:
+                        break
+                    a = u[i]
+                    b = u[j]
+                    if a < 0 if abs(a) < abs(b) else b > 0:
+                        if first == n:
+                            first = i
+                    # an ascent: u(α_i) not a Levi root, and (us)(α_{i-1}) > 0,
+                    # the root keyed (u[i-1], -b)
+                    elif ((a, -b) if abs(a) < abs(b) else (-b, a)) not in levi and (
+                        i == 0 or (u[i - 1] > 0 if abs(u[i - 1]) < abs(b) else b < 0)
+                    ):
+                        add(u[:i] + (b, a) + u[k:])
+                if family == "D" and first >= n - 3:
+                    # α_{n-2} is orthogonal to the last root, α_{n-3} joined to it
+                    a, b = u[-2], u[-1]
+                    key = (a, b) if abs(a) < abs(b) else (b, a)
+                    if (key[0] > 0 and key not in levi
+                            and (a > 0 if abs(a) < abs(b) else b < 0)
+                            and (n == 2 or (u[-3] > 0 if abs(u[-3]) < abs(b) else b > 0))):
+                        add(u[:-2] + (-b, -a))
+                elif family in "BC" and first >= n - 2:
+                    c = u[-1]
+                    if c > 0 and c not in levi and (n == 1 or u[-2] > 0 or abs(u[-2]) > c):
+                        add(u[:-1] + (-c,))
+            level = nxt
+            ell += 1
+        expected = datum.order() // self.levi_order()
+        if len(found) != expected:
+            raise WeylError(f"found {len(found)} representatives, expected {expected}")
+        return tuple(found)
+
 
 def _terms(root) -> tuple:
     """A root on one or two coordinates as (a, i, b, j), so that its pairing
@@ -380,77 +459,17 @@ def _signed_key(root):
     return key if len(key) == 2 else key[0]
 
 
-def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> list:
-    """The level search behind `kostant_reps`: [(window, length)] with
-    int-tuple windows, sorted by (length, window).
-
-    The simple roots, in the order of `RootDatum.simple_roots`, are
-    α_i = e_i - e_{i+1} (0-based, i < n-1), then the last root: e_{n-1} for
-    B, 2e_{n-1} for C, e_{n-2} + e_{n-1} for D.  For a window u, u(α_i) is
-    keyed (`_signed_key`) by a = u[i] and -b = -u[i+1], and us swaps those
-    two entries; the last root's image is keyed by u[n-1] (B, C) or by
-    u[n-2] and u[n-1] (D), and us negates the one entry or swaps and
-    negates the two.  The image is positive iff the entry of smaller
-    absolute value is (a for |a| < |b|, else -b), so a descent costs one
-    comparison; only for an ascent is the key built and looked up in the
-    Levi.
-
-    Each v is built once, from the u = vs where s is v's first descent in
-    that order: us is kept only when (us)(α_j) > 0 for each simple root
-    α_j before α_s.  For α_j orthogonal to α_s that is u(α_j) > 0, so the
-    scan over s stops two places after u's first descent; for the one α_j
-    joined to α_s in the Dynkin diagram it is read off two entries of u.
+def _kostant_windows(datum: RootDatum, shape: ParabolicShape) -> tuple:
+    """The minimal coset windows of ``shape``: ((window, length), ...) with
+    int-tuple windows, sorted by (length, window).  The shape must belong to
+    ``datum``, which is checked on every call.  The level search itself
+    (`ParabolicShape._windows`) runs once per shape object, the first time
+    its windows are read, and the shape keeps them: `kostant_reps` and
+    `kostant_weights` on one shape search once between them.
     """
     if shape.ambient != datum:
         raise WeylError("shape does not belong to this datum")
-    n, family = datum.dim, datum.family
-    levi = frozenset(map(_signed_key, shape.levi_simple_roots()))
-    top = _POSITIVE_ROOT_COUNTS[family](datum.rank)
-    steps = [(i, i + 1, i + 2) for i in range(n - 1)]
-    level = [tuple(range(1, n + 1))]
-    found = []
-    ell = 0
-    while level:
-        if ell > top:
-            raise WeylError(f"level {ell} exceeds the {top} positive roots")
-        level.sort()
-        found += [(u, ell) for u in level]
-        nxt = []
-        add = nxt.append
-        for u in level:
-            first = n  # u's first descent among the α_i seen so far
-            for i, j, k in steps:
-                if first < i - 1:
-                    break
-                a = u[i]
-                b = u[j]
-                if a < 0 if abs(a) < abs(b) else b > 0:
-                    if first == n:
-                        first = i
-                # an ascent: u(α_i) not a Levi root, and (us)(α_{i-1}) > 0,
-                # the root keyed (u[i-1], -b)
-                elif ((a, -b) if abs(a) < abs(b) else (-b, a)) not in levi and (
-                    i == 0 or (u[i - 1] > 0 if abs(u[i - 1]) < abs(b) else b < 0)
-                ):
-                    add(u[:i] + (b, a) + u[k:])
-            if family == "D" and first >= n - 3:
-                # α_{n-2} is orthogonal to the last root, α_{n-3} joined to it
-                a, b = u[-2], u[-1]
-                key = (a, b) if abs(a) < abs(b) else (b, a)
-                if (key[0] > 0 and key not in levi
-                        and (a > 0 if abs(a) < abs(b) else b < 0)
-                        and (n == 2 or (u[-3] > 0 if abs(u[-3]) < abs(b) else b > 0))):
-                    add(u[:-2] + (-b, -a))
-            elif family in "BC" and first >= n - 2:
-                c = u[-1]
-                if c > 0 and c not in levi and (n == 1 or u[-2] > 0 or abs(u[-2]) > c):
-                    add(u[:-1] + (-c,))
-        level = nxt
-        ell += 1
-    expected = datum.order() // shape.levi_order()
-    if len(found) != expected:
-        raise WeylError(f"found {len(found)} representatives, expected {expected}")
-    return found
+    return shape._windows
 
 
 def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
@@ -465,9 +484,11 @@ def kostant_reps(datum: RootDatum, shape: ParabolicShape) -> list:
     is a simple root of the Levi, in which case us = s'u for the Levi
     reflection s' of that root: two window entries and one set lookup
     decide each step, and each v is reached from one parent only
-    (`_kostant_windows`).  The level number is the length.  A `SignedPerm`
-    is built only for each returned representative.  Result is sorted by
-    (length, window) and its size equals |W| / |W_M|.
+    (`ParabolicShape._windows`).  The level number is the length.  The
+    search runs once per shape object, which keeps its windows, so a
+    later `kostant_weights` on the same shape does not search again; a
+    `SignedPerm` is built for each returned representative on every call.
+    Result is sorted by (length, window) and its size equals |W| / |W_M|.
     """
     return [(SignedPerm(w), ell) for w, ell in _kostant_windows(datum, shape)]
 
@@ -520,12 +541,13 @@ def kostant_weights(lam: Weight, datum: RootDatum, shape: ParabolicShape) -> lis
     """Degree-graded weights w(λ+ρ)-ρ over the minimal coset representatives.
 
     λ must be dominant; every returned weight is dominant for the Levi and
-    the degree of each entry is the length of its representative.  The
-    weights are computed doubled, on integers: each representative's
-    window, as `_kostant_windows` returns it, reads its entries of
-    2(w(λ+ρ)-ρ) from one table built per call (`_shifted_weights`),
-    dominance is read off the sign of the integer pairing, and each
-    returned `Weight` keeps the doubled coordinates.
+    the degree of each entry is the length of its representative.  Both
+    are checked on every call.  The windows are the ones the shape keeps
+    (`_kostant_windows`): a shape already asked for `kostant_reps` is not
+    searched again.  The weights are computed doubled, on integers: each
+    window reads its entries of 2(w(λ+ρ)-ρ) from one table built per call
+    (`_shifted_weights`), dominance is read off the sign of the integer
+    pairing, and each returned `Weight` keeps the doubled coordinates.
     """
     twice_lam = _twice_lambda(lam.twice, datum)
     return _shifted_weights(twice_lam, datum, shape, _kostant_windows(datum, shape))

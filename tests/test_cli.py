@@ -751,6 +751,91 @@ def test_ledger_override_errors_point_into_the_override_file(tmp_path):
     assert f"override:{override}#/ledger_overrides/0" in [e["provenance"] for e in ledger]
 
 
+# thmA with its auxiliary factor's order at 1 overridden to k, and the
+# central order it declares: with no pole and no central zero the auxiliary
+# pole is missing; a declared central zero vanishes on both sides whatever k is
+LEDGER_CASES = {"thmA aux 0 central 0": (0, 0), "thmA aux -2 central 1": (-2, 1)}
+
+
+def _ledger_case(tmp_path, name) -> str:
+    k, central = LEDGER_CASES[name]
+    scn = json.loads((cli.scenario_dir() / "thmA.json").read_text())
+    scn["ledger_overrides"] = [{"factor": ["wedge2", "pi"], "point": 1, "order": k}]
+    scn["central_order"] = central
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(scn))
+    return str(path)
+
+
+def _main(capsys, *argv) -> tuple:
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if code == 0 else None, err
+
+
+def test_no_auxiliary_pole_and_no_central_zero_is_a_failed_hypothesis(tmp_path, capsys):
+    path = _ledger_case(tmp_path, "thmA aux 0 central 0")
+    assert _main(capsys, "check-scenario", "--scenario", path) == (
+        2, None, "error: auxiliary pole missing: L(2s, pi, wedge2) has order 0 at 1, "
+        "and no central zero is declared\n",
+    )
+    code, report, _ = _main(capsys, "pole", "--scenario", path)
+    assert (code, report["verdict"], report["decision"]["contributing_factors"]) == (
+        0, "no pole", [])
+
+
+def test_a_declared_central_zero_vanishes_on_both_sides(tmp_path, capsys):
+    path = _ledger_case(tmp_path, "thmA aux -2 central 1")
+    code, report, _ = _main(capsys, "check-scenario", "--scenario", path)
+    assert (code, report["verdict"]) == (0, "both sides vanish (order >= 1 on each side)")
+    assert [s["citation"] for s in report["derivation"]] == [
+        "central-nonvanishing-gate", "dichotomy"]
+    code, report, _ = _main(capsys, "pole", "--scenario", path)
+    decision = report["decision"]
+    assert (code, report["verdict"], decision["total_order"]) == (0, "pole", -1)
+    assert decision["contributing_factors"] == ["L(2s, pi, wedge2)"]
+
+
+def _central_orders(report) -> set:
+    """The central orders in 0..7 that a `pole` or `check-scenario` report
+    allows: the declared order its pole decision restates, a nonzero
+    central value, a central zero on both sides, or an order parity."""
+    orders = set(range(8))
+    for decision in (report.get("decision"), report.get("details", {}).get("pole")):
+        if decision is None:
+            continue
+        for step in decision["derivation"]:
+            head, _, declared = step["claim"].rpartition(" at 1/2 is ")
+            if head.startswith("declared central order of "):
+                orders &= {int(declared)}
+        if any(f.startswith("central value nonzero: ") for f in decision["contributing_factors"]):
+            orders &= {0}
+    verdict = report.get("verdict", "")
+    if verdict == "nonvanishing invariant: YES":
+        orders &= {0}
+    if verdict.startswith("both sides vanish"):
+        orders -= {0}
+    for step in report.get("derivation", []):
+        for parity, rest in (("even", 0), ("odd", 1)):
+            if step["claim"] == f"central vanishing order is {parity} on both sides":
+                orders &= {c for c in range(8) if c % 2 == rest}
+    return orders
+
+
+@pytest.mark.parametrize("name", LIBRARY + tuple(LEDGER_CASES))
+def test_pole_and_check_scenario_agree_on_the_central_order(tmp_path, capsys, name):
+    """No two claims of the two reports on one scenario about its central
+    order contradict each other; a refused command makes no claim.
+    `root-number`'s parity (ROADMAP item 2(a)) is left out."""
+    scenario = _ledger_case(tmp_path, name) if name in LEDGER_CASES else name
+    orders = set(range(8))
+    for command in ("pole", "check-scenario"):
+        code, report, _ = _main(capsys, command, "--scenario", scenario)
+        if code == 0:
+            orders &= _central_orders(report)
+    assert orders
+
+
 @pytest.mark.parametrize("command", ["check-scenario", "root-number"])
 @pytest.mark.parametrize(
     "table,message",

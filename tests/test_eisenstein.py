@@ -246,6 +246,25 @@ class TestLedgerAndPole:
             not pole_at_half(q, led, c).has_pole for c in range(1, 4)
         )
 
+    @pytest.mark.parametrize(
+        "aux_order,central,nonzero",
+        [(-1, 0, True), (0, 0, False), (-1, 1, False), (0, 1, False), (-2, 1, False)],
+    )
+    def test_contributing_factors(self, aux_order, central, nonzero):
+        """The auxiliary factor contributes when it has a pole; the central
+        value is listed as nonzero only when no central zero is declared and
+        the quotient has a pole."""
+        q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
+        pair, aux = q.numerator
+        led = default_ledger(PI_B, RHO_B)
+        led.set(aux.kind, aux.point_at(Fraction(1, 2)), aux_order, "test")
+        expected = ["L(2s, pi, wedge2)"] if aux_order < 0 else []
+        if nonzero:
+            expected.append("central value nonzero: L(s, pi x rho)")
+        decision = pole_at_half(q, led, central)
+        assert decision.total_order == central + aux_order
+        assert list(decision.contributing_factors) == expected
+
     def test_missing_ledger_point(self):
         q = constant_term_quotient(GroupDescriptor(SP, 5), PI_B, RHO_B)
         with pytest.raises(EisensteinError):

@@ -185,6 +185,46 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+# the attributes an instance caches, each with why; a value-keyed cache
+# (functools.lru_cache or functools.cache) would hand one result to every
+# equal argument and keep both alive for the life of the process
+CACHED_PROPERTIES = {
+    "weyl.ParabolicShape._windows": (
+        "kostant_reps and kostant_weights on one shape read one level search"
+    ),
+}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_value_keyed_cache():
+    """No module uses `lru_cache` or `functools.cache`, and each
+    `cached_property` decorates a method listed above."""
+    value_keyed, cached, uses = [], set(), 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and _name(node.value) == "functools":
+                names = [node.attr]
+            else:
+                names = [_name(node)] if _name(node) == "lru_cache" else []
+            value_keyed += [f"{path.name}:{node.lineno}" for n in names if n in ("cache", "lru_cache")]
+            uses += _name(node) == "cached_property"
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and any(
+                        _name(d) == "cached_property" for d in fn.decorator_list
+                    ):
+                        cached.add(f"{path.stem}.{node.name}.{fn.name}")
+    assert value_keyed == []
+    assert sorted(cached) == sorted(CACHED_PROPERTIES)
+    assert uses == len(cached)  # a cached_property is only ever a method's decorator
+
+
 def test_every_record_class_has_samples():
     assert _record_classes() == set(SAMPLES)
 

@@ -326,6 +326,69 @@ def test_shifted_weights_refuse_a_window_that_is_not_minimal():
 
 
 # ---------------------------------------------------------------------------
+# a shape searches once: its windows are a cached attribute, not a field
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """How often the level search has run: only its count check calls
+    `RootDatum.order` on the kostant path."""
+    calls = []
+    order = RootDatum.order
+    monkeypatch.setattr(RootDatum, "order", lambda self: calls.append(self) or order(self))
+    return calls
+
+
+def test_one_shape_is_searched_once(searches, monkeypatch):
+    built = []
+    check = SignedPerm.__post_init__
+    monkeypatch.setattr(SignedPerm, "__post_init__", lambda self: built.append(1) or check(self))
+    datum = RootDatum("C", 4)
+    shape = ParabolicShape((2,), 2, datum)
+    reps = kostant_reps(datum, shape)
+    weights = kostant_weights(Weight((0,) * 4), datum, shape)
+    windows = _kostant_windows(datum, shape)
+    assert kostant_reps(datum, shape) == reps
+    assert len(searches) == 1
+    assert len(built) == 2 * len(reps)  # every call builds its representatives
+    assert [(w.images, ell) for w, ell in reps] == list(windows)
+    assert [d for d, _ in weights] == [ell for _, ell in windows]
+    assert type(windows) is tuple and all(type(w) is tuple for w, _ in windows)
+
+
+def test_equal_shapes_built_apart_each_search(searches):
+    datum = RootDatum("B", 3)
+    first = ParabolicShape((1,), 2, datum)
+    second = ParabolicShape((1,), 2, datum)
+    kostant_reps(datum, first)
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    windows = _kostant_windows(datum, second)
+    assert len(searches) == 2 and windows == first._windows and windows is not first._windows
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    assert set(vars(first)) == set(ParabolicShape._fields) | {"_windows"}
+
+
+def test_a_search_that_raises_is_not_kept(searches, monkeypatch):
+    monkeypatch.setattr(ParabolicShape, "levi_order", lambda self: 1)
+    datum = RootDatum("C", 2)
+    shape = ParabolicShape((1,), 1, datum)
+    for _ in range(2):
+        with pytest.raises(WeylError, match="^found 4 representatives, expected 8$"):
+            kostant_reps(datum, shape)
+    assert len(searches) == 2 and "_windows" not in vars(shape)
+
+
+def test_a_kept_search_still_checks_the_datum():
+    datum = RootDatum("B", 3)
+    shape = ParabolicShape((1,), 2, datum)
+    kostant_reps(datum, shape)
+    with pytest.raises(WeylError, match="^shape does not belong to this datum$"):
+        _kostant_windows(RootDatum("C", 3), shape)
+    with pytest.raises(WeylError, match="^shape does not belong to this datum$"):
+        kostant_weights(Weight((0, 0, 0)), RootDatum("C", 3), shape)
+
+
+# ---------------------------------------------------------------------------
 # an independent dimension oracle for the shifted weights
 
 
@@ -569,7 +632,7 @@ def test_inlined_step_matches_the_generic_step(family, rank):
     for shape in ORACLE_SHAPES:
         if (shape.ambient.family, shape.ambient.rank) == (family, rank):
             got = _kostant_windows(shape.ambient, shape)
-            assert got == generic_level_search(shape.ambient, shape), shape
+            assert got == tuple(generic_level_search(shape.ambient, shape)), shape
 
 
 def weyl_degrees(family, rank):
@@ -933,6 +996,7 @@ INTEGER_KERNEL = {
     "_pairs_nonnegative",
     "_signed_key",
     "_kostant_windows",
+    "ParabolicShape._windows",
     "_twice_lambda",
     "_shifted_weights",
     "kostant_reps",
